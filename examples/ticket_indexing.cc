@@ -94,8 +94,10 @@ int main() {
               a.value().num_rows());
 
   // The legacy sources can answer the same query through Alg. 5.1.
-  auto answer = system.Answer(q, /*multiset=*/true);
+  AnswerOptions bag;
+  bag.multiset = true;
+  auto answer = system.AnswerGuarded(q, bag);
   std::printf("legacy-source rewriting agrees?  %s\n",
-              answer.value().BagEquals(a.value()) ? "yes" : "NO");
+              answer.value().table.BagEquals(a.value()) ? "yes" : "NO");
   return 0;
 }

@@ -88,6 +88,14 @@ Result<std::unique_ptr<CreateViewStmt>> StripViewAggregation(
 Result<TranslationResult> AggregateViewRewriter::Rewrite(
     const ViewDefinition& view, const std::string& query_sql,
     bool allow_avg_reaggregation) const {
+  DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> query,
+                      Parser::ParseSelect(query_sql));
+  return Rewrite(view, *query, allow_avg_reaggregation);
+}
+
+Result<TranslationResult> AggregateViewRewriter::Rewrite(
+    const ViewDefinition& view, const SelectStmt& query_template,
+    bool allow_avg_reaggregation) const {
   if (!view.IsAggregateView()) {
     return Status::InvalidArgument("view does not aggregate; use Alg. 5.1");
   }
@@ -115,8 +123,7 @@ Result<TranslationResult> AggregateViewRewriter::Rewrite(
   std::string agg_arg_var = ToLower(core.dom_of(view_agg_pos));
 
   // --- Decompose the query. --------------------------------------------------
-  DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> query,
-                      Parser::ParseSelect(query_sql));
+  std::unique_ptr<SelectStmt> query = query_template.Clone();
   if (query->union_next != nullptr || query->distinct) {
     return Status::Unsupported("aggregate rewriting covers single-block "
                                "non-DISTINCT queries");

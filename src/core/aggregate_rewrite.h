@@ -36,9 +36,15 @@ class AggregateViewRewriter {
   AggregateViewRewriter(const CatalogReader* catalog, std::string default_db)
       : catalog_(catalog), default_db_(std::move(default_db)) {}
 
-  /// Rewrites aggregate `query_sql` onto aggregate `view`. On success the
-  /// result's query is the re-aggregating SQL/SchemaSQL statement over the
-  /// view's materialization.
+  /// Rewrites the parsed, unbound aggregate `query` onto aggregate `view`.
+  /// On success the result's query is the re-aggregating SQL/SchemaSQL
+  /// statement over the view's materialization. Binds a clone: `query`
+  /// stays a reusable template.
+  Result<TranslationResult> Rewrite(const ViewDefinition& view,
+                                    const SelectStmt& query,
+                                    bool allow_avg_reaggregation) const;
+
+  /// Parse-then-call form of Rewrite.
   Result<TranslationResult> Rewrite(const ViewDefinition& view,
                                     const std::string& query_sql,
                                     bool allow_avg_reaggregation) const;

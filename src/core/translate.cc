@@ -83,6 +83,12 @@ Result<TranslationResult> QueryTranslator::TranslateSqlAll(
     bool multiset) const {
   DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
                       Parser::ParseSelect(query_sql));
+  return TranslateAll(view, *stmt, multiset);
+}
+
+Result<TranslationResult> QueryTranslator::TranslateAll(
+    const ViewDefinition& view, const SelectStmt& query, bool multiset) const {
+  std::unique_ptr<SelectStmt> stmt = query.Clone();
   DV_ASSIGN_OR_RETURN(BoundQuery bq,
                       NormalizeQuery(stmt.get(), *catalog_, default_db_));
   UsabilityChecker checker(catalog_, default_db_);

@@ -48,11 +48,18 @@ class QueryTranslator {
                                          const std::string& query_sql,
                                          bool multiset) const;
 
-  /// Applies the view repeatedly until no further tuple variables can be
-  /// covered — producing the Fig. 11 Q1′ shape, where a self-join over the
-  /// integration is answered by two scans of the view. Fails if the view is
-  /// not usable even once. The returned result aggregates the bookkeeping of
-  /// all applications.
+  /// Applies the view to the parsed, unbound `query` repeatedly until no
+  /// further tuple variables can be covered — producing the Fig. 11 Q1′
+  /// shape, where a self-join over the integration is answered by two scans
+  /// of the view. Fails if the view is not usable even once. The returned
+  /// result aggregates the bookkeeping of all applications. The binder
+  /// annotates in place, so this works on a clone: `query` stays a reusable
+  /// template.
+  Result<TranslationResult> TranslateAll(const ViewDefinition& view,
+                                         const SelectStmt& query,
+                                         bool multiset) const;
+
+  /// Parse-then-call form of TranslateAll.
   Result<TranslationResult> TranslateSqlAll(const ViewDefinition& view,
                                             const std::string& query_sql,
                                             bool multiset) const;

@@ -494,7 +494,7 @@ std::string Describe(const RunOut& o) {
 
 /// Runs one (sql, multiset) through every strategy and compares. Returns the
 /// first violation ("<strategy>: <what diverged>"), or nullopt when all
-/// seven executions agree. `rep` is null during minimization replays.
+/// eight executions agree. `rep` is null during minimization replays.
 std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
                                       bool multiset, FuzzReport* rep) {
   if (FailPoints::AnyArmed()) {
@@ -527,6 +527,36 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
     if (!o.ok && o.st.code() != ref.st.code()) {
       return std::string(name) + ": " + Describe(o) + " vs reference " +
              Describe(ref);
+    }
+  }
+
+  // The Sec. 6 optimizer over the same sources: its cost-based plan must
+  // reproduce the reference rows (sorted — join order is its choice).
+  {
+    Optimizer* opt = rt.a8->optimizer();
+    Result<OptimizedPlan> plan = opt->Plan(sql);
+    if (!plan.ok() && plan.status().code() == StatusCode::kUnsupported) {
+      if (rep != nullptr) ++rep->optimizer_refusals;
+    } else {
+      count();
+      if (rep != nullptr) ++rep->optimizer_checks;
+      Result<Table> r =
+          plan.ok() ? opt->Execute(plan.value()) : Result<Table>(plan.status());
+      RunOut o;
+      o.ok = r.ok();
+      if (r.ok()) {
+        o.canon = Canon(r.value());
+      } else {
+        o.st = r.status();
+      }
+      if (o.ok != ref.ok || (!o.ok && o.st.code() != ref.st.code())) {
+        return "optimizer: " + Describe(o) + " vs reference " + Describe(ref);
+      }
+      if (o.ok && o.canon != ref.canon) {
+        return "optimizer: plan rows diverge from direct\n" + o.canon +
+               "--- reference ---\n" + ref.canon + "--- plan ---\n" +
+               plan.value().Describe();
+      }
     }
   }
 
@@ -667,7 +697,9 @@ std::string FuzzReport::Summary() const {
   os << "triples=" << triples << " checks=" << checks
      << " ddl_applied=" << ddl_applied << " ddl_rejected=" << ddl_rejected
      << " remats=" << remats << " left_stale=" << left_stale
-     << " warnings=" << warnings_seen << " crashes=" << crashes_replayed
+     << " warnings=" << warnings_seen << " optimizer=" << optimizer_checks
+     << " optimizer_refusals=" << optimizer_refusals
+     << " crashes=" << crashes_replayed
      << " mismatches=" << mismatches << " kinds=[";
   bool first = true;
   for (const std::string& k : kinds_applied) {

@@ -56,6 +56,8 @@ struct FuzzReport {
   int remats = 0;        // Fenced materializations rebuilt by propagation.
   int left_stale = 0;    // Fenced materializations re-fenced instead.
   int warnings_seen = 0;
+  int optimizer_checks = 0;    // Sec. 6 optimizer plans compared.
+  int optimizer_refusals = 0;  // Queries it declined (kUnsupported).
   int crashes_replayed = 0;
   int mismatches = 0;  // Oracle violations — any nonzero run is a failure.
   std::set<std::string> kinds_applied;  // DdlKindName of every applied op.
@@ -72,18 +74,21 @@ struct FuzzReport {
 /// {copy, partitioned, pivot} sources registered and materialized over it,
 /// and a DDL stream that deterministically exercises all six DdlKinds
 /// (plus random tail ops). After every step, generated SchemaSQL/SQL
-/// queries are answered seven ways —
+/// queries are answered eight ways —
 ///
 ///   direct interpreted t1 (the reference), direct compiled t1, direct
-///   compiled t8, rewriting compiled t1, rewriting compiled t8 (twice, to
-///   cover the plan-cache hit path), rewriting interpreted t8
+///   compiled t8, the Sec. 6 optimizer's plan, rewriting compiled t1,
+///   rewriting compiled t8 (twice, to cover the plan-cache hit path),
+///   rewriting interpreted t8
 ///
 /// — and the oracle requires: byte-identical direct results across
 /// compilation modes and thread counts, canonically identical (sorted)
-/// rewriting results vs the direct reference, identical status codes on
-/// errors, and identical (source, code) warning sequences across the
-/// rewriting systems. In durable mode every scenario additionally crashes
-/// mid-stream and must replay to the exact pre-crash head and answers.
+/// optimizer and rewriting results vs the direct reference, identical
+/// status codes on errors, and identical (source, code) warning sequences
+/// across the rewriting systems. Queries the optimizer declines to plan
+/// (kUnsupported: higher-order or multi-block) are counted as refusals. In
+/// durable mode every scenario additionally crashes mid-stream and must
+/// replay to the exact pre-crash head and answers.
 ///
 /// Failpoint: `fuzz.oracle` (match detail = the SQL text) injects a
 /// synthetic mismatch, exercising the minimization + repro-dump plumbing.

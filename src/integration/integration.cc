@@ -13,8 +13,9 @@
 namespace dynview {
 
 namespace {
-/// Raw-SQL → fingerprint memo bound; dropped wholesale at capacity.
-constexpr size_t kRawMemoCapacity = 1024;
+/// Raw-SQL → parsed-query memo bound; dropped wholesale at capacity. Each
+/// entry holds a parsed statement, so the bound matches the plan cache's.
+constexpr size_t kRawMemoCapacity = 256;
 }  // namespace
 
 IntegrationSystem::IntegrationSystem(Catalog* catalog,
@@ -28,12 +29,7 @@ IntegrationSystem::IntegrationSystem(Catalog* catalog,
     : catalog_(catalog),
       integration_db_(std::move(integration_db)),
       engine_(catalog, integration_db_, options.exec),
-      optimizer_(catalog, integration_db_),
-      plan_cache_(options.plan_cache_capacity == 0
-                      ? 1
-                      : options.plan_cache_capacity,
-                  options.plan_cache_shards),
-      plan_cache_enabled_(options.plan_cache_capacity > 0) {}
+      optimizer_(catalog, integration_db_) {}
 
 void IntegrationSystem::ClearPlanCache() {
   plan_cache_.Clear();
@@ -539,14 +535,21 @@ void IntegrationSystem::DrainRecoveryWarnings(
 
 Result<TranslationResult> IntegrationSystem::Rewrite(const std::string& sql,
                                                      bool multiset) {
+  DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
+                      Parser::ParseSelect(sql));
+  return Rewrite(*stmt, multiset);
+}
+
+Result<TranslationResult> IntegrationSystem::Rewrite(const SelectStmt& query,
+                                                     bool multiset) {
   // One consistent version for the whole rewrite (the translators read view
   // bodies and I's schema through it). Held alive for the call.
   std::shared_ptr<const CatalogSnapshot> snap = catalog_->Snapshot();
-  return RewriteOver(sql, multiset, *snap, /*stale=*/nullptr);
+  return RewriteOver(query, multiset, *snap, /*stale=*/nullptr);
 }
 
 Result<TranslationResult> IntegrationSystem::RewriteOver(
-    const std::string& sql, bool multiset, const CatalogSnapshot& snap,
+    const SelectStmt& query, bool multiset, const CatalogSnapshot& snap,
     std::vector<SourceWarning>* stale, const ViewDefinition** chosen) {
   QueryTranslator translator(&snap, integration_db_);
   AggregateViewRewriter agg_rewriter(&snap, integration_db_);
@@ -556,10 +559,7 @@ Result<TranslationResult> IntegrationSystem::RewriteOver(
       // The materialization predates a commit that touched a base database
       // the view reads: answering from it would not match any single catalog
       // version. Fall back past it (stale fencing).
-      const NameTerm& db = source->db_term();
-      const NameTerm& rel = source->rel_term();
-      std::string name =
-          (db.empty() ? std::string() : db.text + "::") + rel.text;
+      std::string name = SourceDisplayName(*source);
       last_reason = "source " + name + " is stale";
       if (stale != nullptr) {
         stale->push_back(SourceWarning{
@@ -571,21 +571,14 @@ Result<TranslationResult> IntegrationSystem::RewriteOver(
       }
       continue;
     }
-    if (source->IsAggregateView()) {
-      // Sec. 5.2 / Ex. 5.3: aggregate-defined sources answer aggregate
-      // queries by re-aggregation. AVG re-aggregation requires the
-      // uniform-group assumption, so it is only offered for set semantics.
-      Result<TranslationResult> t = agg_rewriter.Rewrite(
-          *source, sql, /*allow_avg_reaggregation=*/!multiset);
-      if (t.ok()) {
-        if (chosen != nullptr) *chosen = source.get();
-        return t;
-      }
-      last_reason = t.status().message();
-      continue;
-    }
+    // Sec. 5.2 / Ex. 5.3: aggregate-defined sources answer aggregate queries
+    // by re-aggregation. AVG re-aggregation requires the uniform-group
+    // assumption, so it is only offered for set semantics.
     Result<TranslationResult> t =
-        translator.TranslateSqlAll(*source, sql, multiset);
+        source->IsAggregateView()
+            ? agg_rewriter.Rewrite(*source, query,
+                                   /*allow_avg_reaggregation=*/!multiset)
+            : translator.TranslateAll(*source, query, multiset);
     if (t.ok()) {
       if (chosen != nullptr) *chosen = source.get();
       return t;
@@ -596,63 +589,44 @@ Result<TranslationResult> IntegrationSystem::RewriteOver(
                           (last_reason.empty() ? "" : ": " + last_reason));
 }
 
-Result<Table> IntegrationSystem::Answer(const std::string& sql,
-                                        bool multiset) {
-  Result<TranslationResult> rewritten = Rewrite(sql, multiset);
-  if (rewritten.ok()) {
-    return engine_.Execute(rewritten.value().query.get());
-  }
-  // Fall back to data stored directly under I (the architecture permits
-  // locally stored integration data).
-  Result<Table> direct = engine_.ExecuteSql(sql);
-  if (direct.ok() && direct.value().num_rows() > 0) return direct;
-  if (direct.ok()) return direct;  // Empty but well formed.
-  return rewritten.status();
+IntegrationSystem::ParsedQuery IntegrationSystem::KeyStatement(
+    std::unique_ptr<SelectStmt> stmt, bool multiset) {
+  QueryFingerprint fp = FingerprintStatement(*stmt, FingerprintMode::kExact);
+  // Key on the full normalized text, not the 64-bit hash: a hash collision
+  // between distinct queries must miss, never serve the other query's plan.
+  // The hex hash stays display-only (EXPLAIN, AnswerResult, failpoints).
+  return ParsedQuery{std::shared_ptr<const SelectStmt>(std::move(stmt)),
+                     (multiset ? "m|" : "s|") + fp.normalized, fp.Hex()};
 }
 
 Result<AnswerResult> IntegrationSystem::AnswerGuarded(
     const std::string& sql, const AnswerOptions& options, QueryContext* ctx) {
-  if (!plan_cache_enabled_) return AnswerUncached(sql, options, ctx);
   // First cache level: exact raw text. Repeats of the same string skip
   // parsing and fingerprinting entirely.
   const std::string memo_key = (options.multiset ? "m|" : "s|") + sql;
-  std::string memo_cache_key;
-  std::string memo_fp_hex;
+  ParsedQuery query;
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
     auto it = raw_memo_.find(memo_key);
-    if (it != raw_memo_.end()) {
-      memo_cache_key = it->second.first;
-      memo_fp_hex = it->second.second;
-    }
+    if (it != raw_memo_.end()) query = it->second;
   }
-  if (!memo_cache_key.empty()) {
-    return AnswerWithCache(sql, memo_cache_key, memo_fp_hex, /*stmt=*/nullptr,
-                           options, ctx);
-  }
-  // Second level: parse once, fingerprint the normalized statement. A query
-  // I's grammar rejects takes the legacy path verbatim so its error surface
-  // (engine parse error vs NotFound precedence) is unchanged.
-  Result<std::unique_ptr<SelectStmt>> parsed = Parser::ParseSelect(sql);
-  if (!parsed.ok()) return AnswerUncached(sql, options, ctx);
-  QueryFingerprint fp =
-      FingerprintStatement(*parsed.value(), FingerprintMode::kExact);
-  std::string fp_hex = fp.Hex();
-  // Key on the full normalized text, not the 64-bit hash: a hash collision
-  // between distinct queries must miss, never serve the other query's plan.
-  // The hex hash stays display-only (EXPLAIN, AnswerResult, failpoints).
-  std::string cache_key = (options.multiset ? "m|" : "s|") + fp.normalized;
-  {
+  if (query.stmt == nullptr) {
+    // Second level: parse once, fingerprint the normalized statement. Text
+    // I's grammar rejects fails here with the parser's positioned error.
+    DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
+                        Parser::ParseSelect(sql));
+    query = KeyStatement(std::move(stmt), options.multiset);
+    // A full memo is swapped out under the lock and freed outside it.
+    std::unordered_map<std::string, ParsedQuery> dropped;
     std::lock_guard<std::mutex> lock(memo_mu_);
-    if (raw_memo_.size() >= kRawMemoCapacity) raw_memo_.clear();
-    raw_memo_.emplace(memo_key, std::make_pair(cache_key, fp_hex));
+    if (raw_memo_.size() >= kRawMemoCapacity) dropped.swap(raw_memo_);
+    raw_memo_.emplace(memo_key, query);
   }
-  return AnswerWithCache(sql, cache_key, fp_hex, std::move(parsed).value(),
-                         options, ctx);
+  return AnswerParsed(query, options, ctx);
 }
 
-Result<AnswerResult> IntegrationSystem::AnswerUncached(
-    const std::string& sql, const AnswerOptions& options, QueryContext* ctx) {
+Result<AnswerResult> IntegrationSystem::AnswerParsed(
+    const ParsedQuery& query, const AnswerOptions& options, QueryContext* ctx) {
   QueryContext local(options.guards);
   QueryContext* qc = ctx != nullptr ? ctx : &local;
   // Pin the one catalog version the whole call reads. A snapshot the caller
@@ -671,49 +645,102 @@ Result<AnswerResult> IntegrationSystem::AnswerUncached(
     observer = std::make_shared<QueryObserver>();
     qc->set_observer(observer.get());
   }
-  // qc borrows our observer only for this call; detach on every exit path.
-  // The engine itself takes qc per call (explicit overloads), so concurrent
-  // AnswerGuarded calls on one system never share mutable engine state.
+  // The observer AND the plan's compiled-program memo are borrowed by qc for
+  // this call only; detach both on every exit path, so a caller-owned
+  // context keeps neither alive. The engine itself takes qc per call, so
+  // concurrent answers on one system never share mutable engine state.
   struct Detach {
     QueryContext* qc;
     bool owns_observer;
     ~Detach() {
       if (owns_observer) qc->set_observer(nullptr);
+      qc->set_expr_programs(nullptr);
     }
   } detach{qc, observer != nullptr};
+  QueryObserver* sink = qc->observer();
+
+  // Chaos hook: a poisoned cache entry is erased and the query degrades to a
+  // fresh compile with a warning — never a wrong answer.
+  std::vector<SourceWarning> warnings;
+  if (FailPoints::AnyArmed()) {
+    Status poisoned = FailPoints::Check("plan_cache.lookup", query.fp_hex);
+    if (!poisoned.ok()) {
+      plan_cache_.Erase(query.cache_key);
+      warnings.push_back(SourceWarning{"plan_cache", poisoned});
+    }
+  }
+
+  CacheLookupOutcome outcome = CacheLookupOutcome::kMiss;
+  std::shared_ptr<CachedPlan> plan =
+      plan_cache_.Lookup(query.cache_key, snap->version(), &outcome);
+  const bool plan_cached = plan != nullptr;
+  if (sink != nullptr) {
+    sink->metrics.Add(plan_cached ? counters::kPlanCacheHits
+                                  : counters::kPlanCacheMisses,
+                      1);
+    if (outcome == CacheLookupOutcome::kStaleMiss) {
+      sink->metrics.Add(counters::kPlanCacheInvalidations, 1);
+    }
+  }
+  auto remember = [&] {
+    size_t evicted = plan_cache_.Insert(query.cache_key, snap->version(), plan);
+    if (sink != nullptr && evicted > 0) {
+      sink->metrics.Add(counters::kPlanCacheEvictions,
+                        static_cast<uint64_t>(evicted));
+    }
+  };
+
+  // Cold path: Alg. 5.1 against the pinned snapshot. The programs compiled
+  // during this execution (every grounding of the fan-out included) ride
+  // along in the entry for future hits.
+  Status no_source;
+  if (!plan_cached) {
+    plan = std::make_shared<CachedPlan>();
+    plan->programs = std::make_shared<ExprProgramCache>();
+    Result<TranslationResult> rewritten = RewriteOver(
+        *query.stmt, options.multiset, *snap, &plan->stale, &plan->chosen);
+    if (rewritten.ok()) {
+      plan->rewritten =
+          std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
+      // Cached before execution: a rewriting is valid for this version even
+      // if this particular execution trips a guard.
+      remember();
+    } else {
+      no_source = rewritten.status();
+    }
+  }
 
   // Stale-source fences surface in registration order, before any
-  // degradation warnings execution adds — a deterministic prefix.
-  std::vector<SourceWarning> stale;
-  const ViewDefinition* chosen = nullptr;
-  Result<Table> answered = [&]() -> Result<Table> {
-    Result<TranslationResult> rewritten =
-        RewriteOver(sql, options.multiset, *snap, &stale, &chosen);
-    if (rewritten.ok()) {
-      Result<Table> over_source =
-          engine_.Execute(rewritten.value().query.get(), qc);
-      // A rewriting can reference a materialization relation that DDL has
-      // since dropped or renamed (an unfenced source has no staleness
-      // fence to trip). That must degrade like a stale fence — a
-      // deterministic warning plus the direct plan on I — never surface as
-      // a hard NotFound for a query I itself can answer.
-      if (over_source.ok() ||
-          over_source.status().code() != StatusCode::kNotFound) {
-        return over_source;
-      }
-      stale.push_back(
-          VanishedMaterializationWarning(*chosen, over_source.status()));
-      chosen = nullptr;
-      return engine_.ExecuteSql(sql, qc);
+  // degradation warnings execution adds — a deterministic prefix. Cached
+  // statements are immutable templates, so execution works on a clone.
+  qc->set_expr_programs(plan->programs);
+  std::vector<SourceWarning> stale = plan->stale;
+  const ViewDefinition* chosen = plan->chosen;
+  const SelectStmt& tmpl =
+      plan->rewritten != nullptr ? *plan->rewritten : *query.stmt;
+  Result<Table> answered = engine_.Execute(tmpl.Clone().get(), qc);
+  if (plan->rewritten != nullptr && !answered.ok() &&
+      answered.status().code() == StatusCode::kNotFound) {
+    // The rewriting references a materialization relation that DDL has
+    // since dropped or renamed (an unfenced source has no staleness fence to
+    // trip). That degrades like a stale fence — the entry is dropped, a
+    // deterministic warning added and the direct plan on I answers — never
+    // a hard NotFound for a query I itself can answer.
+    plan_cache_.Erase(query.cache_key);
+    stale.push_back(VanishedMaterializationWarning(*chosen, answered.status()));
+    chosen = nullptr;
+    answered = engine_.Execute(query.stmt->Clone().get(), qc);
+  } else if (!plan_cached && plan->rewritten == nullptr) {
+    // The direct plan is cached only on success. A failing direct probe
+    // reports the rewrite's NotFound, unless a guard tripped — then the trip
+    // is the real outcome.
+    if (answered.ok()) {
+      remember();
+    } else if (qc->CheckGuards().ok()) {
+      answered = no_source;
     }
-    Result<Table> direct = engine_.ExecuteSql(sql, qc);
-    if (direct.ok()) return direct;
-    // Guard trips during the fallback are the real outcome, not a reason to
-    // report "no source answers".
-    if (!qc->CheckGuards().ok()) return direct;
-    return rewritten.status();
-  }();
-  QueryObserver* sink = qc->observer();
+  }
+
   if (sink != nullptr && !stale.empty()) {
     sink->metrics.Add(counters::kCatalogStalePath,
                       static_cast<uint64_t>(stale.size()));
@@ -726,15 +753,13 @@ Result<AnswerResult> IntegrationSystem::AnswerUncached(
     sink->metrics.Set(counters::kBudgetBytesCharged, qc->bytes_charged());
     ExportAnalyzeMetrics(&sink->metrics);
   }
-  std::vector<SourceWarning> warnings = std::move(stale);
+  for (SourceWarning& w : stale) warnings.push_back(std::move(w));
   // Analysis warnings DefineView attached to the chosen source travel with
   // every answer it serves (the Sec. 4.3 hazards are per-result facts).
   if (chosen != nullptr) {
     auto it = source_diags_.find(chosen);
     if (it != source_diags_.end()) {
-      const NameTerm& db = chosen->db_term();
-      std::string name =
-          (db.empty() ? std::string() : db.text + "::") + chosen->rel_term().text;
+      std::string name = SourceDisplayName(*chosen);
       for (const Diagnostic& d : it->second) {
         if (d.severity != Severity::kWarning) continue;
         warnings.push_back(SourceWarning{
@@ -751,190 +776,8 @@ Result<AnswerResult> IntegrationSystem::AnswerUncached(
   // grounding fan-out width does not change warning output.
   DedupSourceWarnings(&warnings);
   return AnswerResult{std::move(answered).value(), std::move(warnings),
-                      std::move(observer), snap->version(), std::move(snap)};
-}
-
-Result<AnswerResult> IntegrationSystem::AnswerWithCache(
-    const std::string& sql, const std::string& cache_key,
-    const std::string& fp_hex, std::unique_ptr<SelectStmt> stmt,
-    const AnswerOptions& options, QueryContext* ctx) {
-  QueryContext local(options.guards);
-  QueryContext* qc = ctx != nullptr ? ctx : &local;
-  if (qc->snapshot() == nullptr || qc->snapshot()->origin() != catalog_) {
-    qc->PinSnapshot(catalog_->Snapshot());
-  }
-  std::shared_ptr<const CatalogSnapshot> snap = qc->snapshot();
-  std::shared_ptr<QueryObserver> observer;
-  if (engine_.exec_config().enable_trace && qc->observer() == nullptr) {
-    observer = std::make_shared<QueryObserver>();
-    qc->set_observer(observer.get());
-  }
-  // The observer AND the plan's compiled-program memo are borrowed by qc for
-  // this call only; a caller-owned context must not keep either alive.
-  struct Detach {
-    QueryContext* qc;
-    bool owns_observer;
-    ~Detach() {
-      if (owns_observer) qc->set_observer(nullptr);
-      qc->set_expr_programs(nullptr);
-    }
-  } detach{qc, observer != nullptr};
-  QueryObserver* sink = qc->observer();
-
-  // Chaos hook: a poisoned cache entry is erased and the query degrades to a
-  // fresh compile with a warning — never a wrong answer.
-  std::vector<SourceWarning> cache_warnings;
-  if (FailPoints::AnyArmed()) {
-    Status poisoned = FailPoints::Check("plan_cache.lookup", fp_hex);
-    if (!poisoned.ok()) {
-      plan_cache_.Erase(cache_key);
-      cache_warnings.push_back(SourceWarning{"plan_cache", poisoned});
-    }
-  }
-
-  CacheLookupOutcome outcome = CacheLookupOutcome::kMiss;
-  std::shared_ptr<CachedPlan> plan =
-      plan_cache_.Lookup(cache_key, snap->version(), &outcome);
-  if (sink != nullptr) {
-    sink->metrics.Add(plan != nullptr ? counters::kPlanCacheHits
-                                      : counters::kPlanCacheMisses,
-                      1);
-    if (outcome == CacheLookupOutcome::kStaleMiss) {
-      sink->metrics.Add(counters::kPlanCacheInvalidations, 1);
-    }
-  }
-
-  std::vector<SourceWarning> stale;
-  const ViewDefinition* chosen = nullptr;
-  const bool plan_cached = plan != nullptr;
-  Result<Table> answered = Status::NotFound("unreached");
-  if (plan != nullptr) {
-    // Hot path: no parse, no Alg. 5.1 rewrite, shared compiled programs.
-    // Statements are immutable templates (the binder annotates the AST in
-    // place), so execution works on a clone.
-    qc->set_expr_programs(plan->programs);
-    stale = plan->stale;
-    chosen = plan->chosen;
-    const SelectStmt* tmpl =
-        plan->rewritten != nullptr ? plan->rewritten.get() : plan->direct.get();
-    std::unique_ptr<SelectStmt> exec_stmt = tmpl->Clone();
-    answered = engine_.Execute(exec_stmt.get(), qc);
-    if (!answered.ok() &&
-        answered.status().code() == StatusCode::kNotFound &&
-        plan->rewritten != nullptr && chosen != nullptr) {
-      // The cached rewriting references a materialization relation DDL has
-      // since removed: drop the entry and degrade to the direct plan with a
-      // deterministic warning (same surface as the uncached path).
-      plan_cache_.Erase(cache_key);
-      stale.push_back(
-          VanishedMaterializationWarning(*chosen, answered.status()));
-      chosen = nullptr;
-      answered = engine_.ExecuteSql(sql, qc);
-    }
-  } else {
-    // Cold path: the full rewrite, then cache what it decided. The programs
-    // compiled during this execution (including every grounding of the
-    // fan-out) ride along in the entry for future hits.
-    auto programs = std::make_shared<ExprProgramCache>();
-    qc->set_expr_programs(programs);
-    Result<TranslationResult> rewritten =
-        RewriteOver(sql, options.multiset, *snap, &stale, &chosen);
-    if (rewritten.ok()) {
-      auto entry = std::make_shared<CachedPlan>();
-      entry->rewritten =
-          std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
-      entry->chosen = chosen;
-      entry->stale = stale;
-      entry->programs = programs;
-      // Insert before execution: a rewriting is valid for this version even
-      // if this particular execution trips a guard.
-      size_t evicted = plan_cache_.Insert(cache_key, snap->version(), entry);
-      if (sink != nullptr && evicted > 0) {
-        sink->metrics.Add(counters::kPlanCacheEvictions,
-                          static_cast<uint64_t>(evicted));
-      }
-      std::unique_ptr<SelectStmt> exec_stmt = entry->rewritten->Clone();
-      answered = engine_.Execute(exec_stmt.get(), qc);
-      if (!answered.ok() &&
-          answered.status().code() == StatusCode::kNotFound &&
-          chosen != nullptr) {
-        plan_cache_.Erase(cache_key);
-        stale.push_back(
-            VanishedMaterializationWarning(*chosen, answered.status()));
-        chosen = nullptr;
-        answered = engine_.ExecuteSql(sql, qc);
-      }
-    } else {
-      std::unique_ptr<SelectStmt> direct_stmt = std::move(stmt);
-      if (direct_stmt == nullptr) {
-        // Raw-memo hit but plan evicted/invalidated: re-parse. The memo
-        // guarantees this text parsed before.
-        Result<std::unique_ptr<SelectStmt>> reparsed = Parser::ParseSelect(sql);
-        if (reparsed.ok()) direct_stmt = std::move(reparsed).value();
-      }
-      std::unique_ptr<SelectStmt> exec_stmt;
-      if (direct_stmt != nullptr) exec_stmt = direct_stmt->Clone();
-      Result<Table> direct = direct_stmt != nullptr
-                                 ? engine_.Execute(exec_stmt.get(), qc)
-                                 : engine_.ExecuteSql(sql, qc);
-      if (direct.ok() && direct_stmt != nullptr) {
-        // Cache the direct plan only on success: a failing direct probe must
-        // keep reporting the rewrite's NotFound, exactly like the cold path.
-        auto entry = std::make_shared<CachedPlan>();
-        entry->direct =
-            std::shared_ptr<const SelectStmt>(std::move(direct_stmt));
-        entry->stale = stale;
-        entry->programs = programs;
-        size_t evicted = plan_cache_.Insert(cache_key, snap->version(), entry);
-        if (sink != nullptr && evicted > 0) {
-          sink->metrics.Add(counters::kPlanCacheEvictions,
-                            static_cast<uint64_t>(evicted));
-        }
-      }
-      if (direct.ok()) {
-        answered = std::move(direct);
-      } else if (!qc->CheckGuards().ok()) {
-        answered = std::move(direct);
-      } else {
-        answered = rewritten.status();
-      }
-    }
-  }
-
-  if (sink != nullptr && !stale.empty()) {
-    sink->metrics.Add(counters::kCatalogStalePath,
-                      static_cast<uint64_t>(stale.size()));
-  }
-  DV_RETURN_IF_ERROR(answered.status());
-  if (sink != nullptr) {
-    sink->metrics.Set(counters::kBudgetRowsCharged, qc->rows_charged());
-    sink->metrics.Set(counters::kBudgetBytesCharged, qc->bytes_charged());
-    ExportAnalyzeMetrics(&sink->metrics);
-  }
-  std::vector<SourceWarning> warnings = std::move(cache_warnings);
-  for (SourceWarning& w : stale) warnings.push_back(std::move(w));
-  if (chosen != nullptr) {
-    auto it = source_diags_.find(chosen);
-    if (it != source_diags_.end()) {
-      const NameTerm& db = chosen->db_term();
-      std::string name =
-          (db.empty() ? std::string() : db.text + "::") + chosen->rel_term().text;
-      for (const Diagnostic& d : it->second) {
-        if (d.severity != Severity::kWarning) continue;
-        warnings.push_back(SourceWarning{
-            name, Status::InvalidArgument(d.code + " [" + d.anchor +
-                                          "]: " + d.message)});
-      }
-    }
-  }
-  for (SourceWarning& w : qc->warnings()) warnings.push_back(std::move(w));
-  DrainRecoveryWarnings(&warnings);
-  DedupSourceWarnings(&warnings);
-  AnswerResult result{std::move(answered).value(), std::move(warnings),
-                      std::move(observer), snap->version(), std::move(snap)};
-  result.plan_cached = plan_cached;
-  result.plan_fingerprint = fp_hex;
-  return result;
+                      std::move(observer), snap->version(), std::move(snap),
+                      plan_cached, query.fp_hex};
 }
 
 Result<std::shared_ptr<PreparedQuery>> IntegrationSystem::Prepare(
@@ -963,22 +806,8 @@ Result<AnswerResult> IntegrationSystem::ExecutePrepared(
   // Cache on the *exact* fingerprint of the substituted statement: usability
   // decisions in Alg. 5.1 may read literal values, so keying the rewriting
   // on the parameterized shape alone would be unsound.
-  QueryFingerprint fp = FingerprintStatement(*stmt, FingerprintMode::kExact);
-  std::string fp_hex = fp.Hex();
-  // Full normalized text as the key (hash collisions must miss, not alias).
-  std::string cache_key = (options.multiset ? "m|" : "s|") + fp.normalized;
-  // The rendered text only matters on a cache miss (Alg. 5.1's translators
-  // take SQL); repeats hit the plan cache and never round-trip through text.
-  // Value::ToString doubles embedded quotes, so any bound string parameter —
-  // including one shaped like SQL — re-parses as exactly the literal it was.
-  std::string rendered = stmt->ToString();
-  if (!plan_cache_enabled_) return AnswerUncached(rendered, options, ctx);
-  return AnswerWithCache(rendered, cache_key, fp_hex, std::move(stmt), options,
-                         ctx);
-}
-
-Result<Table> IntegrationSystem::AnswerOptimized(const std::string& sql) {
-  return optimizer_.Run(sql);
+  return AnswerParsed(KeyStatement(std::move(stmt), options.multiset),
+                      options, ctx);
 }
 
 Result<std::string> IntegrationSystem::ExplainOptimized(

@@ -31,18 +31,12 @@ struct AuditReport;   // analyze/audit.h
 struct WhatIfReport;  // analyze/audit.h
 struct DdlOp;         // evolve/evolution.h
 
-/// Construction knobs for IntegrationSystem: the engine's ExecConfig plus
-/// the plan cache's bounds. Defaults match the pre-plan-cache behavior apart
-/// from repeated queries getting faster.
+/// Construction knobs for IntegrationSystem: the engine's ExecConfig.
 struct IntegrationOptions {
   ExecConfig exec;
-  /// Total cached plans across shards; 0 disables the plan cache (every
-  /// Answer takes the cold parse → rewrite path).
-  size_t plan_cache_capacity = 256;
-  size_t plan_cache_shards = 8;
 };
 
-/// Options for a guarded Answer call. `guards` bounds execution (deadline,
+/// Options for an AnswerGuarded call. `guards` bounds execution (deadline,
 /// budgets) and selects the SourcePolicy applied when a source relation is
 /// unavailable mid-query.
 struct AnswerOptions {
@@ -58,7 +52,7 @@ struct AnswerOptions {
 /// `observer` carries the query's trace and merged counters when tracing was
 /// enabled (ExecConfig::enable_trace and no caller-attached observer on
 /// `ctx`); null otherwise. Shared ownership lets callers keep the trace past
-/// the next Answer call.
+/// the next AnswerGuarded call.
 ///
 /// `snapshot` / `snapshot_version` record the one catalog version every read
 /// of this query observed. Re-executing the same query serially against
@@ -71,11 +65,9 @@ struct AnswerResult {
   uint64_t snapshot_version = 0;
   std::shared_ptr<const CatalogSnapshot> snapshot;
 
-  /// True when the answer reused a cached plan (parse → rewrite skipped);
+  /// True when the answer reused a cached plan (Alg. 5.1 rewrite skipped);
   /// false on the cold compile path. `plan_fingerprint` is the normalized
-  /// query hash (16 hex digits, exact mode) the plan cache keyed on — empty
-  /// only when the query never reached the cache (unparseable, or the cache
-  /// is disabled).
+  /// query hash (16 hex digits, exact mode) the plan cache keyed on.
   bool plan_cached = false;
   std::string plan_fingerprint;
 };
@@ -137,8 +129,8 @@ bool ParseEvolveRematTag(const std::string& tag, size_t* index,
 /// (legacy schema, interface schema, or index) is registered as an SQL or
 /// dynamic view *over* I whose materialization carries the actual data.
 /// Queries are posed against I and answered by rewriting them onto the
-/// registered sources (local-as-view query answering), optionally through
-/// the Sec. 6 optimizer.
+/// registered sources (local-as-view query answering); the Sec. 6 optimizer
+/// explains the cost-based view of the same choice.
 class IntegrationSystem {
  public:
   /// `integration_db` names the database inside `catalog` holding I's
@@ -178,10 +170,10 @@ class IntegrationSystem {
   const MetricsRegistry& analyze_metrics() const { return analyze_metrics_; }
 
   /// Copies the cumulative `analyze.*` / `analyze.audit.*` tallies into
-  /// `sink` as gauges. Answer paths call this at query end so the per-answer
-  /// observer export (AnswerResult::observer) carries the analysis counters
-  /// alongside the engine's own; the server `stats` verb uses
-  /// analyze_metrics() directly.
+  /// `sink` as gauges. The answer body calls this at query end so the
+  /// per-answer observer export (AnswerResult::observer) carries the
+  /// analysis counters alongside the engine's own; the server `stats` verb
+  /// uses analyze_metrics() directly.
   void ExportAnalyzeMetrics(MetricsRegistry* sink) const;
 
   /// Workload-level static audit (analyze/audit.h) over the current catalog
@@ -248,21 +240,21 @@ class IntegrationSystem {
                                           const std::string& default_target_db);
 
   /// Answers `sql` (a first-order query on I) by rewriting it onto a usable
-  /// source (Alg. 5.1) and executing the rewriting. Tries sources in
-  /// registration order; `multiset` demands a bag-correct rewriting
-  /// (Thm. 5.4), otherwise set-correctness (Thm. 5.2) suffices.
-  /// Fails with NotFound if no registered source can answer the query and
-  /// I itself holds no data for it.
-  Result<Table> Answer(const std::string& sql, bool multiset);
-
-  /// Like Answer, but executes under `options.guards`: the query observes
-  /// the deadline / cancellation / row / byte budgets, and transient source
-  /// failures degrade per `options.guards.source_policy` — kSkipAndReport
-  /// yields a partial result whose `warnings` name each skipped source.
-  /// Guard trips surface as kDeadlineExceeded / kCancelled /
-  /// kResourceExhausted statuses. `ctx`, when given, allows the caller to
-  /// cancel concurrently via ctx->Cancel(); it must outlive the call and
-  /// carry the same guards.
+  /// source (Alg. 5.1) and executing the rewriting, or — when no source can
+  /// answer it — by the direct plan on I (the architecture permits locally
+  /// stored integration data). Tries sources in registration order;
+  /// `options.multiset` demands a bag-correct rewriting (Thm. 5.4),
+  /// otherwise set-correctness (Thm. 5.2) suffices. Unparseable SQL fails
+  /// with the parser's positioned kParseError; a query neither a source nor
+  /// I can answer fails with the rewrite's NotFound.
+  ///
+  /// Executes under `options.guards`: the query observes the deadline /
+  /// cancellation / row / byte budgets, and transient source failures
+  /// degrade per `options.guards.source_policy` — kSkipAndReport yields a
+  /// partial result whose `warnings` name each skipped source. Guard trips
+  /// surface as kDeadlineExceeded / kCancelled / kResourceExhausted
+  /// statuses. `ctx`, when given, allows the caller to cancel concurrently
+  /// via ctx->Cancel(); it must outlive the call and carry the same guards.
   ///
   /// The whole call runs against ONE catalog snapshot, pinned on the query
   /// context up front (a caller-pinned snapshot of this catalog is honored —
@@ -293,24 +285,26 @@ class IntegrationSystem {
                                        QueryContext* ctx = nullptr);
 
   /// Drops every cached plan (and the raw-SQL memo). Benches use this to
-  /// measure the cold path; registration paths call it internally.
+  /// measure the cold path; registration paths clear the plans internally.
   void ClearPlanCache();
 
   /// Cumulative plan-cache counters since construction.
   PlanCacheStats plan_cache_stats() const { return plan_cache_.Stats(); }
 
-  /// Like Answer, but returns the chosen rewriting without executing.
+  /// The rewriting AnswerGuarded would choose for the parsed, unbound
+  /// `query`, without executing it (against the current catalog snapshot).
   /// Aggregate queries are additionally offered to aggregate-defined
   /// sources via the Sec. 5.2 re-aggregation machinery (Ex. 5.3).
+  Result<TranslationResult> Rewrite(const SelectStmt& query, bool multiset);
+
+  /// Parse-then-call form of Rewrite.
   Result<TranslationResult> Rewrite(const std::string& sql, bool multiset);
 
-  /// Answers `sql` through the Sec. 6 optimizer (all registered sources and
-  /// indexes offered as access paths).
-  Result<Table> AnswerOptimized(const std::string& sql);
-
-  /// EXPLAIN for AnswerOptimized: the chosen plan, the view/index access
-  /// paths it uses, and the cost comparison against the baseline plan —
-  /// without executing anything.
+  /// EXPLAIN through the Sec. 6 optimizer (all registered sources and
+  /// indexes offered as access paths): the chosen plan, the view/index
+  /// access paths it uses, and the cost comparison against the baseline
+  /// plan — without executing anything. A pure function of `sql` and the
+  /// catalog.
   Result<std::string> ExplainOptimized(const std::string& sql);
 
   /// Keyword search over I (Sec. 1.1.2): rows of `interface_table` (an
@@ -341,39 +335,40 @@ class IntegrationSystem {
   /// compiled-expression memo: every execution (and every grounding of its
   /// fan-out) shares the programs compiled the first time.
   struct CachedPlan {
-    std::shared_ptr<const SelectStmt> rewritten;  // Null = direct path on I.
-    std::shared_ptr<const SelectStmt> direct;     // Set when rewritten null.
+    std::shared_ptr<const SelectStmt> rewritten;  // Null = direct plan on I.
     const ViewDefinition* chosen = nullptr;
     std::vector<SourceWarning> stale;
     std::shared_ptr<ExprProgramCache> programs;
   };
+
+  /// A parsed query ready for the answer body: the immutable statement (the
+  /// binder annotates in place, so every consumer works on a clone) plus
+  /// its exact fingerprint — `cache_key` is the multiset flag + full
+  /// normalized text, `fp_hex` the display hash.
+  struct ParsedQuery {
+    std::shared_ptr<const SelectStmt> stmt;
+    std::string cache_key;
+    std::string fp_hex;
+  };
+  static ParsedQuery KeyStatement(std::unique_ptr<SelectStmt> stmt,
+                                  bool multiset);
 
   /// Rewrite against one pinned catalog version: translators resolve view
   /// bodies and I's schema through `snap`, and fenced sources whose
   /// materialization is stale against `snap` are skipped. Each skip appends
   /// a deterministic (registration-order) warning to `stale`, when given.
   /// On success `*chosen` (when given) names the source the rewriting uses.
-  Result<TranslationResult> RewriteOver(const std::string& sql, bool multiset,
+  Result<TranslationResult> RewriteOver(const SelectStmt& query, bool multiset,
                                         const CatalogSnapshot& snap,
                                         std::vector<SourceWarning>* stale,
                                         const ViewDefinition** chosen = nullptr);
 
-  /// The shared answer path behind AnswerGuarded and ExecutePrepared once a
-  /// cache key exists. `stmt` is the parsed statement when the caller has
-  /// it (null on a raw-memo hit — it is only needed, and then re-parsed, on
-  /// a cache miss). `cache_key` empty = caching disabled for this call.
-  Result<AnswerResult> AnswerWithCache(const std::string& sql,
-                                       const std::string& cache_key,
-                                       const std::string& fp_hex,
-                                       std::unique_ptr<SelectStmt> stmt,
-                                       const AnswerOptions& options,
-                                       QueryContext* ctx);
-
-  /// The pre-plan-cache AnswerGuarded body, kept verbatim for unparseable
-  /// SQL so error surfaces are unchanged.
-  Result<AnswerResult> AnswerUncached(const std::string& sql,
-                                      const AnswerOptions& options,
-                                      QueryContext* ctx);
+  /// The one answer body behind AnswerGuarded and ExecutePrepared: pins the
+  /// snapshot, attaches the observer, looks up the plan cache, rewrites on
+  /// a miss, falls back to the direct plan on I, and assembles warnings.
+  Result<AnswerResult> AnswerParsed(const ParsedQuery& query,
+                                    const AnswerOptions& options,
+                                    QueryContext* ctx);
 
   /// Registration cores without the durability echo (the restore path uses
   /// them so replaying a WAL never re-appends to it).
@@ -415,16 +410,14 @@ class IntegrationSystem {
   /// flag, version = pinned snapshot version. Cleared whenever the source /
   /// index universe changes (RegisterSource, RegisterIndex).
   mutable ShardedLruCache<CachedPlan> plan_cache_;
-  bool plan_cache_enabled_ = true;
 
-  /// First cache level: raw SQL text (+ multiset flag) → (cache key, hex
-  /// fingerprint). Repeated identical strings skip parsing AND
-  /// fingerprinting. Bounded, dropped wholesale at capacity; never needs
-  /// registration-time clearing because a fingerprint is a pure function of
-  /// the text.
+  /// First cache level: raw SQL text (+ multiset flag) → parsed query.
+  /// Repeated identical strings skip parsing AND fingerprinting, also when
+  /// their plan went stale. Bounded, dropped wholesale at capacity; never
+  /// needs registration-time clearing because the parse and fingerprint are
+  /// pure functions of the text.
   mutable std::mutex memo_mu_;
-  mutable std::unordered_map<std::string, std::pair<std::string, std::string>>
-      raw_memo_;
+  mutable std::unordered_map<std::string, ParsedQuery> raw_memo_;
 
   /// Declared last: destroying the attachment runs a final checkpoint whose
   /// blob_provider still reads sources_/indexes_ above.

@@ -12,7 +12,6 @@
 #include "common/str_util.h"
 #include "core/normalize.h"
 #include "optimizer/stats.h"
-#include "plan_cache/fingerprint.h"
 #include "sql/parser.h"
 
 namespace dynview {
@@ -96,9 +95,6 @@ Optimizer::Optimizer(const Catalog* catalog, std::string default_db)
 
 void Optimizer::RegisterView(std::shared_ptr<ViewDefinition> view) {
   views_.push_back(std::move(view));
-  // A new access path can change every plan; version fencing alone cannot
-  // see it (registration is optimizer state, not a catalog commit).
-  plan_cache_.Clear();
 }
 
 void Optimizer::RegisterIndex(std::shared_ptr<ViewIndex> index,
@@ -110,7 +106,6 @@ void Optimizer::RegisterIndex(std::shared_ptr<ViewIndex> index,
   entry.key_attr = ToLower(key_attr);
   for (std::string& a : payload_attrs) entry.payload_attrs.push_back(ToLower(a));
   indexes_.push_back(std::move(entry));
-  plan_cache_.Clear();
 }
 
 Result<OptimizedPlan> Optimizer::Plan(const std::string& sql) const {
@@ -157,17 +152,9 @@ void CollectAccessPaths(const PlanNode& node, std::vector<std::string>* out) {
 }  // namespace
 
 Result<std::string> Optimizer::Explain(const std::string& sql) const {
-  bool cache_hit = false;
-  DV_ASSIGN_OR_RETURN(std::shared_ptr<const OptimizedPlan> chosen_sp,
-                      PlanCached(sql, /*allow_resources=*/true, &cache_hit));
-  const OptimizedPlan& chosen = *chosen_sp;
+  DV_ASSIGN_OR_RETURN(OptimizedPlan chosen, Plan(sql));
   DV_ASSIGN_OR_RETURN(OptimizedPlan baseline, PlanBaseline(sql));
-  std::string out =
-      cache_hit && chosen.snapshot != nullptr
-          ? "plan: cached@v" + std::to_string(chosen.snapshot->version()) +
-                "\n"
-          : "plan: compiled fresh\n";
-  out += "== chosen plan ==\n";
+  std::string out = "== chosen plan ==\n";
   out += chosen.Describe();
   out += "== access paths ==\n";
   std::vector<std::string> paths;
@@ -303,6 +290,17 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
   for (const auto& [var, tuple] : info.tuple_of_domain) {
     auto it = table_index_by_tuple.find(tuple);
     if (it != table_index_by_tuple.end()) table_of_var[var] = it->second;
+  }
+  // Every declared (attribute, domain variable) pair of each table. A query
+  // may declare several variables over the same attribute (QueryInfo's
+  // domain_of keeps only one); each is its own column of an access path.
+  std::vector<std::vector<std::pair<std::string, std::string>>> declared(n);
+  for (const FromItem& f : stmt->from_items) {
+    if (f.kind != FromItemKind::kDomainVar || f.attr.is_variable) continue;
+    auto it = table_index_by_tuple.find(ToLower(f.tuple));
+    if (it != table_index_by_tuple.end()) {
+      declared[it->second].emplace_back(ToLower(f.attr.text), f.var);
+    }
   }
 
   // Base-table cardinalities.
@@ -442,13 +440,7 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
     node->kind = PlanNode::Kind::kTableScan;
     node->table = info.tables[i];
     node->tuple_var = info.tuple_vars[i];
-    // Emit every declared domain variable of the table.
-    auto dit = info.domain_of.find(ToLower(info.tuple_vars[i]));
-    if (dit != info.domain_of.end()) {
-      for (const auto& [attr, var] : dit->second) {
-        node->outputs.emplace_back(attr, var);
-      }
-    }
+    node->outputs = declared[i];
     double rows = base_rows[i];
     for (const ConjunctInfo& ci : conjuncts) {
       if (internal_to(mask, ci)) {
@@ -531,13 +523,17 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
         }
         // All other internal conjuncts and needed-later variables must be
         // computable from the payload.
+        auto node = std::make_unique<PlanNode>();
         std::set<std::string> available;  // Variable names payload supplies.
-        for (const std::string& attr : entry.payload_attrs) {
-          auto ait = dit->second.find(attr);
-          if (ait != dit->second.end()) available.insert(ToLower(ait->second));
+        for (const auto& [attr, var] : declared[i]) {
+          if (std::find(entry.payload_attrs.begin(), entry.payload_attrs.end(),
+                        attr) == entry.payload_attrs.end()) {
+            continue;
+          }
+          node->outputs.emplace_back(attr, var);
+          available.insert(ToLower(var));
         }
         bool feasible = true;
-        auto node = std::make_unique<PlanNode>();
         double rows = base_rows[i] * kSelEqConst;
         for (const ConjunctInfo& ci : conjuncts) {
           if (!internal_to(mask, ci) || ci.expr == key_conjunct) continue;
@@ -558,12 +554,6 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
         node->index = entry.index.get();
         node->probe_key = std::move(probe_key);
         node->probe_keyword = std::move(probe_keyword);
-        for (const std::string& attr : entry.payload_attrs) {
-          auto ait = dit->second.find(attr);
-          if (ait != dit->second.end()) {
-            node->outputs.emplace_back(attr, ait->second);
-          }
-        }
         rows = std::max(rows, 1.0);
         node->est_rows = rows;
         node->est_cost = std::log2(base_rows[i] + 2.0) + rows;
@@ -853,37 +843,6 @@ Result<Table> Optimizer::Execute(const OptimizedPlan& plan) const {
   QueryEngine top(&scratch, "sc");
   std::unique_ptr<SelectStmt> stmt = plan.stmt->Clone();
   return top.Execute(stmt.get());
-}
-
-Result<std::shared_ptr<const OptimizedPlan>> Optimizer::PlanCached(
-    const std::string& sql, bool allow_resources, bool* cache_hit) const {
-  if (cache_hit != nullptr) *cache_hit = false;
-  // Parse failures surface exactly as PlanInternal would raise them — the
-  // cache layer never changes an error message.
-  DV_ASSIGN_OR_RETURN(QueryFingerprint fp,
-                      FingerprintSql(sql, FingerprintMode::kExact));
-  // Full normalized text, not the 64-bit hash: an FNV collision between
-  // distinct queries must miss rather than serve the other query's plan.
-  const std::string key = (allow_resources ? "r|" : "b|") + fp.normalized;
-  const uint64_t version = catalog_->Snapshot()->version();
-  std::shared_ptr<const OptimizedPlan> hit = plan_cache_.Lookup(key, version);
-  if (hit != nullptr) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return hit;
-  }
-  DV_ASSIGN_OR_RETURN(OptimizedPlan plan, PlanInternal(sql, allow_resources));
-  auto sp = std::make_shared<const OptimizedPlan>(std::move(plan));
-  // Pin the entry to the version the plan was actually costed against (a
-  // writer may have committed between our version read and planning).
-  plan_cache_.Insert(
-      key, sp->snapshot != nullptr ? sp->snapshot->version() : version, sp);
-  return sp;
-}
-
-Result<Table> Optimizer::Run(const std::string& sql) const {
-  DV_ASSIGN_OR_RETURN(std::shared_ptr<const OptimizedPlan> plan,
-                      PlanCached(sql));
-  return Execute(*plan);
 }
 
 }  // namespace dynview

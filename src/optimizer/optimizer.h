@@ -11,7 +11,6 @@
 #include "core/view_definition.h"
 #include "index/view_index.h"
 #include "optimizer/plan.h"
-#include "plan_cache/plan_cache.h"
 
 namespace dynview {
 
@@ -59,12 +58,8 @@ class Optimizer {
 
   /// Enables exact catalog statistics (distinct counts, min/max) for
   /// cardinality estimation instead of the System-R magic constants. Costs
-  /// one scan per referenced table at first planning. Drops cached plans —
-  /// they were costed under the other regime.
-  void EnableStatistics(bool on = true) {
-    use_stats_ = on;
-    plan_cache_.Clear();
-  }
+  /// one scan per referenced table at first planning.
+  void EnableStatistics(bool on = true) { use_stats_ = on; }
 
   /// Registers a view-described index over `source` keyed on `key_attr`.
   /// The index payload columns must be attributes of `source` (the
@@ -84,23 +79,6 @@ class Optimizer {
   /// Executes a plan: runs the physical tree, then the statement's
   /// projection/aggregation/ordering over its output.
   Result<Table> Execute(const OptimizedPlan& plan) const;
-
-  /// Like Plan/PlanBaseline, but through the fingerprinted plan cache: the
-  /// normalized query hash plus the catalog version key an immutable shared
-  /// plan, so repeated traffic skips parse → normalize → DP search entirely.
-  /// Entries pinned to an older catalog version die lazily at lookup, and
-  /// RegisterView/RegisterIndex/EnableStatistics clear the cache (the
-  /// access-path universe changed). `cache_hit` (optional) reports whether
-  /// the plan was served from cache.
-  Result<std::shared_ptr<const OptimizedPlan>> PlanCached(
-      const std::string& sql, bool allow_resources = true,
-      bool* cache_hit = nullptr) const;
-
-  /// Cumulative hit/miss/eviction/invalidation counts of the plan cache.
-  PlanCacheStats plan_cache_stats() const { return plan_cache_.Stats(); }
-
-  /// Convenience: PlanCached + Execute.
-  Result<Table> Run(const std::string& sql) const;
 
   /// EXPLAIN: plans `sql` twice — with and without view/index access paths —
   /// and renders the chosen physical tree, the Sec. 6 access paths it uses
@@ -125,10 +103,6 @@ class Optimizer {
   bool use_stats_ = false;
   std::vector<std::shared_ptr<ViewDefinition>> views_;
   std::vector<IndexEntry> indexes_;
-  /// Fingerprint+version keyed plans (OptimizedPlan is immutable once
-  /// planned: Execute clones its stmt and never touches the tree). Mutable:
-  /// caching is invisible to the const planning API.
-  mutable ShardedLruCache<const OptimizedPlan> plan_cache_{64, 4};
 };
 
 }  // namespace dynview

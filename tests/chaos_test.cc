@@ -433,11 +433,14 @@ TEST_F(ChaosTest, DdlRacingFencedMaterializationDegradesToWarning) {
   for (int t = 0; t < kQueryThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        auto r = system.AnswerGuarded(query, options);
-        std::shared_ptr<const CatalogSnapshot> snap =
-            r.ok() ? r.value().snapshot : catalog_.Snapshot();
+        // Pin the snapshot before answering: a failed answer carries none,
+        // and the reference must replay the very version the answer read
+        // (not a later head the mutators have since moved on from).
+        QueryContext answer_qc(options.guards);
+        answer_qc.PinSnapshot(catalog_.Snapshot());
+        auto r = system.AnswerGuarded(query, options, &answer_qc);
         QueryContext qc;
-        qc.PinSnapshot(snap);
+        qc.PinSnapshot(answer_qc.snapshot());
         auto ref = direct.ExecuteSql(query, &qc);
         if (r.ok() != ref.ok()) {
           violation("answer ok=" + std::string(r.ok() ? "1" : "0") +

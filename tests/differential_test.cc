@@ -130,7 +130,9 @@ TEST_P(DifferentialTest, EngineVsOptimizerVsResources) {
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
     Optimizer plain(&catalog_, "db0");
-    auto p0 = plain.Run(sql);
+    auto plan_plain = plain.Plan(sql);
+    ASSERT_TRUE(plan_plain.ok()) << plan_plain.status().ToString();
+    auto p0 = plain.Execute(plan_plain.value());
     ASSERT_TRUE(p0.ok()) << p0.status().ToString();
     EXPECT_TRUE(direct.value().BagEquals(p0.value()));
 
@@ -139,11 +141,13 @@ TEST_P(DifferentialTest, EngineVsOptimizerVsResources) {
     rich.RegisterView(view_);
     rich.RegisterIndex(index_, TableRef{"db0", "stock"}, "company",
                        {"company", "date", "price", "exch"});
-    auto p1 = rich.Run(sql);
+    auto plan_rich = rich.Plan(sql);
+    ASSERT_TRUE(plan_rich.ok()) << plan_rich.status().ToString();
+    auto p1 = rich.Execute(plan_rich.value());
     ASSERT_TRUE(p1.ok()) << p1.status().ToString();
     EXPECT_TRUE(direct.value().BagEquals(p1.value()))
         << "resource plan diverges:\n"
-        << rich.Plan(sql).value().Describe();
+        << plan_rich.value().Describe();
   }
 }
 

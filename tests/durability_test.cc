@@ -38,6 +38,13 @@
 namespace dynview {
 namespace {
 
+/// AnswerGuarded options for bag (multiset) or set semantics.
+AnswerOptions Semantics(bool multiset) {
+  AnswerOptions options;
+  options.multiset = multiset;
+  return options;
+}
+
 class DurabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -514,9 +521,10 @@ TEST_F(DurableIntegrationTest, AnswersAreByteIdenticalAcrossRestart) {
     IntegrationSystem system(&catalog, "I");
     ASSERT_TRUE(system.RegisterSource(kS2View).ok());
     ASSERT_TRUE(system.OpenDurable(dir_).ok());
-    auto before = system.Answer(kFig6Query, /*multiset=*/true);
+    auto before =
+        system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
     ASSERT_TRUE(before.ok()) << before.status().ToString();
-    before_csv = TableToCsvTyped(before.value());
+    before_csv = TableToCsvTyped(before.value().table);
     head_before = catalog.version();
     ASSERT_TRUE(system.CloseDurable().ok());
   }
@@ -527,9 +535,9 @@ TEST_F(DurableIntegrationTest, AnswersAreByteIdenticalAcrossRestart) {
   EXPECT_EQ(catalog.version(), head_before);
   ASSERT_EQ(system.sources().size(), 1u);
   EXPECT_FALSE(system.sources()[0]->fenced());
-  auto after = system.Answer(kFig6Query, /*multiset=*/true);
+  auto after = system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(TableToCsvTyped(after.value()), before_csv);
+  EXPECT_EQ(TableToCsvTyped(after.value().table), before_csv);
   // The rewriting still goes through the recovered source.
   auto rewriting = system.Rewrite(kFig6Query, true);
   ASSERT_TRUE(rewriting.ok());
@@ -552,9 +560,10 @@ TEST_F(DurableIntegrationTest, RegistrationsAfterOpenAreDurableWithoutClose) {
                                    "T.company select T.company, T.date, "
                                    "T.price from I::stock T")
                     .ok());
-    auto before = system.Answer(kFig6Query, true);
+    auto before =
+        system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
     ASSERT_TRUE(before.ok());
-    before_csv = TableToCsvTyped(before.value());
+    before_csv = TableToCsvTyped(before.value().table);
     head_before = catalog.version();
     // No CloseDurable: the destructor's best-effort checkpoint runs, but
     // arm snapshot.write so even that fails — recovery must come from the
@@ -571,9 +580,9 @@ TEST_F(DurableIntegrationTest, RegistrationsAfterOpenAreDurableWithoutClose) {
   EXPECT_EQ(catalog.version(), head_before);
   ASSERT_EQ(system.sources().size(), 1u);
   EXPECT_EQ(system.indexes().size(), 1u);
-  auto after = system.Answer(kFig6Query, true);
+  auto after = system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(TableToCsvTyped(after.value()), before_csv);
+  EXPECT_EQ(TableToCsvTyped(after.value().table), before_csv);
 }
 
 TEST_F(DurableIntegrationTest, MaintainerFenceSurvivesRestart) {
@@ -811,9 +820,10 @@ TEST_F(DurableIntegrationTest, EvolutionCommitsReplayToExactPreCrashHead) {
             .ok());
     ASSERT_TRUE(
         evolver.Apply(DdlOp::DropAttribute("I", "stock", "volume")).ok());
-    auto before = system.Answer(kFig6Query, /*multiset=*/true);
+    auto before =
+        system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
     ASSERT_TRUE(before.ok()) << before.status().ToString();
-    before_csv = TableToCsvTyped(before.value());
+    before_csv = TableToCsvTyped(before.value().table);
     head_before = catalog.version();
     fence_before = system.sources()[0]->materialized_version();
     EXPECT_GT(fence_before, 0u);
@@ -832,9 +842,9 @@ TEST_F(DurableIntegrationTest, EvolutionCommitsReplayToExactPreCrashHead) {
       << "re-materialization fence must replay with the DDL commits";
   EXPECT_FALSE(system.sources()[0]->IsStaleAgainst(*catalog.Snapshot()))
       << "replayed source must be current at the replayed head";
-  auto after = system.Answer(kFig6Query, /*multiset=*/true);
+  auto after = system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(TableToCsvTyped(after.value()), before_csv);
+  EXPECT_EQ(TableToCsvTyped(after.value().table), before_csv);
 }
 
 TEST_F(DurableIntegrationTest, TornTailMidDdlStreamReplaysToCommittedPrefix) {
@@ -856,9 +866,9 @@ TEST_F(DurableIntegrationTest, TornTailMidDdlStreamReplaysToCommittedPrefix) {
     ASSERT_TRUE(
         evolver.Apply(DdlOp::AddAttribute("I", "stock", "vol", Value::Int(7)))
             .ok());
-    auto mid = system.Answer(kFig6Query, /*multiset=*/true);
+    auto mid = system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
     ASSERT_TRUE(mid.ok()) << mid.status().ToString();
-    mid_csv = TableToCsvTyped(mid.value());
+    mid_csv = TableToCsvTyped(mid.value().table);
     head_mid = catalog.version();
     wal_mid = std::filesystem::file_size(wal_path);
     // Second op lands on the WAL, then the "machine dies" mid-write.
@@ -887,9 +897,9 @@ TEST_F(DurableIntegrationTest, TornTailMidDdlStreamReplaysToCommittedPrefix) {
   EXPECT_FALSE(stock.value()->schema().HasColumn("volume"));
   ASSERT_EQ(system.sources().size(), 1u);
   EXPECT_FALSE(system.sources()[0]->IsStaleAgainst(*catalog.Snapshot()));
-  auto after = system.Answer(kFig6Query, /*multiset=*/true);
+  auto after = system.AnswerGuarded(kFig6Query, Semantics(/*multiset=*/true));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(TableToCsvTyped(after.value()), mid_csv);
+  EXPECT_EQ(TableToCsvTyped(after.value().table), mid_csv);
 }
 
 }  // namespace

@@ -48,9 +48,10 @@ class FuzzTest : public ::testing::Test {
 };
 
 // The CI workhorse: one seeded run covers >= 200 (catalog, DDL step, query)
-// triples, applies all six DDL kinds, and the seven-way differential oracle
-// (direct interpreted/compiled x threads {1,8}, rewriting compiled t1/t8,
-// rewriting interpreted t8, plan-cache hit path) stays byte-identical.
+// triples, applies all six DDL kinds, and the eight-way differential oracle
+// (direct interpreted/compiled x threads {1,8}, the Sec. 6 optimizer,
+// rewriting compiled t1/t8, rewriting interpreted t8, plan-cache hit path)
+// stays byte-identical.
 TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   FuzzConfig config;
   config.seed = 1;
@@ -70,6 +71,10 @@ TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   EXPECT_EQ(report.mismatches, 0);
   EXPECT_GE(report.triples, 200) << report.Summary();
   EXPECT_GT(report.checks, report.triples);  // Several strategies per triple.
+  // The optimizer planned and ran some queries, and declined the
+  // higher-order ones.
+  EXPECT_GT(report.optimizer_checks, 0) << report.Summary();
+  EXPECT_GT(report.optimizer_refusals, 0) << report.Summary();
   EXPECT_GT(report.ddl_applied, 0);
   for (const char* kind :
        {"add-attribute", "drop-attribute", "rename-attribute",

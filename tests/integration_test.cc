@@ -14,6 +14,13 @@
 namespace dynview {
 namespace {
 
+/// AnswerGuarded options for bag (multiset) or set semantics.
+AnswerOptions Semantics(bool multiset) {
+  AnswerOptions options;
+  options.multiset = multiset;
+  return options;
+}
+
 // ---- Legacy stock integration (Sec. 3.3 "Legacy System Integration") -------
 
 class StockIntegrationTest : public ::testing::Test {
@@ -44,15 +51,15 @@ TEST_F(StockIntegrationTest, AnswerThroughS2) {
                       "create view s2::C(date, price) as select D, P "
                       "from I::stock T, T.company C, T.date D, T.price P")
                   .ok());
-  auto answer = system_->Answer(
+  auto answer = system_->AnswerGuarded(
       "select C, P from I::stock T, T.company C, T.price P where P > 200",
-      /*multiset=*/true);
+      Semantics(/*multiset=*/true));
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   QueryEngine direct(&catalog_, "I");
   auto expected = direct.ExecuteSql(
       "select C, P from I::stock T, T.company C, T.price P where P > 200");
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(answer.value().BagEquals(expected.value()));
+  EXPECT_TRUE(answer.value().table.BagEquals(expected.value()));
   // The rewriting really goes to s2: it is higher order.
   auto rewriting = system_->Rewrite(
       "select C, P from I::stock T, T.company C, T.price P where P > 200",
@@ -73,17 +80,17 @@ TEST_F(StockIntegrationTest, AnswerThroughS3SetSemantics) {
       /*multiset=*/true);
   EXPECT_FALSE(strict.ok());
   // ...but a set-correct one it can.
-  auto answer = system_->Answer(
+  auto answer = system_->AnswerGuarded(
       "select distinct C from I::stock T, T.company C, T.price P "
       "where P > 100",
-      /*multiset=*/false);
+      Semantics(/*multiset=*/false));
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   QueryEngine direct(&catalog_, "I");
   auto expected = direct.ExecuteSql(
       "select distinct C from I::stock T, T.company C, T.price P "
       "where P > 100");
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(answer.value().SetEquals(expected.value()));
+  EXPECT_TRUE(answer.value().table.SetEquals(expected.value()));
 }
 
 TEST_F(StockIntegrationTest, DataIndependenceUnderSourceEvolution) {
@@ -115,12 +122,12 @@ TEST_F(StockIntegrationTest, DataIndependenceUnderSourceEvolution) {
                          Value::Int(500)});
                   })
                   .ok());
-  auto answer = system_->Answer(
+  auto answer = system_->AnswerGuarded(
       "select C, P from I::stock T, T.company C, T.price P where P > 400",
-      /*multiset=*/true);
+      Semantics(/*multiset=*/true));
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   bool found = false;
-  for (const Row& r : answer.value().rows()) {
+  for (const Row& r : answer.value().table.rows()) {
     if (r[0].as_string() == "coNEW") found = true;
   }
   EXPECT_TRUE(found);
@@ -145,17 +152,17 @@ TEST_F(StockIntegrationTest, VirtualIntegrationWithNoLocalData) {
                       "create view s2::C(date, price) as select D, P "
                       "from I::stock T, T.company C, T.date D, T.price P")
                   .ok());
-  auto answer = system.Answer(
+  auto answer = system.AnswerGuarded(
       "select C, P from I::stock T, T.company C, T.price P where P > 200",
-      /*multiset=*/true);
+      Semantics(/*multiset=*/true));
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   // Reference: the same query over the original (non-virtual) catalog.
   QueryEngine ref(&catalog_, "I");
   auto expected = ref.ExecuteSql(
       "select C, P from I::stock T, T.company C, T.price P where P > 200");
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(answer.value().BagEquals(expected.value()));
-  EXPECT_GT(answer.value().num_rows(), 0u);
+  EXPECT_TRUE(answer.value().table.BagEquals(expected.value()));
+  EXPECT_GT(answer.value().table.num_rows(), 0u);
 }
 
 TEST_F(StockIntegrationTest, AggregateSourceAnswersByReaggregation) {
@@ -171,21 +178,93 @@ TEST_F(StockIntegrationTest, AggregateSourceAnswersByReaggregation) {
       "select C, max(P) from I::stock T, T.company C, T.price P group by C";
   auto rewriting = system_->Rewrite(q, /*multiset=*/false);
   ASSERT_TRUE(rewriting.ok()) << rewriting.status().ToString();
-  auto answer = system_->Answer(q, /*multiset=*/false);
+  auto answer = system_->AnswerGuarded(q, Semantics(/*multiset=*/false));
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   QueryEngine direct(&catalog_, "I");
   auto expected = direct.ExecuteSql(q);
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(answer.value().BagEquals(expected.value()))
+  EXPECT_TRUE(answer.value().table.BagEquals(expected.value()))
       << rewriting.value().query->ToString();
 }
 
 TEST_F(StockIntegrationTest, FallsBackToLocalIntegrationData) {
   // No sources registered: I itself holds data and answers directly.
-  auto answer = system_->Answer(
-      "select P from I::stock T, T.price P where P > 200", /*multiset=*/true);
+  auto answer = system_->AnswerGuarded(
+      "select P from I::stock T, T.price P where P > 200",
+      Semantics(/*multiset=*/true));
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_GT(answer.value().num_rows(), 0u);
+  EXPECT_GT(answer.value().table.num_rows(), 0u);
+}
+
+TEST_F(StockIntegrationTest, UnparseableSqlKeepsTheParseError) {
+  // With no sources and with one, text I's grammar rejects fails with the
+  // parser's positioned error — never "no registered source can answer".
+  const std::string bad = "selec 1";
+  for (int sources = 0; sources < 2; ++sources) {
+    SCOPED_TRACE(sources);
+    if (sources == 1) {
+      ASSERT_TRUE(system_
+                      ->RegisterSource(
+                          "create view s2::C(date, price) as select D, P "
+                          "from I::stock T, T.company C, T.date D, T.price P")
+                      .ok());
+    }
+    auto answer = system_->AnswerGuarded(bad, AnswerOptions{});
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), StatusCode::kParseError)
+        << answer.status().ToString();
+    EXPECT_NE(answer.status().message().find("at offset 0"), std::string::npos)
+        << answer.status().ToString();
+    auto rewriting = system_->Rewrite(bad, /*multiset=*/true);
+    ASSERT_FALSE(rewriting.ok());
+    EXPECT_EQ(rewriting.status().code(), StatusCode::kParseError);
+  }
+}
+
+TEST_F(StockIntegrationTest, VanishedMaterializationFallsBackOnce) {
+  // A first-order, unfenced source whose materialization relation DDL then
+  // drops: the rewriting still chooses it, execution finds no relation, and
+  // the answer degrades to the direct plan on I with exactly one warning —
+  // on the cold call, on a repeat, and through a prepared statement.
+  ASSERT_TRUE(catalog_.PutTable("leg", "stock", s1_).ok());
+  ASSERT_TRUE(system_
+                  ->RegisterSource(
+                      "create view leg::stock(company, date, price) as "
+                      "select C, D, P "
+                      "from I::stock T, T.company C, T.date D, T.price P")
+                  .ok());
+  ASSERT_TRUE(catalog_.DropTable("leg", "stock").ok());
+  const std::string q =
+      "select C, P from I::stock T, T.company C, T.price P where P > 200";
+  QueryEngine direct(&catalog_, "I");
+  auto expected = direct.ExecuteSql(q);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GT(expected.value().num_rows(), 0u);
+
+  auto prepared = system_->Prepare(q);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const AnswerOptions options = Semantics(/*multiset=*/true);
+  const char* calls[] = {"cold", "repeat", "prepared"};
+  for (const char* call : calls) {
+    SCOPED_TRACE(call);
+    auto answer = std::string(call) == "prepared"
+                      ? system_->ExecutePrepared(*prepared.value(), {}, options)
+                      : system_->AnswerGuarded(q, options);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(answer.value().table.BagEquals(expected.value()));
+    EXPECT_FALSE(answer.value().plan_cached);
+    ASSERT_EQ(answer.value().warnings.size(), 1u);
+    const SourceWarning& w = answer.value().warnings[0];
+    EXPECT_EQ(w.source, "leg::stock");
+    EXPECT_EQ(w.status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(w.status.message().rfind("stale materialization: ", 0), 0u)
+        << w.status.message();
+    const std::string tail = "; answered from the direct plan on I";
+    ASSERT_GE(w.status.message().size(), tail.size());
+    EXPECT_EQ(w.status.message().substr(w.status.message().size() -
+                                        tail.size()),
+              tail);
+  }
 }
 
 // ---- Database publishing (Fig. 7 / Fig. 9) ---------------------------------
@@ -316,12 +395,12 @@ TEST_F(TicketSystemTest, LegacyJurisdictionsAnswerIntegrationQueries) {
   const std::string q =
       "select S, N from I::tickets T, T.state S, T.tnum N, T.infr F "
       "where F = 'dui'";
-  auto answer = system_->Answer(q, /*multiset=*/true);
+  auto answer = system_->AnswerGuarded(q, Semantics(/*multiset=*/true));
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   QueryEngine direct(&catalog_, "I");
   auto expected = direct.ExecuteSql(q);
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(answer.value().BagEquals(expected.value()));
+  EXPECT_TRUE(answer.value().table.BagEquals(expected.value()));
 }
 
 TEST_F(TicketSystemTest, IndexRegistrationFeedsOptimizer) {
@@ -337,7 +416,7 @@ TEST_F(TicketSystemTest, IndexRegistrationFeedsOptimizer) {
   auto plan = system_->optimizer()->Plan(q);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan.value().uses_indexes) << plan.value().Describe();
-  auto result = system_->AnswerOptimized(q);
+  auto result = system_->optimizer()->Execute(plan.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   QueryEngine direct(&catalog_, "I");
   auto expected = direct.ExecuteSql(q);

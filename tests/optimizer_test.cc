@@ -77,13 +77,33 @@ TEST_F(OptimizerTest, BaselinePlanMatchesDirectEvaluation) {
   EXPECT_TRUE(result.value().BagEquals(Direct(q)));
 }
 
+TEST_F(OptimizerTest, TwoVariablesOverOneAttribute) {
+  // Each domain variable declared over the same attribute is its own column
+  // of the access path — through a scan (baseline) and an index probe.
+  const std::string q =
+      "select C1, C2, P from db0::stock T, T.company C1, T.company C2, "
+      "T.price P where C1 = 'coA'";
+  for (bool with_resources : {false, true}) {
+    SCOPED_TRACE(with_resources);
+    Optimizer opt = MakeOptimizer(with_resources);
+    auto plan = opt.Plan(q);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto result = opt.Execute(plan.value());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result.value().BagEquals(Direct(q)))
+        << plan.value().Describe();
+  }
+}
+
 TEST_F(OptimizerTest, JoinPlanMatchesDirectEvaluation) {
   Optimizer opt = MakeOptimizer(false);
   const std::string q =
       "select C, Y from db0::stock T1, db0::cotype T2, "
       "T1.company C, T1.price P, T2.co C2, T2.type Y "
       "where C = C2 and P > 150";
-  auto result = opt.Run(q);
+  auto plan = opt.Plan(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto result = opt.Execute(plan.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().BagEquals(Direct(q)));
 }
@@ -136,7 +156,9 @@ TEST_F(OptimizerTest, SelfJoinPlansCorrectly) {
       "T1.company C1, T2.company C2, T1.date D1, T2.date D2, "
       "T1.price P1, T2.price P2 "
       "where D1 = D2 + 1 and P1 > 200 and P2 > 200 and C1 = C2";
-  auto result = opt.Run(q);
+  auto plan = opt.Plan(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto result = opt.Execute(plan.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().BagEquals(Direct(q)));
 }
@@ -146,7 +168,9 @@ TEST_F(OptimizerTest, AggregationAboveThePlan) {
   const std::string q =
       "select C, count(*), max(P) from db0::stock T, T.company C, T.price P "
       "group by C having min(P) > 40";
-  auto result = opt.Run(q);
+  auto plan = opt.Plan(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto result = opt.Execute(plan.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().BagEquals(Direct(q)));
 }
@@ -156,7 +180,9 @@ TEST_F(OptimizerTest, DistinctAndOrderBy) {
   const std::string q =
       "select distinct C from db0::stock T, T.company C, T.price P "
       "where P > 100 order by C";
-  auto result = opt.Run(q);
+  auto plan = opt.Plan(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto result = opt.Execute(plan.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().BagEquals(Direct(q)));
 }

@@ -28,6 +28,13 @@
 namespace dynview {
 namespace {
 
+/// AnswerGuarded options for bag (multiset) or set semantics.
+AnswerOptions Semantics(bool multiset) {
+  AnswerOptions options;
+  options.multiset = multiset;
+  return options;
+}
+
 class RobustnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -233,8 +240,9 @@ TEST_F(RobustnessTest, OptimizerRefusalPaths) {
 TEST_F(RobustnessTest, IntegrationSystemSurfacesReasons) {
   IntegrationSystem system(&catalog_, "db0");
   // No sources: falls back to local data.
-  auto local = system.Answer(
-      "select P from db0::stock T, T.price P where P > 100", true);
+  auto local = system.AnswerGuarded(
+      "select P from db0::stock T, T.price P where P > 100",
+      Semantics(/*multiset=*/true));
   EXPECT_TRUE(local.ok());
   // Unregisterable source (bad SQL).
   EXPECT_FALSE(system.RegisterSource("create view nope").ok());
@@ -610,14 +618,15 @@ TEST_F(GuardTest, IntegrationPartialResultNamesSkippedSource) {
                   .ok());
   const std::string sql =
       "select C, P from I::stock T, T.company C, T.price P where P > 100";
-  auto full = system.Answer(sql, true);
+  auto full = system.AnswerGuarded(sql, Semantics(/*multiset=*/true));
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   size_t expect_partial = 0;
-  for (const Row& r : full.value().rows()) {
+  for (const Row& r : full.value().table.rows()) {
     if (!EqualsIgnoreCase(r[0].ToLabel(), "coa")) ++expect_partial;
   }
   ASSERT_GT(expect_partial, 0u);
-  ASSERT_LT(expect_partial, full.value().num_rows());  // coA does match P>100.
+  // coA does match P>100.
+  ASSERT_LT(expect_partial, full.value().table.num_rows());
 
   FailSpec down;
   down.mode = FailMode::kErrorAlways;

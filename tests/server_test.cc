@@ -207,14 +207,7 @@ TEST_F(ServerTest, ExplainLintPrepareExecuteAndStatsOverTheWire) {
       << explain.value().status.ToString();
   auto direct = system.ExplainOptimized(kFirstOrder);
   ASSERT_TRUE(direct.ok());
-  // The first line reports plan-cache state ("compiled fresh" vs
-  // "cached@vN"), which legitimately differs between the two calls; the
-  // plan rendering itself must be byte-identical.
-  auto after_header = [](const std::string& s) {
-    size_t nl = s.find('\n');
-    return nl == std::string::npos ? s : s.substr(nl + 1);
-  };
-  EXPECT_EQ(after_header(explain.value().text), after_header(direct.value()));
+  EXPECT_EQ(explain.value().text, direct.value());
 
   // A higher-order query is a request-level error, not a dropped session.
   auto unsupported = c.Explain(kFanOut);
@@ -243,6 +236,14 @@ TEST_F(ServerTest, ExplainLintPrepareExecuteAndStatsOverTheWire) {
   auto missing = c.Execute(999, {}, qopts);
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing.value().status.code(), StatusCode::kNotFound);
+
+  // Unparseable SQL is the parser's positioned error, not NotFound.
+  auto garbled = c.Query("selec 1", qopts);
+  ASSERT_TRUE(garbled.ok());
+  EXPECT_EQ(garbled.value().status.code(), StatusCode::kParseError)
+      << garbled.value().status.ToString();
+  EXPECT_NE(garbled.value().status.message().find("at offset 0"),
+            std::string::npos);
 
   // Ping and stats answer inline; stats carries the server.* counters.
   auto ping = c.Ping();
