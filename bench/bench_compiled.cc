@@ -174,32 +174,14 @@ void BM_PreparedRepeatRate(benchmark::State& state) {
 }
 BENCHMARK(BM_PreparedRepeatRate)->Arg(1)->Arg(10)->Arg(100);
 
-/// Expression compilation in isolation: the engine's interpreted vs
-/// compiled evaluation on the direct Fig. 6 scan (no plan cache involved —
-/// both run the same fresh plan; only the evaluation mechanism differs).
-/// The predicate is deliberately wide — flat programs pay in proportion to
-/// ops per row (slot-aliased operands, no per-row tree walk or Value
-/// copies); a single comparison is near parity.
+/// Expression evaluation in isolation: the engine's compiled programs on
+/// the direct Fig. 6 scan (no plan cache involved). The predicate is
+/// deliberately wide — flat programs pay in proportion to ops per row
+/// (slot-aliased operands, no per-row tree walk or Value copies).
 const char kEngineQuery[] =
     "select C, P from local::stock T, T.company C, T.price P "
     "where (P * 3 + 7) - P / 2 > 400 and not (P = 444) "
     "and (C like '%oA%' or C like '%oB%' or P + P > 500)";
-
-void BM_EngineInterpreted(benchmark::State& state) {
-  Setup s(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
-  StockGenConfig cfg;
-  cfg.num_companies = static_cast<int>(state.range(0));
-  cfg.num_dates = static_cast<int>(state.range(1));
-  InstallStockS1(&s.catalog, "local", GenerateStockS1(cfg));
-  ExecConfig exec;
-  exec.compile_expressions = false;
-  QueryEngine engine(&s.catalog, "local", exec);
-  for (auto _ : state) {
-    auto r = engine.ExecuteSql(kEngineQuery);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_EngineInterpreted)->Args({50, 100});
 
 void BM_EngineCompiled(benchmark::State& state) {
   Setup s(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
@@ -207,9 +189,7 @@ void BM_EngineCompiled(benchmark::State& state) {
   cfg.num_companies = static_cast<int>(state.range(0));
   cfg.num_dates = static_cast<int>(state.range(1));
   InstallStockS1(&s.catalog, "local", GenerateStockS1(cfg));
-  ExecConfig exec;
-  exec.compile_expressions = true;
-  QueryEngine engine(&s.catalog, "local", exec);
+  QueryEngine engine(&s.catalog, "local");
   for (auto _ : state) {
     auto r = engine.ExecuteSql(kEngineQuery);
     benchmark::DoNotOptimize(r);

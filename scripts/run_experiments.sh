@@ -171,9 +171,9 @@ for family in ("BM_AnswerRepeatRate", "BM_PreparedRepeatRate"):
             "plan cache is not paying for itself")
 EOF
 
-# The compiled-path differential suite (ctest -L compiled): interpreted vs
-# compiled byte-identity at 1/8 threads, plan-cache semantics, prepared
-# queries, the plan_cache.lookup failpoint.
+# The compiled-path suite (ctest -L compiled): engine goldens at 1/8
+# threads, the expression differential against the reference tree walk,
+# plan-cache semantics, prepared queries, the plan_cache.lookup failpoint.
 ctest --test-dir build --output-on-failure -L compiled 2>&1 |
   tee results/tests_compiled.txt
 
@@ -294,8 +294,8 @@ if chaos["chaos_ok"] != 1.0 or chaos["server_running"] != 1.0:
 EOF
 
 # The fuzz suite (ctest -L fuzz): bounded, seeded, deterministic — the
-# randomized-heterogeneity fuzzer's differential oracle (rewriting vs.
-# direct, compiled vs. interpreted, threads {1,8}, pre/post every DDL step,
+# randomized-heterogeneity fuzzer's differential oracle (rewriting and the
+# optimizer vs. direct, threads {1,8}, pre/post every DDL step,
 # replay-after-crash) must hold byte-identically. The soak knobs are
 # explicitly unset so CI always runs the pinned baseline workload.
 env -u DYNVIEW_FUZZ_ITERS -u DYNVIEW_FUZZ_SEED -u DYNVIEW_FUZZ_REPRO \

@@ -34,16 +34,6 @@ struct ExecConfig {
   /// way.
   bool enable_trace = true;
 
-  /// When true (default) the engine flattens predicates, join keys and
-  /// projections into compiled flat-op programs (engine/expr_compile.h)
-  /// before running an operator, falling back per expression to the
-  /// interpreted tree walk when a tree is not compilable. Purely a
-  /// performance decision: compiled and interpreted output is byte-identical
-  /// (the determinism suite's compiled label enforces it). Off = the
-  /// pre-compilation interpreter everywhere, kept as the differential
-  /// baseline.
-  bool compile_expressions = true;
-
   size_t ResolvedThreads() const {
     if (num_threads > 0) return num_threads;
     unsigned hw = std::thread::hardware_concurrency();

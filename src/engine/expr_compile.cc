@@ -13,46 +13,74 @@ namespace {
 struct ProgramBuilder {
   std::vector<ExprOp> ops;
   std::vector<Value> literals;
+  std::vector<Status> failures;
   int depth = 0;
   int max_depth = 0;
+  /// First aggregate slot (-1 outside grouping) and the next one to assign.
+  int agg_base = -1;
+  int next_agg = 0;
 
   void Emit(ExprOpCode code, BinaryOp bop, int32_t arg, int stack_delta) {
     ops.push_back(ExprOp{code, bop, arg});
     depth += stack_delta;
     if (depth > max_depth) max_depth = depth;
   }
+
+  /// A node that raises `st` when evaluation reaches it. Accounted as one
+  /// pushed value so the enclosing ops' stack bookkeeping stays uniform.
+  void Fail(Status st) {
+    failures.push_back(std::move(st));
+    Emit(ExprOpCode::kFail, BinaryOp::kEq,
+         static_cast<int32_t>(failures.size() - 1), +1);
+  }
 };
 
-bool CompilePred(const Expr& e, const ColumnBindings& b, ProgramBuilder* out);
+void CompilePred(const Expr& e, const ColumnBindings& b, ProgramBuilder* out);
 
-bool CompileValue(const Expr& e, const ColumnBindings& b,
+void CompileValue(const Expr& e, const ColumnBindings& b,
                   ProgramBuilder* out) {
   switch (e.kind) {
-    case ExprKind::kLiteral: {
-      if (e.param_index >= 0) return false;  // Unbound prepared parameter.
+    case ExprKind::kLiteral:
+      if (e.param_index >= 0) {
+        out->Fail(Status::EvalError("unbound parameter ?" +
+                                    std::to_string(e.param_index + 1)));
+        return;
+      }
       out->literals.push_back(e.literal);
       out->Emit(ExprOpCode::kPushLiteral, BinaryOp::kEq,
                 static_cast<int32_t>(out->literals.size() - 1), +1);
-      return true;
-    }
+      return;
     case ExprKind::kVarRef: {
       int idx = b.LookupBare(e.var_name);
-      if (idx < 0) return false;  // Absent or ambiguous: interpreter errors.
-      out->Emit(ExprOpCode::kPushSlot, BinaryOp::kEq, idx, +1);
-      return true;
+      if (idx == -2) {
+        out->Fail(Status::BindError("ambiguous column '" + e.var_name + "'"));
+      } else if (idx < 0) {
+        out->Fail(Status::BindError("unresolved name '" + e.var_name + "'"));
+      } else {
+        out->Emit(ExprOpCode::kPushSlot, BinaryOp::kEq, idx, +1);
+      }
+      return;
     }
     case ExprKind::kColumnRef: {
-      if (e.column.is_variable) return false;
+      if (e.column.is_variable) {
+        out->Fail(Status::EvalError("attribute variable '" + e.column.text +
+                                    "' not instantiated before evaluation"));
+        return;
+      }
       int idx = b.LookupQualified(e.qualifier, e.column.text);
-      if (idx < 0) return false;
-      out->Emit(ExprOpCode::kPushSlot, BinaryOp::kEq, idx, +1);
-      return true;
+      if (idx < 0) {
+        out->Fail(Status::BindError("unresolved column '" + e.qualifier + "." +
+                                    e.column.text + "'"));
+      } else {
+        out->Emit(ExprOpCode::kPushSlot, BinaryOp::kEq, idx, +1);
+      }
+      return;
     }
     case ExprKind::kArith:
-      if (!CompileValue(*e.left, b, out)) return false;
-      if (!CompileValue(*e.right, b, out)) return false;
+      CompileValue(*e.left, b, out);
+      CompileValue(*e.right, b, out);
       out->Emit(ExprOpCode::kArith, e.op, 0, -1);
-      return true;
+      return;
     case ExprKind::kCompare:
     case ExprKind::kLogic:
     case ExprKind::kNot:
@@ -60,67 +88,75 @@ bool CompileValue(const Expr& e, const ColumnBindings& b,
     case ExprKind::kContains:
     case ExprKind::kHasWord:
     case ExprKind::kIsNull:
-      // Predicate in value context: the interpreter evaluates it as a
-      // predicate and embeds the TriBool (TriBoolToValue); the compiled
-      // predicate ops push exactly that encoding.
-      return CompilePred(e, b, out);
+      // Predicate in value context: the predicate ops push the TriBool's
+      // value encoding (TriBoolToValue).
+      CompilePred(e, b, out);
+      return;
     case ExprKind::kAgg:
+      if (out->agg_base < 0) {
+        out->Fail(Status::EvalError(
+            "aggregate evaluated outside a grouping context"));
+      } else {
+        out->Emit(ExprOpCode::kPushSlot, BinaryOp::kEq,
+                  out->agg_base + out->next_agg++, +1);
+      }
+      return;
     case ExprKind::kStar:
-      return false;
+      out->Fail(Status::EvalError("'*' is only valid in a select list"));
+      return;
   }
-  return false;
 }
 
-bool CompilePred(const Expr& e, const ColumnBindings& b, ProgramBuilder* out) {
+void CompilePred(const Expr& e, const ColumnBindings& b, ProgramBuilder* out) {
   switch (e.kind) {
     case ExprKind::kCompare:
-      if (!CompileValue(*e.left, b, out)) return false;
-      if (!CompileValue(*e.right, b, out)) return false;
+      CompileValue(*e.left, b, out);
+      CompileValue(*e.right, b, out);
       out->Emit(ExprOpCode::kCompare, e.op, 0, -1);
-      return true;
+      return;
     case ExprKind::kLogic: {
-      if (!CompilePred(*e.left, b, out)) return false;
-      // Short-circuit exactly like the interpreter: AND stops on False, OR
-      // on True — the left value stays on the stack as the result, and the
-      // right operand's ops (errors included) are skipped.
+      CompilePred(*e.left, b, out);
+      // Short-circuit: AND stops on False, OR on True — the left value
+      // stays on the stack as the result, and the right operand's ops
+      // (errors included) are skipped.
       const bool is_and = e.op == BinaryOp::kAnd;
       const size_t jump_at = out->ops.size();
       out->Emit(is_and ? ExprOpCode::kJumpIfFalse : ExprOpCode::kJumpIfTrue,
                 BinaryOp::kEq, 0, 0);
-      if (!CompilePred(*e.right, b, out)) return false;
+      CompilePred(*e.right, b, out);
       out->Emit(is_and ? ExprOpCode::kAnd : ExprOpCode::kOr, e.op, 0, -1);
       out->ops[jump_at].arg = static_cast<int32_t>(out->ops.size());
-      return true;
+      return;
     }
     case ExprKind::kNot:
-      if (!CompilePred(*e.left, b, out)) return false;
+      CompilePred(*e.left, b, out);
       out->Emit(ExprOpCode::kNot, BinaryOp::kEq, 0, 0);
-      return true;
+      return;
     case ExprKind::kLike:
-      if (!CompileValue(*e.left, b, out)) return false;
-      if (!CompileValue(*e.right, b, out)) return false;
+      CompileValue(*e.left, b, out);
+      CompileValue(*e.right, b, out);
       out->Emit(ExprOpCode::kLike, BinaryOp::kEq, 0, -1);
-      return true;
+      return;
     case ExprKind::kContains:
-      if (!CompileValue(*e.left, b, out)) return false;
-      if (!CompileValue(*e.right, b, out)) return false;
+      CompileValue(*e.left, b, out);
+      CompileValue(*e.right, b, out);
       out->Emit(ExprOpCode::kContains, BinaryOp::kEq, 0, -1);
-      return true;
+      return;
     case ExprKind::kHasWord:
-      if (!CompileValue(*e.left, b, out)) return false;
-      if (!CompileValue(*e.right, b, out)) return false;
+      CompileValue(*e.left, b, out);
+      CompileValue(*e.right, b, out);
       out->Emit(ExprOpCode::kHasWord, BinaryOp::kEq, 0, -1);
-      return true;
+      return;
     case ExprKind::kIsNull:
-      if (!CompileValue(*e.left, b, out)) return false;
+      CompileValue(*e.left, b, out);
       out->Emit(ExprOpCode::kIsNull, BinaryOp::kEq, e.negated ? 1 : 0, 0);
-      return true;
+      return;
     default:
       // Value expression in predicate position: evaluate, then apply the
-      // interpreter's NULL/BOOL coercion rule.
-      if (!CompileValue(e, b, out)) return false;
+      // NULL/BOOL coercion rule.
+      CompileValue(e, b, out);
       out->Emit(ExprOpCode::kCoerceBool, BinaryOp::kEq, 0, 0);
-      return true;
+      return;
   }
 }
 
@@ -155,14 +191,19 @@ EvalScratch& LocalScratch() {
 }  // namespace
 
 std::shared_ptr<const CompiledExpr> CompiledExpr::Compile(
-    const Expr& e, const ColumnBindings& bindings, bool as_predicate) {
+    const Expr& e, const ColumnBindings& bindings, bool as_predicate,
+    int agg_base) {
   ProgramBuilder builder;
-  const bool ok = as_predicate ? CompilePred(e, bindings, &builder)
-                               : CompileValue(e, bindings, &builder);
-  if (!ok) return nullptr;
+  builder.agg_base = agg_base;
+  if (as_predicate) {
+    CompilePred(e, bindings, &builder);
+  } else {
+    CompileValue(e, bindings, &builder);
+  }
   auto prog = std::shared_ptr<CompiledExpr>(new CompiledExpr());
   prog->ops_ = std::move(builder.ops);
   prog->literals_ = std::move(builder.literals);
+  prog->failures_ = std::move(builder.failures);
   prog->max_stack_ = static_cast<size_t>(builder.max_depth);
   return prog;
 }
@@ -284,6 +325,8 @@ Result<Value> CompiledExpr::Run(const Row& row) const {
         }
         break;
       }
+      case ExprOpCode::kFail:
+        return failures_[op.arg];
     }
   }
   return *st.back();
@@ -300,6 +343,15 @@ Result<TriBool> CompiledExpr::EvalPredicate(const Row& row) const {
     return v.as_bool() ? TriBool::kTrue : TriBool::kFalse;
   }
   return Status::TypeError("predicate did not evaluate to a boolean");
+}
+
+void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
+  if (e.kind == ExprKind::kAgg) {
+    out->push_back(&e);
+    return;
+  }
+  if (e.left != nullptr) CollectAggregates(*e.left, out);
+  if (e.right != nullptr) CollectAggregates(*e.right, out);
 }
 
 namespace {
@@ -331,30 +383,27 @@ void SlotSignature(const Expr& e, const ColumnBindings& b, std::string* out) {
 
 std::shared_ptr<const CompiledExpr> ExprProgramCache::GetOrCompile(
     const Expr& e, const ColumnBindings& bindings, bool as_predicate,
-    MetricsRegistry* metrics) {
+    MetricsRegistry* metrics, int agg_base) {
   std::string key = as_predicate ? "P|" : "V|";
   key += e.ToString();
   key += '|';
   SlotSignature(e, bindings, &key);
+  if (agg_base >= 0) key += "|G" + std::to_string(agg_base);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) return it->second;
   }
   std::shared_ptr<const CompiledExpr> prog =
-      CompiledExpr::Compile(e, bindings, as_predicate);
-  bool inserted = false;
+      CompiledExpr::Compile(e, bindings, as_predicate, agg_base);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) return it->second;  // Raced compile: first in wins.
     if (map_.size() >= max_entries_) map_.clear();
     map_.emplace(std::move(key), prog);
-    inserted = true;
   }
-  if (inserted && prog != nullptr && metrics != nullptr) {
-    metrics->Add(counters::kExprsFlattened, 1);
-  }
+  if (metrics != nullptr) metrics->Add(counters::kExprsFlattened, 1);
   return prog;
 }
 

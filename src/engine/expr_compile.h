@@ -37,14 +37,16 @@ enum class ExprOpCode : uint8_t {
   kJumpIfFalse,  // if tri(top) == False, jump to op index `arg` (keep top)
   kJumpIfTrue,   // if tri(top) == True, jump to op index `arg` (keep top)
   kCoerceBool,   // pop v; push v if NULL/BOOL else "predicate did not
-                 // evaluate to a boolean" (the interpreter's coercion rule)
+                 // evaluate to a boolean" (the predicate coercion rule)
+  kFail,         // return failures[arg]: a name that does not resolve, an
+                 // unbound parameter, `*`, or an aggregate outside grouping
 };
 
 struct ExprOp {
   ExprOpCode code = ExprOpCode::kPushLiteral;
   BinaryOp bop = BinaryOp::kEq;
   /// kPushLiteral: literal pool index. kPushSlot: row slot. kJump*: target
-  /// op index. kIsNull: 1 when negated (IS NOT NULL).
+  /// op index. kIsNull: 1 when negated (IS NOT NULL). kFail: failure index.
   int32_t arg = 0;
 };
 
@@ -55,18 +57,25 @@ struct ExprOp {
 ///
 /// Three-valued logic is encoded in the value domain (True/False → BOOL,
 /// Unknown → NULL, the same bijection TriBoolToValue uses), and AND/OR
-/// short-circuit through jump ops exactly like the interpreter: AND stops on
-/// False, OR on True — skipping the right operand's *errors* too, which is
-/// part of the byte-identity contract.
+/// short-circuit through jump ops: AND stops on False, OR on True —
+/// skipping the right operand's *errors* too, which is part of the
+/// evaluation contract.
+///
+/// Compilation is total. A node that cannot produce a value (see kFail)
+/// compiles to an op holding the exact Status it raises, emitted where the
+/// node sits: the error stays lazy — it fires only on a real row, only
+/// when evaluation reaches it, and never on an empty input.
 class CompiledExpr {
  public:
-  /// Flattens `e` for rows shaped by `bindings`. Returns nullptr when the
-  /// tree is not compilable — aggregates, `*`, un-instantiated attribute
-  /// variables, unbound parameters, or names that don't resolve — in which
-  /// case the caller falls back to the interpreted tree walk (identical
-  /// semantics, including the error the unresolved name would raise).
+  /// Flattens `e` for rows shaped by `bindings`. Never returns nullptr.
+  ///
+  /// `agg_base` >= 0 compiles for the grouping operator: the k-th aggregate
+  /// node in CollectAggregates order reads row slot `agg_base + k`, where
+  /// the operator stores that aggregate's value over the group. With -1 an
+  /// aggregate raises "aggregate evaluated outside a grouping context".
   static std::shared_ptr<const CompiledExpr> Compile(
-      const Expr& e, const ColumnBindings& bindings, bool as_predicate);
+      const Expr& e, const ColumnBindings& bindings, bool as_predicate,
+      int agg_base = -1);
 
   /// Evaluates the program over `row` in value context.
   Result<Value> EvalValue(const Row& row) const;
@@ -83,16 +92,20 @@ class CompiledExpr {
 
   std::vector<ExprOp> ops_;
   std::vector<Value> literals_;
+  std::vector<Status> failures_;
   size_t max_stack_ = 0;
 };
+
+/// Appends the aggregate nodes of `e` left to right, not descending into an
+/// aggregate's argument — the slot order CompiledExpr::Compile assigns.
+void CollectAggregates(const Expr& e, std::vector<const Expr*>* out);
 
 /// Memoizes compiled programs by (predicate-ness, expression rendering,
 /// resolved slot signature) so (a) the grounding fan-out of a higher-order
 /// query — N instantiations of one plan, each a fresh AST clone — compiles
 /// every distinct shape once instead of once per grounding, and (b) repeated
 /// executions of a plan-cache hit skip compilation entirely (the cache is
-/// owned by the cached plan). Negative results are memoized too: an
-/// uncompilable expression is probed once, not once per grounding.
+/// owned by the cached plan).
 ///
 /// Thread-safe; lookups happen per operator setup, never per row. Bounded:
 /// at `max_entries` the map is dropped wholesale (programs still referenced
@@ -102,19 +115,18 @@ class ExprProgramCache {
   explicit ExprProgramCache(size_t max_entries = 512)
       : max_entries_(max_entries) {}
 
-  /// The program for (e, bindings), compiling on miss. nullptr when `e` is
-  /// not compilable. Bumps `compile.exprs_flattened` on `metrics` (when
-  /// given) for every fresh successful compile.
+  /// The program for (e, bindings, agg_base), compiling on miss. Bumps
+  /// `compile.exprs_flattened` on `metrics` (when given) for every fresh
+  /// compile.
   std::shared_ptr<const CompiledExpr> GetOrCompile(
       const Expr& e, const ColumnBindings& bindings, bool as_predicate,
-      MetricsRegistry* metrics);
+      MetricsRegistry* metrics, int agg_base = -1);
 
   size_t size() const;
 
  private:
   const size_t max_entries_;
   mutable std::mutex mu_;
-  /// Value nullptr = memoized "not compilable".
   std::unordered_map<std::string, std::shared_ptr<const CompiledExpr>> map_;
 };
 

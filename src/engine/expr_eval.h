@@ -44,11 +44,11 @@ class ColumnBindings {
   size_t width_ = 0;
 };
 
-/// Shared scalar semantics used by BOTH the interpreted tree-walk below and
-/// the compiled flat-op evaluator (engine/expr_compile.h). Keeping one
-/// definition of each operation — including its error messages and NULL
-/// behavior — is what makes compiled output byte-identical to interpreted
-/// output.
+/// Scalar semantics of the compiled flat-op evaluator (engine/expr_compile.h)
+/// — one definition of each operation, including its error messages and
+/// NULL behavior. The test tree's reference tree walk calls the same
+/// functions, so the expression differential compares evaluation structure
+/// (order, short-circuit, name resolution), not duplicated arithmetic.
 Result<Value> EvalArithOp(BinaryOp op, const Value& l, const Value& r);
 Result<TriBool> EvalCompareOp(BinaryOp op, const Value& l, const Value& r);
 Result<TriBool> EvalLikeOp(const Value& l, const Value& r);
@@ -58,16 +58,6 @@ Result<TriBool> EvalHasWordOp(const Value& l, const Value& r);
 /// True → Bool(true), False → Bool(false), Unknown → NULL (the SQL
 /// embedding of three-valued logic into the value domain).
 Value TriBoolToValue(TriBool t);
-
-/// Evaluates `expr` over `row` using `bindings`. Aggregates are rejected
-/// (the grouping operator evaluates them; see operators.h).
-Result<Value> EvaluateExpr(const Expr& expr, const Row& row,
-                           const ColumnBindings& bindings);
-
-/// Evaluates `expr` as a SQL predicate with three-valued logic. Value-typed
-/// results are coerced: NULL ⇒ Unknown, BOOL ⇒ itself; other types error.
-Result<TriBool> EvaluatePredicate(const Expr& expr, const Row& row,
-                                  const ColumnBindings& bindings);
 
 /// True if every column reference in `expr` resolves under `bindings` —
 /// i.e. the expression can be evaluated against this working set. Used for

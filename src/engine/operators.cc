@@ -7,18 +7,6 @@ namespace dynview {
 
 namespace {
 
-/// Hash of the key columns of `row`, consistent with RowGroupHash over
-/// KeyOf(row, keys) but without materializing the key row. Used both to pick
-/// a build shard and to route probes to it.
-size_t KeyHash(const Row& row, const std::vector<int>& keys) {
-  size_t h = 1469598103934665603ull;
-  for (int k : keys) {
-    h ^= row[static_cast<size_t>(k)].GroupHash();
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Schema ConcatSchemas(const Schema& a, const Schema& b) {
   std::vector<Column> cols = a.columns();
   for (const Column& c : b.columns()) cols.push_back(c);
@@ -56,6 +44,161 @@ Status CheckKeys(const Table& t, const std::vector<int>& keys,
     }
   }
   return Status::OK();
+}
+
+/// Evaluates the key expressions of `keys` over `row`; a NULL component
+/// marks the row as unjoinable (NULL keys never match, per SQL).
+Result<Row> EvalKey(const std::vector<PreparedValue>& keys, const Row& row,
+                    bool* null_key) {
+  Row key;
+  key.reserve(keys.size());
+  *null_key = false;
+  for (const PreparedValue& k : keys) {
+    DV_ASSIGN_OR_RETURN(Value v, k.Eval(row));
+    if (v.is_null()) *null_key = true;
+    key.push_back(std::move(v));
+  }
+  return key;
+}
+
+/// The hash join behind HashJoin and JoinOnExprs. `lkey(row, &null_key)` /
+/// `rkey(...)` compute a row's key as a Result<Row> and flag a NULL
+/// component (NULL keys never match, per SQL). Builds on `right`, probes
+/// with `left`; output columns are left's followed by right's, in probe
+/// order. Above the morsel threshold the build side is hash-partitioned
+/// across shards and the probe side runs in morsels; per-morsel outputs
+/// merge in morsel order, so the result is identical to the serial join.
+template <typename LeftKey, typename RightKey>
+Result<Table> JoinOnKeys(const Table& left, const Table& right,
+                         const LeftKey& lkey, const RightKey& rkey,
+                         const ExecContext& ctx) {
+  Table out(ConcatSchemas(left.schema(), right.schema()));
+
+  using Index =
+      std::unordered_map<Row, std::vector<size_t>, RowGroupHash, RowGroupEq>;
+  const bool parallel = ctx.ShouldParallelize(left.num_rows()) ||
+                        ctx.ShouldParallelize(right.num_rows());
+  const size_t out_width = out.schema().num_columns();
+
+  if (!parallel) {
+    Index index;
+    index.reserve(right.num_rows());
+    for (size_t i = 0; i < right.num_rows(); ++i) {
+      bool null_key = false;
+      DV_ASSIGN_OR_RETURN(Row key, rkey(right.row(i), &null_key));
+      if (!null_key) index[std::move(key)].push_back(i);
+    }
+    size_t since_check = 0;
+    for (const Row& lrow : left.rows()) {
+      if (ctx.guard != nullptr && (since_check++ & 1023) == 0) {
+        DV_RETURN_IF_ERROR(ctx.CheckGuard());
+      }
+      bool null_key = false;
+      DV_ASSIGN_OR_RETURN(Row key, lkey(lrow, &null_key));
+      if (null_key) continue;
+      auto it = index.find(key);
+      if (it == index.end()) continue;
+      for (size_t ri : it->second) {
+        out.AppendRowUnchecked(ConcatRows(lrow, right.row(ri)));
+      }
+    }
+    DV_RETURN_IF_ERROR(ctx.ChargeRows(out.num_rows(), out_width));
+    return out;
+  }
+
+  // Partitioned build. Phase 1 (morsel-parallel): evaluate every build key.
+  // Phase 2 (shard-parallel): each shard inserts the keys hashing into it,
+  // so every shard map has exactly one writer.
+  RowGroupHash hasher;
+  const size_t num_shards = ctx.pool->num_workers() + 1;
+  const size_t build_rows = right.num_rows();
+  std::vector<Row> build_keys(build_rows);
+  std::vector<size_t> build_hash(build_rows);
+  std::vector<char> build_skip(build_rows, 0);
+  {
+    const size_t m = ctx.MorselSize(build_rows);
+    const size_t n = build_rows == 0 ? 0 : (build_rows + m - 1) / m;
+    std::vector<Status> errors(n, Status::OK());
+    ctx.pool->ParallelFor(
+        n,
+        [&](size_t p) {
+          for (size_t i = p * m, end = std::min(build_rows, (p + 1) * m);
+               i < end; ++i) {
+            bool null_key = false;
+            Result<Row> key = rkey(right.row(i), &null_key);
+            if (!key.ok()) {
+              errors[p] = key.status();
+              return;
+            }
+            if (null_key) {
+              build_skip[i] = 1;
+              continue;
+            }
+            build_keys[i] = std::move(key).value();
+            build_hash[i] = hasher(build_keys[i]);
+          }
+        },
+        ctx.CancelFlag());
+    DV_RETURN_IF_ERROR(ctx.CheckGuard());
+    for (const Status& s : errors) DV_RETURN_IF_ERROR(s);
+  }
+  std::vector<Index> shards(num_shards);
+  // Skipped shard inserts are safe: a skip implies a tripped guard, and the
+  // probe morsels below re-check the guard before any merge.
+  ctx.pool->ParallelFor(
+      num_shards,
+      [&](size_t s) {
+        Index& shard = shards[s];
+        for (size_t i = 0; i < build_rows; ++i) {
+          if (!build_skip[i] && build_hash[i] % num_shards == s) {
+            shard[std::move(build_keys[i])].push_back(i);
+          }
+        }
+      },
+      ctx.CancelFlag());
+
+  // Morsel probe, merged in morsel order.
+  const size_t probe_rows = left.num_rows();
+  const size_t m = ctx.MorselSize(probe_rows);
+  const size_t n = probe_rows == 0 ? 0 : (probe_rows + m - 1) / m;
+  std::vector<Table> parts(n);
+  std::vector<Status> errors(n, Status::OK());
+  ctx.pool->ParallelFor(
+      n,
+      [&](size_t p) {
+        Table part(out.schema());
+        errors[p] = ctx.CheckGuard();
+        if (errors[p].ok()) {
+          for (size_t i = p * m, end = std::min(probe_rows, (p + 1) * m);
+               i < end; ++i) {
+            const Row& lrow = left.row(i);
+            bool null_key = false;
+            Result<Row> key = lkey(lrow, &null_key);
+            if (!key.ok()) {
+              errors[p] = key.status();
+              break;
+            }
+            if (null_key) continue;
+            const Index& shard = shards[hasher(key.value()) % num_shards];
+            auto it = shard.find(key.value());
+            if (it == shard.end()) continue;
+            for (size_t ri : it->second) {
+              part.AppendRowUnchecked(ConcatRows(lrow, right.row(ri)));
+            }
+          }
+          if (errors[p].ok()) {
+            errors[p] = ctx.ChargeRows(part.num_rows(), out_width);
+          }
+        }
+        parts[p] = std::move(part);
+      },
+      ctx.CancelFlag());
+  DV_RETURN_IF_ERROR(ctx.CheckGuard());
+  for (size_t p = 0; p < n; ++p) {
+    DV_RETURN_IF_ERROR(errors[p]);
+    DV_RETURN_IF_ERROR(out.AppendTable(std::move(parts[p])));
+  }
+  return out;
 }
 
 }  // namespace
@@ -142,6 +285,61 @@ Result<Table> FilterRows(const Table& in, const ExecContext& ctx,
   return out;
 }
 
+std::shared_ptr<const CompiledExpr> PrepareProgram(
+    const Expr& e, const ColumnBindings& bindings, bool as_predicate,
+    const ExecContext& ctx, int agg_base) {
+  if (ctx.programs == nullptr) {
+    return CompiledExpr::Compile(e, bindings, as_predicate, agg_base);
+  }
+  return ctx.programs->GetOrCompile(e, bindings, as_predicate, ctx.metrics,
+                                    agg_base);
+}
+
+PreparedValue PrepareValue(const Expr& e, const ColumnBindings& bindings,
+                           const ExecContext& ctx) {
+  PreparedValue v;
+  if (e.kind == ExprKind::kLiteral && e.param_index < 0) {
+    v.constant = e.literal;
+  } else {
+    v.program = PrepareProgram(e, bindings, /*as_predicate=*/false, ctx);
+  }
+  return v;
+}
+
+Result<Table> FilterTable(const Table& in, const ColumnBindings& bindings,
+                          const std::vector<const Expr*>& conjuncts,
+                          const ExecContext& ctx) {
+  // Programs compiled once per operator, shared by every morsel worker.
+  std::vector<std::shared_ptr<const CompiledExpr>> preds;
+  preds.reserve(conjuncts.size());
+  for (const Expr* c : conjuncts) {
+    preds.push_back(PrepareProgram(*c, bindings, /*as_predicate=*/true, ctx));
+  }
+  return FilterRows(in, ctx, [&](const Row& r) -> Result<bool> {
+    for (const auto& p : preds) {
+      DV_ASSIGN_OR_RETURN(TriBool t, p->EvalPredicate(r));
+      if (t != TriBool::kTrue) return false;
+    }
+    return true;
+  });
+}
+
+Result<Table> JoinOnExprs(const Table& left, const ColumnBindings& lb,
+                          const Table& right, const ColumnBindings& rb,
+                          const std::vector<const Expr*>& lkeys,
+                          const std::vector<const Expr*>& rkeys,
+                          const ExecContext& ctx) {
+  // Key programs compiled once per join, shared by every build/probe worker.
+  std::vector<PreparedValue> lk, rk;
+  for (const Expr* e : lkeys) lk.push_back(PrepareValue(*e, lb, ctx));
+  for (const Expr* e : rkeys) rk.push_back(PrepareValue(*e, rb, ctx));
+  return JoinOnKeys(
+      left, right,
+      [&](const Row& r, bool* null_key) { return EvalKey(lk, r, null_key); },
+      [&](const Row& r, bool* null_key) { return EvalKey(rk, r, null_key); },
+      ctx);
+}
+
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const std::vector<int>& left_keys,
                        const std::vector<int>& right_keys,
@@ -155,100 +353,17 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                   std::to_string(left.num_rows()) + "x" +
                       std::to_string(right.num_rows()));
   ctx.Count(counters::kRowsScanned, left.num_rows() + right.num_rows());
-  Table out(ConcatSchemas(left.schema(), right.schema()));
-  const size_t out_width = out.schema().num_columns();
-  if (!ctx.ShouldParallelize(left.num_rows()) &&
-      !ctx.ShouldParallelize(right.num_rows())) {
-    std::unordered_map<Row, std::vector<size_t>, RowGroupHash, RowGroupEq>
-        index;
-    index.reserve(right.num_rows());
-    for (size_t i = 0; i < right.num_rows(); ++i) {
-      if (AnyNull(right.row(i), right_keys)) continue;
-      index[KeyOf(right.row(i), right_keys)].push_back(i);
-    }
-    size_t since_check = 0;
-    for (const Row& lrow : left.rows()) {
-      if (ctx.guard != nullptr && (since_check++ & 1023) == 0) {
-        DV_RETURN_IF_ERROR(ctx.CheckGuard());
-      }
-      if (AnyNull(lrow, left_keys)) continue;
-      auto it = index.find(KeyOf(lrow, left_keys));
-      if (it == index.end()) continue;
-      for (size_t ri : it->second) {
-        out.AppendRowUnchecked(ConcatRows(lrow, right.row(ri)));
-      }
-    }
-    DV_RETURN_IF_ERROR(ctx.ChargeRows(out.num_rows(), out_width));
-    ctx.Count(counters::kRowsJoined, out.num_rows());
-    return out;
-  }
-
-  // Partitioned build: hash every build row once (morsel-parallel), then one
-  // task per shard inserts the rows whose hash lands in it. Each shard map
-  // is written by exactly one task.
-  using Index =
-      std::unordered_map<Row, std::vector<size_t>, RowGroupHash, RowGroupEq>;
-  const size_t num_shards = ctx.pool->num_workers() + 1;
-  std::vector<size_t> build_hash(right.num_rows());
-  std::vector<char> build_skip(right.num_rows());  // NULL keys never match.
-  MorselFor(ctx, right.num_rows(), [&](size_t, size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      build_skip[i] = AnyNull(right.row(i), right_keys) ? 1 : 0;
-      if (!build_skip[i]) build_hash[i] = KeyHash(right.row(i), right_keys);
-    }
-  });
-  std::vector<Index> shards(num_shards);
-  // Skipped shard inserts are safe: a skip implies a tripped guard, and the
-  // probe morsels below re-check the guard before any merge.
-  ctx.pool->ParallelFor(
-      num_shards,
-      [&](size_t s) {
-        Index& shard = shards[s];
-        for (size_t i = 0; i < right.num_rows(); ++i) {
-          if (!build_skip[i] && build_hash[i] % num_shards == s) {
-            shard[KeyOf(right.row(i), right_keys)].push_back(i);
-          }
-        }
-      },
-      ctx.CancelFlag());
-
-  // Morsel probe into per-morsel outputs, merged in morsel order so the
-  // result row order matches the serial join exactly.
-  const size_t rows = left.num_rows();
-  const size_t m = ctx.MorselSize(rows);
-  const size_t n = rows == 0 ? 0 : (rows + m - 1) / m;
-  ctx.Count(counters::kMorselsExecuted, n);
-  std::vector<Table> parts(n);
-  std::vector<Status> errors(n, Status::OK());
-  ctx.pool->ParallelFor(
-      n,
-      [&](size_t p) {
-        Table part(out.schema());
-        errors[p] = ctx.CheckGuard();
-        if (errors[p].ok()) {
-          for (size_t i = p * m, end = std::min(rows, (p + 1) * m); i < end;
-               ++i) {
-            const Row& lrow = left.row(i);
-            if (AnyNull(lrow, left_keys)) continue;
-            const Index& shard = shards[KeyHash(lrow, left_keys) % num_shards];
-            auto it = shard.find(KeyOf(lrow, left_keys));
-            if (it == shard.end()) continue;
-            for (size_t ri : it->second) {
-              part.AppendRowUnchecked(ConcatRows(lrow, right.row(ri)));
-            }
-          }
-          errors[p] = ctx.ChargeRows(part.num_rows(), out_width);
-        }
-        parts[p] = std::move(part);
-      },
-      ctx.CancelFlag());
-  DV_RETURN_IF_ERROR(ctx.CheckGuard());
-  for (size_t p = 0; p < n; ++p) {
-    DV_RETURN_IF_ERROR(errors[p]);
-    DV_RETURN_IF_ERROR(out.AppendTable(std::move(parts[p])));
-  }
-  // Joined rows counted post-merge on the driving thread: the total equals
-  // the serial join's output size regardless of the morsel split.
+  auto key_of = [](const std::vector<int>& keys) {
+    return [&keys](const Row& r, bool* null_key) -> Result<Row> {
+      *null_key = AnyNull(r, keys);
+      return KeyOf(r, keys);
+    };
+  };
+  DV_ASSIGN_OR_RETURN(
+      Table out, JoinOnKeys(left, right, key_of(left_keys),
+                            key_of(right_keys), ctx));
+  // Joined rows counted on the driving thread: the total equals the serial
+  // join's output size regardless of the morsel split.
   ctx.Count(counters::kRowsJoined, out.num_rows());
   return out;
 }

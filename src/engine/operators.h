@@ -9,6 +9,7 @@
 #include "common/query_context.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "engine/expr_compile.h"
 #include "observe/metrics.h"
 #include "observe/trace.h"
 #include "relational/table.h"
@@ -16,7 +17,6 @@
 namespace dynview {
 
 class CatalogSnapshot;   // relational/catalog.h — one pinned catalog version.
-class ExprProgramCache;  // engine/expr_compile.h — compiled-program memo.
 
 /// Per-query execution context handed to operators: a borrowed pool (null =
 /// serial), the morsel granularity, and the query's guard state (null =
@@ -42,12 +42,12 @@ struct ExecContext {
   QueryTrace* trace = nullptr;
   MetricsRegistry* metrics = nullptr;
 
-  /// Compiled-expression program memo (engine/expr_compile.h). Null disables
-  /// compilation: every expression takes the interpreted tree walk. The
-  /// engine fills it (from the query's cached plan when one is attached,
-  /// else its own default cache) when ExecConfig::compile_expressions is
-  /// set. Lookups happen at operator setup on the driving thread, never per
-  /// row; the programs themselves are immutable and shared across workers.
+  /// Compiled-expression program memo (engine/expr_compile.h). Null means
+  /// "compile uncached": every operator setup flattens its expressions
+  /// afresh. The engine fills it from the query's cached plan when one is
+  /// attached, else its own default cache. Lookups happen at operator setup
+  /// on the driving thread, never per row; the programs themselves are
+  /// immutable and shared across workers.
   ExprProgramCache* programs = nullptr;
 
   /// Adds `n` to counter `name` when metrics are attached.
@@ -90,10 +90,54 @@ void MorselFor(const ExecContext& ctx, size_t rows,
 
 /// Morsel-driven scan+filter: the rows of `in` for which `pred` returns
 /// true, in input order. The predicate must be safe to call concurrently on
-/// distinct rows (expression evaluation is pure, so closures over
-/// EvaluatePredicate qualify).
+/// distinct rows (compiled programs are immutable with thread-local
+/// scratch, so closures over CompiledExpr::EvalPredicate qualify).
 Result<Table> FilterRows(const Table& in, const ExecContext& ctx,
                          const std::function<Result<bool>(const Row&)>& pred);
+
+/// The compiled program for `e` over rows shaped by `bindings`: from
+/// `ctx.programs` when set, else compiled uncached. `agg_base` as in
+/// CompiledExpr::Compile.
+std::shared_ptr<const CompiledExpr> PrepareProgram(
+    const Expr& e, const ColumnBindings& bindings, bool as_predicate,
+    const ExecContext& ctx, int agg_base = -1);
+
+/// A value expression ready for per-row evaluation (join keys, projections,
+/// group/order keys, aggregate arguments). A bare literal is held as a
+/// constant: it needs no program, and one per grounding-substituted label
+/// would flood the program memo. Eval is safe to call concurrently.
+struct PreparedValue {
+  std::shared_ptr<const CompiledExpr> program;  // Null: `constant`.
+  Value constant;
+
+  Result<Value> Eval(const Row& r) const {
+    if (program == nullptr) return constant;
+    return program->EvalValue(r);
+  }
+};
+
+PreparedValue PrepareValue(const Expr& e, const ColumnBindings& bindings,
+                           const ExecContext& ctx);
+
+/// The rows of `in` on which every conjunct is True. Per row the conjuncts
+/// run in order and the first non-True one drops the row (later conjuncts,
+/// and their errors, are skipped). Morsel-parallel above the context's
+/// threshold, in input order either way.
+Result<Table> FilterTable(const Table& in, const ColumnBindings& bindings,
+                          const std::vector<const Expr*>& conjuncts,
+                          const ExecContext& ctx);
+
+/// Inner hash join of two tables on evaluated key expressions (`lkeys` over
+/// `left`'s rows, `rkeys` over `right`'s). NULL keys never match. Builds on
+/// `right` and probes with `left`; output columns are left's followed by
+/// right's, in probe order. Above the morsel threshold the build side is
+/// hash-partitioned across shards and the probe runs in morsels, merged in
+/// morsel order, so the result is identical to the serial join.
+Result<Table> JoinOnExprs(const Table& left, const ColumnBindings& lb,
+                          const Table& right, const ColumnBindings& rb,
+                          const std::vector<const Expr*>& lkeys,
+                          const std::vector<const Expr*>& rkeys,
+                          const ExecContext& ctx);
 
 /// Inner hash equi-join: rows of `left` × `right` where the key columns are
 /// pairwise GroupEquals (NULL keys never match, per SQL). Output columns are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -11,7 +12,6 @@
 
 #include "common/failpoint.h"
 #include "common/str_util.h"
-#include "engine/expr_compile.h"
 #include "engine/expr_eval.h"
 #include "engine/operators.h"
 #include "observe/observer.h"
@@ -50,259 +50,17 @@ std::string OutputName(const SelectItem& item, size_t index) {
   return "col" + std::to_string(index);
 }
 
-/// A predicate ready for per-row evaluation: the compiled flat-op program
-/// (engine/expr_compile.h) when the tree compiles, else the interpreted
-/// walk — byte-identical either way. Prepared once per operator on the
-/// driving thread; Eval is safe to call concurrently on distinct rows (the
-/// program is immutable, its scratch thread-local).
-struct PreparedPredicate {
-  const Expr* expr = nullptr;
-  const ColumnBindings* bindings = nullptr;
-  std::shared_ptr<const CompiledExpr> program;
-
-  Result<TriBool> Eval(const Row& r) const {
-    if (program != nullptr) return program->EvalPredicate(r);
-    return EvaluatePredicate(*expr, r, *bindings);
-  }
-};
-
-PreparedPredicate PreparePredicate(const Expr& e, const ColumnBindings& b,
-                                   const ExecContext& ctx) {
-  PreparedPredicate p;
-  p.expr = &e;
-  p.bindings = &b;
-  if (ctx.programs != nullptr) {
-    p.program = ctx.programs->GetOrCompile(e, b, /*as_predicate=*/true,
-                                           ctx.metrics);
-  }
-  return p;
-}
-
-/// Value-context counterpart of PreparedPredicate (join keys, projections,
-/// group/order keys).
-struct PreparedValue {
-  const Expr* expr = nullptr;
-  const ColumnBindings* bindings = nullptr;
-  std::shared_ptr<const CompiledExpr> program;
-
-  Result<Value> Eval(const Row& r) const {
-    if (program != nullptr) return program->EvalValue(r);
-    return EvaluateExpr(*expr, r, *bindings);
-  }
-};
-
-PreparedValue PrepareValue(const Expr& e, const ColumnBindings& b,
-                           const ExecContext& ctx) {
-  PreparedValue v;
-  v.expr = &e;
-  v.bindings = &b;
-  // A bare literal gains nothing from a program and would pollute the cache
-  // with one entry per grounding-substituted label (schema variables become
-  // per-grounding literals) — the interpreted eval is a single switch.
-  if (ctx.programs != nullptr && e.kind != ExprKind::kLiteral) {
-    v.program = ctx.programs->GetOrCompile(e, b, /*as_predicate=*/false,
-                                           ctx.metrics);
-  }
-  return v;
-}
-
-std::vector<PreparedValue> PrepareValues(const std::vector<const Expr*>& es,
-                                         const ColumnBindings& b,
-                                         const ExecContext& ctx) {
-  std::vector<PreparedValue> out;
-  out.reserve(es.size());
-  for (const Expr* e : es) out.push_back(PrepareValue(*e, b, ctx));
-  return out;
-}
-
-/// Filters `in` by `pred` (rows kept iff the predicate is True),
-/// morsel-parallel above the context's threshold.
-Result<Table> FilterTable(const Table& in, const ColumnBindings& bindings,
-                          const Expr& pred, const ExecContext& ctx) {
-  const PreparedPredicate p = PreparePredicate(pred, bindings, ctx);
-  return FilterRows(in, ctx, [&](const Row& r) -> Result<bool> {
-    DV_ASSIGN_OR_RETURN(TriBool t, p.Eval(r));
-    return t == TriBool::kTrue;
-  });
-}
-
-/// Evaluates the key expressions of `keys` over `row`; a NULL component
-/// marks the row as unjoinable (NULL keys never match, per SQL).
-Result<Row> EvalKey(const std::vector<PreparedValue>& keys, const Row& row,
-                    bool* null_key) {
-  Row key;
-  key.reserve(keys.size());
-  *null_key = false;
-  for (const PreparedValue& k : keys) {
-    DV_ASSIGN_OR_RETURN(Value v, k.Eval(row));
-    if (v.is_null()) *null_key = true;
-    key.push_back(std::move(v));
-  }
-  return key;
-}
-
-/// Hash join of two working sets on evaluated key expressions. NULL keys
-/// never match. Above the morsel threshold the build side is
-/// hash-partitioned across shards and the probe side runs in morsels;
-/// per-morsel outputs merge in morsel order, so the result row order is
-/// identical to the serial join.
-Result<Table> JoinOnExprs(const Table& left, const ColumnBindings& lb,
-                          const Table& right, const ColumnBindings& rb,
-                          const std::vector<const Expr*>& lkeys,
-                          const std::vector<const Expr*>& rkeys,
-                          const ExecContext& ctx) {
-  std::vector<Column> cols = left.schema().columns();
-  for (const Column& c : right.schema().columns()) cols.push_back(c);
-  Table out{Schema(std::move(cols))};
-
-  // Key programs compiled once per join, shared by every build/probe worker.
-  const std::vector<PreparedValue> lk = PrepareValues(lkeys, lb, ctx);
-  const std::vector<PreparedValue> rk = PrepareValues(rkeys, rb, ctx);
-
-  using Index =
-      std::unordered_map<Row, std::vector<size_t>, RowGroupHash, RowGroupEq>;
-  const bool parallel = ctx.ShouldParallelize(left.num_rows()) ||
-                        ctx.ShouldParallelize(right.num_rows());
-  const size_t out_width = out.schema().num_columns();
-
-  if (!parallel) {
-    Index index;
-    index.reserve(right.num_rows());
-    for (size_t i = 0; i < right.num_rows(); ++i) {
-      bool null_key = false;
-      DV_ASSIGN_OR_RETURN(Row key, EvalKey(rk, right.row(i), &null_key));
-      if (!null_key) index[std::move(key)].push_back(i);
-    }
-    size_t since_check = 0;
-    for (const Row& lrow : left.rows()) {
-      if (ctx.guard != nullptr && (since_check++ & 1023) == 0) {
-        DV_RETURN_IF_ERROR(ctx.CheckGuard());
-      }
-      bool null_key = false;
-      DV_ASSIGN_OR_RETURN(Row key, EvalKey(lk, lrow, &null_key));
-      if (null_key) continue;
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (size_t ri : it->second) {
-        Row combined = lrow;
-        const Row& rrow = right.row(ri);
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        out.AppendRowUnchecked(std::move(combined));
-      }
-    }
-    DV_RETURN_IF_ERROR(ctx.ChargeRows(out.num_rows(), out_width));
-    return out;
-  }
-
-  // Partitioned build. Phase 1 (morsel-parallel): evaluate every build key.
-  // Phase 2 (shard-parallel): each shard inserts the keys hashing into it,
-  // so every shard map has exactly one writer.
-  RowGroupHash hasher;
-  const size_t num_shards = ctx.pool->num_workers() + 1;
-  const size_t build_rows = right.num_rows();
-  std::vector<Row> build_keys(build_rows);
-  std::vector<size_t> build_hash(build_rows);
-  std::vector<char> build_skip(build_rows, 0);
-  {
-    const size_t m = ctx.MorselSize(build_rows);
-    const size_t n = build_rows == 0 ? 0 : (build_rows + m - 1) / m;
-    std::vector<Status> errors(n, Status::OK());
-    ctx.pool->ParallelFor(
-        n,
-        [&](size_t p) {
-          for (size_t i = p * m, end = std::min(build_rows, (p + 1) * m);
-               i < end; ++i) {
-            bool null_key = false;
-            Result<Row> key = EvalKey(rk, right.row(i), &null_key);
-            if (!key.ok()) {
-              errors[p] = key.status();
-              return;
-            }
-            if (null_key) {
-              build_skip[i] = 1;
-              continue;
-            }
-            build_keys[i] = std::move(key).value();
-            build_hash[i] = hasher(build_keys[i]);
-          }
-        },
-        ctx.CancelFlag());
-    DV_RETURN_IF_ERROR(ctx.CheckGuard());
-    for (const Status& s : errors) DV_RETURN_IF_ERROR(s);
-  }
-  std::vector<Index> shards(num_shards);
-  // Skipped shard inserts are safe: a skip implies a tripped guard, and the
-  // probe morsels below re-check the guard before any merge.
-  ctx.pool->ParallelFor(
-      num_shards,
-      [&](size_t s) {
-        Index& shard = shards[s];
-        for (size_t i = 0; i < build_rows; ++i) {
-          if (!build_skip[i] && build_hash[i] % num_shards == s) {
-            shard[std::move(build_keys[i])].push_back(i);
-          }
-        }
-      },
-      ctx.CancelFlag());
-
-  // Morsel probe, merged in morsel order.
-  const size_t probe_rows = left.num_rows();
-  const size_t m = ctx.MorselSize(probe_rows);
-  const size_t n = probe_rows == 0 ? 0 : (probe_rows + m - 1) / m;
-  std::vector<Table> parts(n);
-  std::vector<Status> errors(n, Status::OK());
-  ctx.pool->ParallelFor(
-      n,
-      [&](size_t p) {
-        Table part(out.schema());
-        errors[p] = ctx.CheckGuard();
-        if (errors[p].ok()) {
-          for (size_t i = p * m, end = std::min(probe_rows, (p + 1) * m);
-               i < end; ++i) {
-            const Row& lrow = left.row(i);
-            bool null_key = false;
-            Result<Row> key = EvalKey(lk, lrow, &null_key);
-            if (!key.ok()) {
-              errors[p] = key.status();
-              break;
-            }
-            if (null_key) continue;
-            const Index& shard = shards[hasher(key.value()) % num_shards];
-            auto it = shard.find(key.value());
-            if (it == shard.end()) continue;
-            for (size_t ri : it->second) {
-              Row combined = lrow;
-              const Row& rrow = right.row(ri);
-              combined.insert(combined.end(), rrow.begin(), rrow.end());
-              part.AppendRowUnchecked(std::move(combined));
-            }
-          }
-          if (errors[p].ok()) {
-            errors[p] = ctx.ChargeRows(part.num_rows(), out_width);
-          }
-        }
-        parts[p] = std::move(part);
-      },
-      ctx.CancelFlag());
-  DV_RETURN_IF_ERROR(ctx.CheckGuard());
-  for (size_t p = 0; p < n; ++p) {
-    DV_RETURN_IF_ERROR(errors[p]);
-    DV_RETURN_IF_ERROR(out.AppendTable(std::move(parts[p])));
-  }
-  return out;
-}
-
-/// Computes one aggregate over the rows of a group.
-Result<Value> ComputeAggregate(const Expr& agg,
-                               const std::vector<const Row*>& rows,
-                               const ColumnBindings& bindings) {
+/// Computes one aggregate over the rows of a group; `arg` is the prepared
+/// argument (unused for COUNT(*)).
+Result<Value> ComputeAggregate(const Expr& agg, const PreparedValue& arg,
+                               const std::vector<const Row*>& rows) {
   if (agg.agg_func == AggFunc::kCountStar) {
     return Value::Int(static_cast<int64_t>(rows.size()));
   }
   std::vector<Value> values;
   values.reserve(rows.size());
   for (const Row* r : rows) {
-    DV_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*agg.left, *r, bindings));
+    DV_ASSIGN_OR_RETURN(Value v, arg.Eval(*r));
     if (!v.is_null()) values.push_back(std::move(v));
   }
   if (agg.agg_distinct) {
@@ -363,23 +121,41 @@ Result<Value> ComputeAggregate(const Expr& agg,
   }
 }
 
-/// Replaces every aggregate node by its computed value over the group,
-/// returning an aggregate-free clone evaluable on the representative row.
-Result<std::unique_ptr<Expr>> FoldAggregates(
-    const Expr& e, const std::vector<const Row*>& rows,
-    const ColumnBindings& bindings) {
-  if (e.kind == ExprKind::kAgg) {
-    DV_ASSIGN_OR_RETURN(Value v, ComputeAggregate(e, rows, bindings));
-    return Expr::MakeLiteral(std::move(v));
+/// One expression of the grouping operator (HAVING, a select item or an
+/// ORDER BY key): its program over the group's representative row extended
+/// by aggregate slots, and the aggregates feeding those slots.
+struct GroupedExpr {
+  std::shared_ptr<const CompiledExpr> program;
+  std::vector<const Expr*> aggs;     // Slot order (CollectAggregates).
+  std::vector<PreparedValue> args;   // Aligned with `aggs`.
+};
+
+GroupedExpr PrepareGrouped(const Expr& e, const ColumnBindings& b,
+                           int agg_base, bool as_predicate,
+                           const ExecContext& ctx) {
+  GroupedExpr g;
+  g.program = PrepareProgram(e, b, as_predicate, ctx, agg_base);
+  CollectAggregates(e, &g.aggs);
+  for (const Expr* a : g.aggs) {
+    g.args.push_back(a->agg_func == AggFunc::kCountStar
+                         ? PreparedValue{}
+                         : PrepareValue(*a->left, b, ctx));
   }
-  std::unique_ptr<Expr> out = e.Clone();
-  if (e.left) {
-    DV_ASSIGN_OR_RETURN(out->left, FoldAggregates(*e.left, rows, bindings));
+  return g;
+}
+
+/// Computes `g`'s aggregates over `rows` in slot order into the slots past
+/// `width` of `rep` (the group's representative row), so an aggregate's
+/// error surfaces before any error of the expression around it.
+Status FillAggregates(const GroupedExpr& g,
+                      const std::vector<const Row*>& rows, size_t width,
+                      Row* rep) {
+  rep->resize(width + g.aggs.size());
+  for (size_t k = 0; k < g.aggs.size(); ++k) {
+    DV_ASSIGN_OR_RETURN((*rep)[width + k],
+                        ComputeAggregate(*g.aggs[k], g.args[k], rows));
   }
-  if (e.right) {
-    DV_ASSIGN_OR_RETURN(out->right, FoldAggregates(*e.right, rows, bindings));
-  }
-  return out;
+  return Status::OK();
 }
 
 /// True if the tree references any column or variable.
@@ -547,14 +323,12 @@ ExecContext QueryEngine::Ctx(QueryContext* qc, const SnapshotRef& snap) const {
     ctx.trace = &qc->observer()->trace;
     ctx.metrics = &qc->observer()->metrics;
   }
-  if (exec_.compile_expressions) {
-    // A cached plan's own program memo wins (satisfying one-compile-per-plan
-    // across the grounding fan-out and across executions); otherwise the
-    // engine's default cache still dedups within and across queries.
-    ctx.programs = (qc != nullptr && qc->expr_programs() != nullptr)
-                       ? qc->expr_programs().get()
-                       : &default_programs_;
-  }
+  // A cached plan's own program memo wins (satisfying one-compile-per-plan
+  // across the grounding fan-out and across executions); otherwise the
+  // engine's default cache still dedups within and across queries.
+  ctx.programs = (qc != nullptr && qc->expr_programs() != nullptr)
+                     ? qc->expr_programs().get()
+                     : &default_programs_;
   return ctx;
 }
 
@@ -863,15 +637,19 @@ Result<Table> QueryEngine::EvaluateFirstOrder(const SelectStmt& stmt,
   std::vector<bool> applied(conjuncts.size(), false);
 
   // Constant conjuncts (e.g. grounded label comparisons such as
-  // 'price' <> 'date') evaluate once; a false one empties every scan.
+  // 'price' <> 'date') evaluate once; a false one empties every scan. Their
+  // programs are compiled uncached: grounded labels differ per grounding
+  // and would flood the per-plan memo.
   bool infeasible = false;
   {
     ColumnBindings empty;
     Row no_row;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (!CanEvaluate(*conjuncts[i], empty)) continue;
-      DV_ASSIGN_OR_RETURN(TriBool t,
-                          EvaluatePredicate(*conjuncts[i], no_row, empty));
+      DV_ASSIGN_OR_RETURN(
+          TriBool t,
+          CompiledExpr::Compile(*conjuncts[i], empty, /*as_predicate=*/true)
+              ->EvalPredicate(no_row));
       if (t != TriBool::kTrue) infeasible = true;
       applied[i] = true;
     }
@@ -927,19 +705,8 @@ Result<Table> QueryEngine::EvaluateFirstOrder(const SelectStmt& stmt,
       applied[i] = true;
     }
     if (!infeasible) {
-      std::vector<PreparedPredicate> pushed_preds;
-      pushed_preds.reserve(pushed.size());
-      for (const Expr* c : pushed) {
-        pushed_preds.push_back(PreparePredicate(*c, scan.bindings, ctx));
-      }
-      DV_ASSIGN_OR_RETURN(
-          scan.table, FilterRows(*base, ctx, [&](const Row& r) -> Result<bool> {
-            for (const PreparedPredicate& p : pushed_preds) {
-              DV_ASSIGN_OR_RETURN(TriBool t, p.Eval(r));
-              if (t != TriBool::kTrue) return false;
-            }
-            return true;
-          }));
+      DV_ASSIGN_OR_RETURN(scan.table,
+                          FilterTable(*base, scan.bindings, pushed, ctx));
     }
 
     if (first) {
@@ -982,8 +749,8 @@ Result<Table> QueryEngine::EvaluateFirstOrder(const SelectStmt& stmt,
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (applied[i] || conjuncts[i]->ContainsAggregate()) continue;
       if (!CanEvaluate(*conjuncts[i], w.bindings)) continue;
-      DV_ASSIGN_OR_RETURN(w.table,
-                          FilterTable(w.table, w.bindings, *conjuncts[i], ctx));
+      DV_ASSIGN_OR_RETURN(
+          w.table, FilterTable(w.table, w.bindings, {conjuncts[i]}, ctx));
       applied[i] = true;
     }
   }
@@ -1093,8 +860,7 @@ Result<Table> QueryEngine::EvaluateFirstOrder(const SelectStmt& stmt,
       group_keys.emplace_back();
       for (const Row& r : w.table.rows()) groups[0].push_back(&r);
     } else {
-      // Group-key programs compiled once; the per-group aggregate folding
-      // below stays interpreted (aggregates never compile).
+      // Group-key programs compiled once, evaluated per row.
       std::vector<PreparedValue> gkeys;
       gkeys.reserve(stmt.group_by.size());
       for (const auto& g : stmt.group_by) {
@@ -1115,37 +881,54 @@ Result<Table> QueryEngine::EvaluateFirstOrder(const SelectStmt& stmt,
         groups[it->second].push_back(&r);
       }
     }
-    Row null_rep(w.table.schema().num_columns(), Value::Null());
+    // Output programs compiled once. Per group, each expression's
+    // aggregates are computed just before it runs — HAVING first, so a
+    // group it rejects computes nothing more.
+    const size_t width = w.table.schema().num_columns();
+    const int agg_base = static_cast<int>(width);
+    std::optional<GroupedExpr> having;
+    if (stmt.having != nullptr) {
+      having = PrepareGrouped(*stmt.having, w.bindings, agg_base,
+                              /*as_predicate=*/true, ctx);
+    }
+    std::vector<GroupedExpr> items;
+    for (const SelectItem& item : stmt.select_list) {
+      items.push_back(PrepareGrouped(*item.expr, w.bindings, agg_base,
+                                     /*as_predicate=*/false, ctx));
+    }
+    std::vector<GroupedExpr> order_items;
+    for (const OrderItem& o : stmt.order_by) {
+      order_items.push_back(PrepareGrouped(*o.expr, w.bindings, agg_base,
+                                           /*as_predicate=*/false, ctx));
+    }
+    Row null_rep(width, Value::Null());
     for (size_t gi = 0; gi < groups.size(); ++gi) {
       if ((since_check++ & 1023) == 0) DV_RETURN_IF_ERROR(ctx.CheckGuard());
       const std::vector<const Row*>& rows = groups[gi];
-      const Row& rep = rows.empty() ? null_rep : *rows[0];
-      if (stmt.having != nullptr) {
-        DV_ASSIGN_OR_RETURN(auto folded,
-                            FoldAggregates(*stmt.having, rows, w.bindings));
-        DV_ASSIGN_OR_RETURN(TriBool t,
-                            EvaluatePredicate(*folded, rep, w.bindings));
+      Row rep = rows.empty() ? null_rep : *rows[0];
+      if (having) {
+        DV_RETURN_IF_ERROR(FillAggregates(*having, rows, width, &rep));
+        DV_ASSIGN_OR_RETURN(TriBool t, having->program->EvalPredicate(rep));
         if (t != TriBool::kTrue) continue;
       }
       Row orow;
-      orow.reserve(stmt.select_list.size());
-      for (const SelectItem& item : stmt.select_list) {
-        DV_ASSIGN_OR_RETURN(auto folded,
-                            FoldAggregates(*item.expr, rows, w.bindings));
-        DV_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*folded, rep, w.bindings));
+      orow.reserve(items.size());
+      for (const GroupedExpr& item : items) {
+        DV_RETURN_IF_ERROR(FillAggregates(item, rows, width, &rep));
+        DV_ASSIGN_OR_RETURN(Value v, item.program->EvalValue(rep));
         orow.push_back(std::move(v));
       }
       if (!stmt.order_by.empty()) {
         Row key;
-        for (const OrderItem& o : stmt.order_by) {
-          int pos = order_output_pos(*o.expr);
+        for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+          int pos = order_output_pos(*stmt.order_by[k].expr);
           if (pos >= 0) {
             key.push_back(orow[pos]);
             continue;
           }
-          DV_ASSIGN_OR_RETURN(auto folded,
-                              FoldAggregates(*o.expr, rows, w.bindings));
-          DV_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*folded, rep, w.bindings));
+          DV_RETURN_IF_ERROR(
+              FillAggregates(order_items[k], rows, width, &rep));
+          DV_ASSIGN_OR_RETURN(Value v, order_items[k].program->EvalValue(rep));
           key.push_back(std::move(v));
         }
         order_keys.push_back(std::move(key));

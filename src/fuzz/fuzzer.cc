@@ -82,10 +82,9 @@ ScenarioSpec MakeSpec(uint64_t seed, int index) {
 
 // ---- Scenario runtime ------------------------------------------------------
 
-ExecConfig MakeExec(size_t threads, bool compiled) {
+ExecConfig MakeExec(size_t threads) {
   ExecConfig cfg;
   cfg.num_threads = threads;
-  cfg.compile_expressions = compiled;
   return cfg;
 }
 
@@ -93,12 +92,10 @@ ExecConfig MakeExec(size_t threads, bool compiled) {
 /// catalog outlives everything referencing it (members destroy in reverse).
 struct Runtime {
   std::unique_ptr<Catalog> catalog;
-  std::unique_ptr<QueryEngine> ref;  // Interpreted, serial — the reference.
-  std::unique_ptr<QueryEngine> dc1;  // Direct, compiled, 1 thread.
-  std::unique_ptr<QueryEngine> dc8;  // Direct, compiled, 8 threads.
-  std::unique_ptr<IntegrationSystem> a1;  // Rewriting, compiled, 1 thread.
-  std::unique_ptr<IntegrationSystem> a8;  // Rewriting, compiled, 8 threads.
-  std::unique_ptr<IntegrationSystem> b8;  // Rewriting, interpreted, 8 thr.
+  std::unique_ptr<QueryEngine> ref;  // Direct, serial — the reference.
+  std::unique_ptr<QueryEngine> dc8;  // Direct, 8 threads.
+  std::unique_ptr<IntegrationSystem> a1;  // Rewriting, 1 thread.
+  std::unique_ptr<IntegrationSystem> a8;  // Rewriting, 8 threads.
   std::unique_ptr<SchemaEvolver> evolver;
 
   /// Tears down in reverse declaration order. Move-assigning a fresh
@@ -107,11 +104,9 @@ struct Runtime {
   /// reads it — this is the crash-simulation path, so order matters.
   void Reset() {
     evolver.reset();
-    b8.reset();
     a8.reset();
     a1.reset();
     dc8.reset();
-    dc1.reset();
     ref.reset();
     catalog.reset();
   }
@@ -132,10 +127,7 @@ void SyncFences(const IntegrationSystem& primary, IntegrationSystem* twin) {
   }
 }
 
-void SyncTwins(Runtime* rt) {
-  SyncFences(*rt->a8, rt->a1.get());
-  SyncFences(*rt->a8, rt->b8.get());
-}
+void SyncTwins(Runtime* rt) { SyncFences(*rt->a8, rt->a1.get()); }
 
 /// Builds (fresh_data) or recovers (!fresh_data, durable dir has state) one
 /// scenario runtime. On recovery the primary's catalog, sources, fences and
@@ -145,18 +137,14 @@ Status BuildRuntime(const ScenarioSpec& spec, const std::string& durable_dir,
                     bool fresh_data, Runtime* rt) {
   rt->catalog = std::make_unique<Catalog>();
   rt->ref = std::make_unique<QueryEngine>(rt->catalog.get(), "I",
-                                          MakeExec(1, false));
-  rt->dc1 = std::make_unique<QueryEngine>(rt->catalog.get(), "I",
-                                          MakeExec(1, true));
+                                          MakeExec(1));
   rt->dc8 = std::make_unique<QueryEngine>(rt->catalog.get(), "I",
-                                          MakeExec(8, true));
-  IntegrationOptions o1, o8c, o8i;
-  o1.exec = MakeExec(1, true);
-  o8c.exec = MakeExec(8, true);
-  o8i.exec = MakeExec(8, false);
+                                          MakeExec(8));
+  IntegrationOptions o1, o8;
+  o1.exec = MakeExec(1);
+  o8.exec = MakeExec(8);
   rt->a1 = std::make_unique<IntegrationSystem>(rt->catalog.get(), "I", o1);
-  rt->a8 = std::make_unique<IntegrationSystem>(rt->catalog.get(), "I", o8c);
-  rt->b8 = std::make_unique<IntegrationSystem>(rt->catalog.get(), "I", o8i);
+  rt->a8 = std::make_unique<IntegrationSystem>(rt->catalog.get(), "I", o8);
   if (!durable_dir.empty()) {
     DV_RETURN_IF_ERROR(rt->a8->OpenDurable(durable_dir));
   }
@@ -172,7 +160,6 @@ Status BuildRuntime(const ScenarioSpec& spec, const std::string& durable_dir,
   }
   for (const std::string& def : spec.defs) {
     DV_RETURN_IF_ERROR(rt->a1->RegisterSource(def).status());
-    DV_RETURN_IF_ERROR(rt->b8->RegisterSource(def).status());
   }
   rt->evolver =
       std::make_unique<SchemaEvolver>(rt->catalog.get(), rt->a8.get());
@@ -494,7 +481,7 @@ std::string Describe(const RunOut& o) {
 
 /// Runs one (sql, multiset) through every strategy and compares. Returns the
 /// first violation ("<strategy>: <what diverged>"), or nullopt when all
-/// eight executions agree. `rep` is null during minimization replays.
+/// six executions agree. `rep` is null during minimization replays.
 std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
                                       bool multiset, FuzzReport* rep) {
   if (FailPoints::AnyArmed()) {
@@ -510,23 +497,19 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
     if (rep != nullptr) ++rep->checks;
   };
 
-  const std::pair<const char*, QueryEngine*> directs[] = {
-      {"direct/compiled-t1", rt.dc1.get()},
-      {"direct/compiled-t8", rt.dc8.get()},
-  };
-  for (const auto& [name, engine] : directs) {
-    RunOut o = RunDirect(engine, sql, snap);
+  // The 8-thread engine must reproduce the serial reference byte for byte.
+  {
+    RunOut o = RunDirect(rt.dc8.get(), sql, snap);
     count();
     if (o.ok != ref.ok) {
-      return std::string(name) + ": ok=" + (o.ok ? "1" : "0") +
+      return std::string("direct/t8: ok=") + (o.ok ? "1" : "0") +
              " but reference " + Describe(ref);
     }
     if (o.ok && o.raw != ref.raw) {
-      return std::string(name) + ": bytes diverge from interpreted reference";
+      return "direct/t8: bytes diverge from the serial reference";
     }
     if (!o.ok && o.st.code() != ref.st.code()) {
-      return std::string(name) + ": " + Describe(o) + " vs reference " +
-             Describe(ref);
+      return "direct/t8: " + Describe(o) + " vs reference " + Describe(ref);
     }
   }
 
@@ -561,9 +544,8 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
   }
 
   const std::pair<const char*, IntegrationSystem*> answers[] = {
-      {"answer/compiled-t1", rt.a1.get()},
-      {"answer/compiled-t8", rt.a8.get()},
-      {"answer/interp-t8", rt.b8.get()},
+      {"answer/t1", rt.a1.get()},
+      {"answer/t8", rt.a8.get()},
   };
   std::vector<RunOut> outs;
   for (const auto& [name, sys] : answers) {
@@ -595,10 +577,10 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
   if (again.ok != outs[1].ok ||
       (again.ok && again.raw != outs[1].raw) ||
       (!again.ok && again.st.code() != outs[1].st.code())) {
-    return std::string("answer/compiled-t8-repeat: cached plan diverges");
+    return std::string("answer/t8-repeat: cached plan diverges");
   }
 
-  if (!(outs[0].warns == outs[1].warns && outs[1].warns == outs[2].warns)) {
+  if (outs[0].warns != outs[1].warns) {
     auto render = [](const RunOut& o) {
       std::string s;
       for (const auto& [src, code] : o.warns) {
@@ -607,7 +589,7 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
       return s.empty() ? std::string(" none") : s;
     };
     return std::string("warnings/divergence: t1") + render(outs[0]) +
-           " vs t8" + render(outs[1]) + " vs interp" + render(outs[2]);
+           " vs t8" + render(outs[1]);
   }
   return std::nullopt;
 }

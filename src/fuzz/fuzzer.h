@@ -74,18 +74,16 @@ struct FuzzReport {
 /// {copy, partitioned, pivot} sources registered and materialized over it,
 /// and a DDL stream that deterministically exercises all six DdlKinds
 /// (plus random tail ops). After every step, generated SchemaSQL/SQL
-/// queries are answered eight ways —
+/// queries are answered six ways —
 ///
-///   direct interpreted t1 (the reference), direct compiled t1, direct
-///   compiled t8, the Sec. 6 optimizer's plan, rewriting compiled t1,
-///   rewriting compiled t8 (twice, to cover the plan-cache hit path),
-///   rewriting interpreted t8
+///   direct t1 (the reference), direct t8, the Sec. 6 optimizer's plan,
+///   rewriting t1, rewriting t8 (twice, to cover the plan-cache hit path)
 ///
-/// — and the oracle requires: byte-identical direct results across
-/// compilation modes and thread counts, canonically identical (sorted)
-/// optimizer and rewriting results vs the direct reference, identical
-/// status codes on errors, and identical (source, code) warning sequences
-/// across the rewriting systems. Queries the optimizer declines to plan
+/// — and the oracle requires: byte-identical direct results across thread
+/// counts, canonically identical (sorted) optimizer and rewriting results
+/// vs the direct reference, identical status codes on errors, and
+/// identical (source, code) warning sequences across the rewriting
+/// systems. Queries the optimizer declines to plan
 /// (kUnsupported: higher-order or multi-block) are counted as refusals. In
 /// durable mode every scenario additionally crashes mid-stream and must
 /// replay to the exact pre-crash head and answers.

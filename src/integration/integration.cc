@@ -731,12 +731,14 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     chosen = nullptr;
     answered = engine_.Execute(query.stmt->Clone().get(), qc);
   } else if (!plan_cached && plan->rewritten == nullptr) {
-    // The direct plan is cached only on success. A failing direct probe
-    // reports the rewrite's NotFound, unless a guard tripped — then the trip
-    // is the real outcome.
+    // The direct plan is cached only on success. A direct NotFound yields to
+    // the rewrite's (which names the fenced sources), unless a guard tripped;
+    // any other direct error (a TypeError after DDL retyped a column, say)
+    // is the query's real outcome and surfaces as is.
     if (answered.ok()) {
       remember();
-    } else if (qc->CheckGuards().ok()) {
+    } else if (answered.status().code() == StatusCode::kNotFound &&
+               qc->CheckGuards().ok()) {
       answered = no_source;
     }
   }

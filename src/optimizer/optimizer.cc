@@ -834,9 +834,11 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
 
 Result<Table> Optimizer::Execute(const OptimizedPlan& plan) const {
   QueryEngine engine(catalog_, default_db_);
-  // Execution reads the version the plan was costed against.
+  // Execution reads the version the plan was costed against, and compiles
+  // each expression of the plan (shipped subqueries included) once.
   QueryContext qc;
   qc.PinSnapshot(plan.snapshot);
+  qc.set_expr_programs(std::make_shared<ExprProgramCache>());
   DV_ASSIGN_OR_RETURN(Table rows, plan.root->Execute(&engine, &qc));
   Catalog scratch;
   DV_RETURN_IF_ERROR(scratch.PutTable("sc", "plan_rows", std::move(rows)));

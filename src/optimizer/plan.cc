@@ -1,7 +1,5 @@
 #include "optimizer/plan.h"
 
-#include <unordered_map>
-
 #include "common/str_util.h"
 #include "engine/expr_eval.h"
 #include "engine/operators.h"
@@ -28,23 +26,15 @@ ColumnBindings NamedBindings(const Table& t) {
   return b;
 }
 
-Result<Table> ApplyFilters(Table in,
-                           const std::vector<std::unique_ptr<Expr>>& filters) {
+/// A node's filters over its named-column output, through the engine's
+/// filter operator.
+Result<Table> FilterNamed(Table in,
+                          const std::vector<std::unique_ptr<Expr>>& filters,
+                          const ExecContext& ctx) {
   if (filters.empty()) return in;
-  ColumnBindings b = NamedBindings(in);
-  Table out(in.schema());
-  for (const Row& r : in.rows()) {
-    bool keep = true;
-    for (const auto& f : filters) {
-      DV_ASSIGN_OR_RETURN(TriBool t, EvaluatePredicate(*f, r, b));
-      if (t != TriBool::kTrue) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.AppendRowUnchecked(r);
-  }
-  return out;
+  std::vector<const Expr*> conjuncts;
+  for (const auto& f : filters) conjuncts.push_back(f.get());
+  return FilterTable(in, NamedBindings(in), conjuncts, ctx);
 }
 
 }  // namespace
@@ -113,6 +103,11 @@ std::string PlanNode::Describe(int indent) const {
 }
 
 Result<Table> PlanNode::Execute(QueryEngine* engine, QueryContext* qc) const {
+  // The engine's expression operators, run serially under the caller's
+  // guard and program memo.
+  ExecContext ctx;
+  ctx.guard = qc;
+  ctx.programs = qc == nullptr ? nullptr : qc->expr_programs().get();
   switch (kind) {
     case Kind::kTableScan: {
       // Held across the projection: the rows borrowed from the snapshot
@@ -133,7 +128,7 @@ Result<Table> PlanNode::Execute(QueryEngine* engine, QueryContext* qc) const {
         names.push_back(name);
       }
       DV_ASSIGN_OR_RETURN(Table projected, ProjectColumns(*base, cols, names));
-      return ApplyFilters(std::move(projected), filters);
+      return FilterNamed(std::move(projected), filters, ctx);
     }
     case Kind::kIndexProbe: {
       if (index == nullptr) return Status::Internal("index probe without index");
@@ -155,7 +150,7 @@ Result<Table> PlanNode::Execute(QueryEngine* engine, QueryContext* qc) const {
         names.push_back(name);
       }
       DV_ASSIGN_OR_RETURN(Table projected, ProjectColumns(payload, cols, names));
-      return ApplyFilters(std::move(projected), filters);
+      return FilterNamed(std::move(projected), filters, ctx);
     }
     case Kind::kViewScan: {
       std::unique_ptr<SelectStmt> copy = rewritten->Clone();
@@ -186,59 +181,13 @@ Result<Table> PlanNode::Execute(QueryEngine* engine, QueryContext* qc) const {
       }
       Table joined;
       if (!lkeys.empty()) {
-        // Hash join on evaluated keys.
-        std::unordered_map<Row, std::vector<size_t>, RowGroupHash, RowGroupEq>
-            idx;
-        idx.reserve(rt.num_rows());
-        for (size_t i = 0; i < rt.num_rows(); ++i) {
-          Row key;
-          bool null_key = false;
-          for (const Expr* k : rkeys) {
-            DV_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*k, rt.row(i), rb));
-            if (v.is_null()) null_key = true;
-            key.push_back(std::move(v));
-          }
-          if (!null_key) idx[std::move(key)].push_back(i);
-        }
-        std::vector<Column> cols = lt.schema().columns();
-        for (const Column& c : rt.schema().columns()) cols.push_back(c);
-        joined = Table(Schema(std::move(cols)));
-        for (const Row& lrow : lt.rows()) {
-          Row key;
-          bool null_key = false;
-          for (const Expr* k : lkeys) {
-            DV_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*k, lrow, lb));
-            if (v.is_null()) null_key = true;
-            key.push_back(std::move(v));
-          }
-          if (null_key) continue;
-          auto it = idx.find(key);
-          if (it == idx.end()) continue;
-          for (size_t ri : it->second) {
-            Row combined = lrow;
-            const Row& rrow = rt.row(ri);
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            joined.AppendRowUnchecked(std::move(combined));
-          }
-        }
+        DV_ASSIGN_OR_RETURN(joined,
+                            JoinOnExprs(lt, lb, rt, rb, lkeys, rkeys, ctx));
       } else {
-        DV_ASSIGN_OR_RETURN(joined, CrossProduct(lt, rt));
+        DV_ASSIGN_OR_RETURN(joined, CrossProduct(lt, rt, ctx));
       }
       if (residual.empty()) return joined;
-      ColumnBindings jb = NamedBindings(joined);
-      Table out(joined.schema());
-      for (const Row& r : joined.rows()) {
-        bool keep = true;
-        for (const Expr* c : residual) {
-          DV_ASSIGN_OR_RETURN(TriBool t, EvaluatePredicate(*c, r, jb));
-          if (t != TriBool::kTrue) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) out.AppendRowUnchecked(r);
-      }
-      return out;
+      return FilterTable(joined, NamedBindings(joined), residual, ctx);
     }
   }
   return Status::Internal("bad plan node kind");

@@ -75,7 +75,7 @@ struct Expr {
 
   /// >= 0 marks this literal node as the positional parameter `?` with that
   /// ordinal (0-based, left-to-right parse order). An un-substituted
-  /// parameter renders as "?N", never evaluates, and blocks compilation;
+  /// parameter renders as "?N" and evaluates to an "unbound parameter" error;
   /// SubstituteParameters replaces `literal` and resets this to -1.
   int param_index = -1;
 

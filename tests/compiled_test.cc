@@ -1,9 +1,11 @@
-// Differential suite for the compiled query path (ctest -L compiled):
+// Suite for the compiled query path (ctest -L compiled):
 //
-//  - interpreted vs compiled expression evaluation must be BYTE-identical
-//    (Table::ToString equality, not just bag equality) at 1 and 8 threads,
-//    on the Fig. 6 workload, on higher-order fan-out queries, and on seeded
-//    random catalogs/queries;
+//  - engine goldens: the Fig. 6 workload, higher-order fan-out queries,
+//    error surfaces, competing grouping errors and seeded random catalogs
+//    must render BYTE-identically (Table::ToString or the full status) to
+//    tests/golden/engine/*.txt at 1 and 8 threads. The goldens were
+//    recorded from the tree-walk evaluator, so they pin the compiled
+//    engine to its semantics, error order included;
 //  - the plan cache must serve byte-identical answers on hits, die on
 //    catalog commits and source/index registration, count
 //    hits/misses/evictions/invalidations, and degrade to a fresh compile
@@ -17,10 +19,17 @@
 //  - grounding fan-out must share one compiled program per plan: the
 //    `compile.exprs_flattened` counter is invariant in both the grounding
 //    width and the thread count.
+//
+// Regenerate the engine goldens after an intentional change with:
+//   DYNVIEW_REGOLD=1 ctest -R 'CompiledEngineTest|CompiledRandomTest'
+// then review the diff like any other code change.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,15 +45,48 @@
 namespace dynview {
 namespace {
 
-ExecConfig Config(size_t threads, bool compiled) {
+ExecConfig Config(size_t threads) {
   ExecConfig exec;
   exec.num_threads = threads;
   exec.morsel_rows = 4;  // Engage the parallel operator paths on small data.
-  exec.compile_expressions = compiled;
   return exec;
 }
 
-// ---- interpreted vs compiled byte-identity ---------------------------------
+// ---- engine goldens ---------------------------------------------------------
+
+/// One query's outcome as the goldens record it: the SQL, then the result
+/// table or the status.
+std::string Render(const std::string& sql, const Result<Table>& r) {
+  std::string out = "-- " + sql + "\n";
+  out += r.ok() ? r.value().ToString() : "status: " + r.status().ToString();
+  if (out.back() != '\n') out += '\n';
+  return out;
+}
+
+/// Answers `queries` over `catalog` at 1 and 8 threads and compares the
+/// renderings byte for byte with tests/golden/engine/<name>.txt.
+void ExpectGolden(const Catalog& catalog, const std::string& default_db,
+                  const std::string& name,
+                  const std::vector<std::string>& queries) {
+  const std::string path =
+      std::string(DYNVIEW_TESTDATA_DIR) + "/" + name + ".txt";
+  for (size_t threads : {1u, 8u}) {
+    QueryEngine engine(&catalog, default_db, Config(threads));
+    std::string got;
+    for (const std::string& q : queries) got += Render(q, engine.ExecuteSql(q));
+    if (std::getenv("DYNVIEW_REGOLD") != nullptr) {
+      std::ofstream out(path, std::ios::trunc);
+      ASSERT_TRUE(out.good()) << "cannot write " << path;
+      out << got;
+      GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden file " << path;
+    std::stringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(want.str(), got) << name << " diverges at threads=" << threads;
+  }
+}
 
 class CompiledEngineTest : public ::testing::Test {
  protected:
@@ -59,87 +101,102 @@ class CompiledEngineTest : public ::testing::Test {
     ASSERT_TRUE(InstallDb0(&catalog_, "db0", cfg).ok());
   }
 
-  /// Interpreted and compiled evaluation must agree byte-for-byte — same
-  /// rows, same order, same rendering — at every thread count, and errors
-  /// must carry identical statuses.
-  void ExpectByteIdentical(const std::string& sql,
-                           const std::string& default_db = "s1") {
-    for (size_t threads : {1u, 8u}) {
-      QueryEngine interp(&catalog_, default_db, Config(threads, false));
-      QueryEngine comp(&catalog_, default_db, Config(threads, true));
-      Result<Table> a = interp.ExecuteSql(sql);
-      Result<Table> b = comp.ExecuteSql(sql);
-      ASSERT_EQ(a.ok(), b.ok())
-          << sql << " [threads=" << threads << "]\n  interpreted: "
-          << a.status().ToString() << "\n  compiled:    "
-          << b.status().ToString();
-      if (!a.ok()) {
-        EXPECT_EQ(a.status().ToString(), b.status().ToString()) << sql;
-        continue;
-      }
-      EXPECT_EQ(a.value().ToString(), b.value().ToString())
-          << sql << " diverges at threads=" << threads;
-    }
-  }
-
   Catalog catalog_;
 };
 
 TEST_F(CompiledEngineTest, Fig6WorkloadByteIdentity) {
-  const char* queries[] = {
-      // The Fig. 6 integration query (pushdown filter + projection).
-      "select C, P from s1::stock T, T.company C, T.price P where P > 300",
-      // Self-join on company with a conjunctive filter (join keys compiled).
-      "select C1, P1 from s1::stock T1, s1::stock T2, T1.company C1, "
-      "T2.company C2, T1.price P1, T2.price P2 "
-      "where C1 = C2 and P1 > P2 and P2 > 100",
-      // Logic short-circuit shapes: and/or/not over tri-state inputs.
-      "select C from s1::stock T, T.company C, T.price P, T.exch E "
-      "where (P > 200 and E = 'nyse') or not (P between 50 and 400)",
-      // String operators.
-      "select C from s1::stock T, T.company C where C like 'co%' "
-      "and contains(C, 'o')",
-      // Arithmetic in projection and ORDER BY keys.
-      "select C, P + 10 from s1::stock T, T.company C, T.price P "
-      "order by P desc, C",
-      // Grouping (group keys compiled; aggregate fold interpreted).
-      "select C, max(P), count(*) from s1::stock T, T.company C, T.price P "
-      "where P > 50 group by C having min(P) > 0",
-      "select distinct E from s1::stock T, T.exch E",
-  };
-  for (const char* q : queries) {
-    SCOPED_TRACE(q);
-    ExpectByteIdentical(q);
-  }
+  ExpectGolden(
+      catalog_, "s1", "fig6_workload",
+      {
+          // The Fig. 6 integration query (pushdown filter + projection).
+          "select C, P from s1::stock T, T.company C, T.price P where P > 300",
+          // Self-join on company with a conjunctive filter (join keys).
+          "select C1, P1 from s1::stock T1, s1::stock T2, T1.company C1, "
+          "T2.company C2, T1.price P1, T2.price P2 "
+          "where C1 = C2 and P1 > P2 and P2 > 100",
+          // Logic short-circuit shapes: and/or/not over tri-state inputs.
+          "select C from s1::stock T, T.company C, T.price P, T.exch E "
+          "where (P > 200 and E = 'nyse') or not (P between 50 and 400)",
+          // String operators.
+          "select C from s1::stock T, T.company C where C like 'co%' "
+          "and contains(C, 'o')",
+          // Arithmetic in projection and ORDER BY keys.
+          "select C, P + 10 from s1::stock T, T.company C, T.price P "
+          "order by P desc, C",
+          // Grouping: group keys, aggregate slots, HAVING.
+          "select C, max(P), count(*) from s1::stock T, T.company C, "
+          "T.price P where P > 50 group by C having min(P) > 0",
+          "select distinct E from s1::stock T, T.exch E",
+      });
 }
 
 TEST_F(CompiledEngineTest, HigherOrderFanOutByteIdentity) {
-  // Relation / attribute / database variables: compiled programs are reused
-  // across groundings (schemas agree per the s2/s3 layouts), and evaluation
-  // must not diverge from the interpreter.
-  const char* queries[] = {
-      "select R, D, P from s2 -> R, R T, T.date D, T.price P where P > 100",
-      "select distinct R from s2 -> R, R T, T.price P where P > 100",
-      "select A, D, P from s3::stock -> A, s3::stock T, T.date D, T.A P "
-      "where A <> 'date'",
-      "select DB from -> DB, DB::stock T",
-  };
-  for (const char* q : queries) {
-    SCOPED_TRACE(q);
-    ExpectByteIdentical(q, "s2");
-  }
+  // Relation / attribute / database variables: programs are reused across
+  // groundings (schemas agree per the s2/s3 layouts).
+  ExpectGolden(
+      catalog_, "s2", "higher_order_fanout",
+      {
+          "select R, D, P from s2 -> R, R T, T.date D, T.price P "
+          "where P > 100",
+          "select distinct R from s2 -> R, R T, T.price P where P > 100",
+          "select A, D, P from s3::stock -> A, s3::stock T, T.date D, T.A P "
+          "where A <> 'date'",
+          "select DB from -> DB, DB::stock T",
+      });
 }
 
 TEST_F(CompiledEngineTest, ErrorSurfacesMatchInterpreter) {
-  // Fallback and error paths: non-boolean predicates and unbound parameters
-  // must produce the interpreter's exact statuses.
-  ExpectByteIdentical("select C from s1::stock T, T.company C where C");
-  ExpectByteIdentical(
-      "select C from s1::stock T, T.company C where T.price > ?");
+  // Non-boolean predicates and unbound parameters raise the tree walk's
+  // exact statuses (recorded in the golden) from deferred-error ops.
+  ExpectGolden(catalog_, "s1", "error_surfaces",
+               {
+                   "select C from s1::stock T, T.company C where C",
+                   "select C from s1::stock T, T.company C "
+                   "where T.price > ?",
+               });
+}
+
+TEST_F(CompiledEngineTest, GroupingErrorsByteIdentity) {
+  // HAVING runs first and computes all of its aggregates before evaluating
+  // (so an aggregate error beats a short-circuit); select items then ORDER
+  // BY keys follow, each computing its own aggregates just before it runs.
+  const std::string from = " from s1::stock T, T.company C, T.price P";
+  ExpectGolden(
+      catalog_, "s1", "grouping_errors",
+      {
+          "select C, sum(C)" + from + " group by C having max(P) > 'x'",
+          "select C, sum(C)" + from +
+              " group by C having count(*) > 0 or sum(C) > 1",
+          "select C, sum(C)" + from +
+              " group by C having count(*) > 0 or C > 1",
+          "select C, max(C) + 1, sum(C)" + from + " group by C",
+          "select C, sum(C), max(C) + 1" + from + " group by C",
+          "select C, sum(C)" + from + " group by C having count(*) > 100",
+          "select C, max(P)" + from + " group by C order by sum(C)",
+          "select C, max(P)" + from +
+              " group by C having min(P) > 0 order by max(P) desc, C",
+          "select count(*), sum(C)" + from + " where C = 'nosuch'",
+          "select C, sum(P)" + from +
+              " where C = 'nosuch' group by C having max(C) > 1",
+          "select C" + from + " group by C having sum(P) > ?",
+          "select count(distinct C), avg(P), min(D), max(D) from s1::stock T, "
+          "T.company C, T.date D, T.price P",
+          "select C, sum(P) * 2 - count(*)" + from +
+              " group by C having not (max(P) < 100 and sum(C) > 0)",
+          "select C" + from + " where max(P) > 1",
+          "select C, max(sum(P))" + from + " group by C",
+          "select C" + from + " group by C having max(P)",
+          "select max(P) from s2 -> R, R T, T.price P",
+          "select R, sum(D) from s2 -> R, R T, T.date D group by R "
+          "having count(*) > 2",
+          "select R, max(P) from s2 -> R, R T, T.price P group by R "
+          "having max(P) > 'x' order by R",
+      });
 }
 
 // Seeded random catalogs and queries (the differential_test generator's
-// shape family, re-run as a byte-identity oracle instead of a bag oracle).
+// shape family, checked byte for byte against per-seed goldens instead of
+// as bags).
 class CompiledRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 uint64_t NextRandom(uint64_t* state) {
@@ -208,21 +265,13 @@ TEST_P(CompiledRandomTest, SeededCatalogByteIdentity) {
   cfg.seed = seed;
   Catalog catalog;
   ASSERT_TRUE(InstallDb0(&catalog, "db0", cfg).ok());
+  std::vector<std::string> queries;
   for (int i = 0; i < 6; ++i) {
-    std::string sql = RandomQuery(seed * 1000 + static_cast<uint64_t>(i),
-                                  cfg.num_companies);
-    SCOPED_TRACE(sql);
-    for (size_t threads : {1u, 8u}) {
-      QueryEngine interp(&catalog, "db0", Config(threads, false));
-      QueryEngine comp(&catalog, "db0", Config(threads, true));
-      Result<Table> a = interp.ExecuteSql(sql);
-      Result<Table> b = comp.ExecuteSql(sql);
-      ASSERT_TRUE(a.ok()) << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << b.status().ToString();
-      EXPECT_EQ(a.value().ToString(), b.value().ToString())
-          << "diverges at threads=" << threads;
-    }
+    queries.push_back(RandomQuery(seed * 1000 + static_cast<uint64_t>(i),
+                                  cfg.num_companies));
   }
+  ExpectGolden(catalog, "db0", "seeded_random_" + std::to_string(seed),
+               queries);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledRandomTest,
@@ -573,7 +622,7 @@ TEST_F(CompiledEngineTest, FanOutSharesOneProgramAcrossGroundings) {
       "select R, P from s2 -> R, R T, T.price P where P > 100";
   uint64_t flattened_serial = 0;
   for (size_t threads : {1u, 8u}) {
-    QueryEngine engine(&catalog_, "s2", Config(threads, true));
+    QueryEngine engine(&catalog_, "s2", Config(threads));
     QueryObserver obs;
     QueryContext qc;
     qc.set_observer(&obs);

@@ -1,13 +1,38 @@
 // Unit tests for expression evaluation: bindings, SQL three-valued logic,
-// arithmetic (including date arithmetic), LIKE/CONTAINS, CanEvaluate.
+// arithmetic (including date arithmetic), LIKE/CONTAINS, CanEvaluate. Every
+// case runs through both evaluators — the reference tree walk and the
+// compiled program — and requires the same value or the same full status.
 
 #include <gtest/gtest.h>
 
+#include "engine/expr_compile.h"
 #include "engine/expr_eval.h"
+#include "reference_eval.h"
 #include "sql/parser.h"
 
 namespace dynview {
 namespace {
+
+/// The reference walk's value for `expr`, after checking that the compiled
+/// program produces the identical value or status.
+Result<Value> EvalBoth(const Expr& expr, const Row& row,
+                       const ColumnBindings& b) {
+  Result<Value> ref = EvaluateExpr(expr, row, b);
+  Result<Value> compiled =
+      CompiledExpr::Compile(expr, b, /*as_predicate=*/false)->EvalValue(row);
+  EXPECT_EQ(RenderOutcome(ref), RenderOutcome(compiled)) << expr.ToString();
+  return ref;
+}
+
+/// Predicate counterpart of EvalBoth.
+Result<TriBool> PredBoth(const Expr& expr, const Row& row,
+                         const ColumnBindings& b) {
+  Result<TriBool> ref = EvaluatePredicate(expr, row, b);
+  Result<TriBool> compiled =
+      CompiledExpr::Compile(expr, b, /*as_predicate=*/true)->EvalPredicate(row);
+  EXPECT_EQ(RenderOutcome(ref), RenderOutcome(compiled)) << expr.ToString();
+  return ref;
+}
 
 /// Evaluates `expr_sql` against a one-row context with columns a=1, b=2.5,
 /// s='sofitel', n=NULL, d=DATE 1998-01-02.
@@ -38,14 +63,14 @@ class ExprEvalTest : public ::testing::Test {
 
   Value Eval(const std::string& e) {
     auto expr = ParseValue(e);
-    auto r = EvaluateExpr(*expr, row_, bindings_);
+    auto r = EvalBoth(*expr, row_, bindings_);
     EXPECT_TRUE(r.ok()) << e << ": " << r.status().ToString();
     return r.ok() ? r.value() : Value::Null();
   }
 
   TriBool Pred(const std::string& e) {
     auto expr = Parse(e);
-    auto r = EvaluatePredicate(*expr, row_, bindings_);
+    auto r = PredBoth(*expr, row_, bindings_);
     EXPECT_TRUE(r.ok()) << e << ": " << r.status().ToString();
     return r.ok() ? r.value() : TriBool::kUnknown;
   }
@@ -62,9 +87,9 @@ TEST_F(ExprEvalTest, NamedAndQualifiedLookup) {
 
 TEST_F(ExprEvalTest, UnresolvedNamesError) {
   auto expr = ParseValue("zzz");
-  EXPECT_FALSE(EvaluateExpr(*expr, row_, bindings_).ok());
+  EXPECT_FALSE(EvalBoth(*expr, row_, bindings_).ok());
   auto col = ParseValue("T.nosuch");
-  EXPECT_FALSE(EvaluateExpr(*col, row_, bindings_).ok());
+  EXPECT_FALSE(EvalBoth(*col, row_, bindings_).ok());
 }
 
 TEST_F(ExprEvalTest, AmbiguousBareNameError) {
@@ -73,7 +98,7 @@ TEST_F(ExprEvalTest, AmbiguousBareNameError) {
   b.AddQualified("T2", "x", 1);
   auto expr = ParseValue("x");
   Row row = {Value::Int(1), Value::Int(2)};
-  auto r = EvaluateExpr(*expr, row, b);
+  auto r = EvalBoth(*expr, row, b);
   EXPECT_EQ(r.status().code(), StatusCode::kBindError);
 }
 
@@ -87,7 +112,7 @@ TEST_F(ExprEvalTest, IntegerAndDoubleArithmetic) {
 
 TEST_F(ExprEvalTest, DivisionByZeroErrors) {
   auto expr = ParseValue("a / 0");
-  EXPECT_EQ(EvaluateExpr(*expr, row_, bindings_).status().code(),
+  EXPECT_EQ(EvalBoth(*expr, row_, bindings_).status().code(),
             StatusCode::kEvalError);
 }
 
@@ -144,10 +169,10 @@ TEST_F(ExprEvalTest, LikeAndContains) {
 
 TEST_F(ExprEvalTest, TypeErrorsSurface) {
   auto cmp = Parse("s > a");
-  EXPECT_EQ(EvaluatePredicate(*cmp, row_, bindings_).status().code(),
+  EXPECT_EQ(PredBoth(*cmp, row_, bindings_).status().code(),
             StatusCode::kTypeError);
   auto arith = ParseValue("s * 2");
-  EXPECT_EQ(EvaluateExpr(*arith, row_, bindings_).status().code(),
+  EXPECT_EQ(EvalBoth(*arith, row_, bindings_).status().code(),
             StatusCode::kTypeError);
 }
 
@@ -173,7 +198,7 @@ TEST_F(ExprEvalTest, MergeShiftedOffsetsIndexes) {
 
 TEST_F(ExprEvalTest, AggregateOutsideGroupingErrors) {
   auto agg = ParseValue("max(a)");
-  EXPECT_EQ(EvaluateExpr(*agg, row_, bindings_).status().code(),
+  EXPECT_EQ(EvalBoth(*agg, row_, bindings_).status().code(),
             StatusCode::kEvalError);
 }
 

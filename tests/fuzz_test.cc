@@ -48,9 +48,8 @@ class FuzzTest : public ::testing::Test {
 };
 
 // The CI workhorse: one seeded run covers >= 200 (catalog, DDL step, query)
-// triples, applies all six DDL kinds, and the eight-way differential oracle
-// (direct interpreted/compiled x threads {1,8}, the Sec. 6 optimizer,
-// rewriting compiled t1/t8, rewriting interpreted t8, plan-cache hit path)
+// triples, applies all six DDL kinds, and the six-way differential oracle
+// (direct t1/t8, the Sec. 6 optimizer, rewriting t1/t8, plan-cache hit path)
 // stays byte-identical.
 TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   FuzzConfig config;

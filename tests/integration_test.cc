@@ -6,6 +6,7 @@
 
 #include "integration/integration.h"
 #include "engine/operators.h"
+#include "evolve/evolution.h"
 #include "schemasql/view_materializer.h"
 #include "workload/hotel_data.h"
 #include "workload/stock_data.h"
@@ -265,6 +266,51 @@ TEST_F(StockIntegrationTest, VanishedMaterializationFallsBackOnce) {
                                         tail.size()),
               tail);
   }
+}
+
+TEST_F(StockIntegrationTest, DirectErrorBeatsFencedRewriteNotFound) {
+  // Every source fenced stale, then DDL retypes I's price column to STRING:
+  // the rewrite finds no usable source (NotFound), and the direct plan on I
+  // fails comparing STRING with INT. The direct error is the query's real
+  // outcome, exactly what the direct engine reports; only a direct NotFound
+  // yields to the rewrite's (which names the fenced sources).
+  ASSERT_TRUE(system_
+                  ->RegisterAndMaterializeSource(
+                      "create view s2m::C(date, price) as select D, P "
+                      "from I::stock T, T.company C, T.date D, T.price P")
+                  .ok());
+  SchemaEvolver evolver(&catalog_, system_.get());
+  EvolveOptions keep_fenced;
+  keep_fenced.rematerialize = false;
+  ASSERT_TRUE(
+      evolver.Apply(DdlOp::DropAttribute("I", "stock", "price"), keep_fenced)
+          .ok());
+  ASSERT_TRUE(evolver
+                  .Apply(DdlOp::AddAttribute("I", "stock", "price",
+                                             Value::String("n/a")),
+                         keep_fenced)
+                  .ok());
+  auto snap = catalog_.Snapshot();
+  for (const auto& source : system_->sources()) {
+    ASSERT_TRUE(source->IsStaleAgainst(*snap));
+  }
+
+  const std::string q =
+      "select C, P from I::stock T, T.company C, T.price P where P > 200";
+  QueryEngine direct(&catalog_, "I");
+  auto expected = direct.ExecuteSql(q);
+  ASSERT_EQ(expected.status().code(), StatusCode::kTypeError);
+  auto answer = system_->AnswerGuarded(q, Semantics(/*multiset=*/true));
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().ToString(), expected.status().ToString());
+
+  // A direct NotFound still reports the rewrite's NotFound.
+  auto missing = system_->AnswerGuarded(
+      "select C from I::nosuch T, T.company C", Semantics(true));
+  ASSERT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find("no registered source"),
+            std::string::npos)
+      << missing.status().ToString();
 }
 
 // ---- Database publishing (Fig. 7 / Fig. 9) ---------------------------------
