@@ -1,9 +1,8 @@
 // Observability overhead: the same fan-out and join queries with (a) no
-// observer attached, (b) tracing enabled with an observer (full spans +
-// counters), and (c) enable_trace=false with an observer attached (the
-// opt-out must cost nothing). The acceptance bar is <2% between (a) and (b)
-// on the fan-out workload. The preamble prints a per-query counter dump —
-// the flat name=value form that lands in BENCH_observe.json notes.
+// observer attached and (b) an observer attached (full spans + counters).
+// The acceptance bar is <2% between (a) and (b) on the fan-out workload.
+// The preamble prints a per-query counter dump — the flat name=value form
+// that lands in BENCH_observe.json notes.
 
 #include <benchmark/benchmark.h>
 
@@ -36,16 +35,15 @@ struct Setup {
   }
 };
 
-ExecConfig Exec(bool enable_trace) {
+ExecConfig Exec() {
   ExecConfig exec;
   exec.num_threads = 4;
-  exec.enable_trace = enable_trace;
   return exec;
 }
 
 void PrintCounterDump() {
   Setup s(48, 200);
-  QueryEngine engine(&s.catalog, "s2", Exec(true));
+  QueryEngine engine(&s.catalog, "s2", Exec());
   QueryObserver obs;
   QueryContext qc;
   qc.set_observer(&obs);
@@ -58,10 +56,9 @@ void PrintCounterDump() {
   if (!r.ok()) std::printf("QUERY FAILED: %s\n", r.status().ToString().c_str());
 }
 
-void RunFanOut(benchmark::State& state, bool attach_observer,
-               bool enable_trace) {
+void RunFanOut(benchmark::State& state, bool attach_observer) {
   Setup s(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
-  QueryEngine engine(&s.catalog, "s2", Exec(enable_trace));
+  QueryEngine engine(&s.catalog, "s2", Exec());
   QueryObserver obs;
   QueryContext qc;
   if (attach_observer) qc.set_observer(&obs);
@@ -75,30 +72,25 @@ void RunFanOut(benchmark::State& state, bool attach_observer,
   }
   engine.set_query_context(nullptr);
   state.counters["rows"] = static_cast<double>(rows);
-  if (attach_observer && enable_trace) {
+  if (attach_observer) {
     state.counters["groundings"] = static_cast<double>(
         obs.metrics.Value(counters::kGroundingsEvaluated));
   }
 }
 
 void BM_FanOutNoObserver(benchmark::State& state) {
-  RunFanOut(state, /*attach_observer=*/false, /*enable_trace=*/true);
+  RunFanOut(state, /*attach_observer=*/false);
 }
 BENCHMARK(BM_FanOutNoObserver)->Args({48, 200})->Args({96, 400});
 
 void BM_FanOutTraced(benchmark::State& state) {
-  RunFanOut(state, /*attach_observer=*/true, /*enable_trace=*/true);
+  RunFanOut(state, /*attach_observer=*/true);
 }
 BENCHMARK(BM_FanOutTraced)->Args({48, 200})->Args({96, 400});
 
-void BM_FanOutTraceDisabled(benchmark::State& state) {
-  RunFanOut(state, /*attach_observer=*/true, /*enable_trace=*/false);
-}
-BENCHMARK(BM_FanOutTraceDisabled)->Args({48, 200})->Args({96, 400});
-
 void RunJoin(benchmark::State& state, bool attach_observer) {
   Setup s(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
-  QueryEngine engine(&s.catalog, "db0", Exec(true));
+  QueryEngine engine(&s.catalog, "db0", Exec());
   QueryObserver obs;
   QueryContext qc;
   if (attach_observer) qc.set_observer(&obs);

@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "common/thread_pool.h"
@@ -42,10 +41,6 @@ struct Setup {
 ExecConfig ThreadsConfig(int threads) {
   ExecConfig exec;
   exec.num_threads = static_cast<size_t>(threads);
-  // DYNVIEW_DISABLE_TRACE=1 turns the observability gate off so the two
-  // BENCH_parallel.json variants can be diffed (they must be within noise:
-  // with no observer attached, enable_trace costs one null check).
-  exec.enable_trace = std::getenv("DYNVIEW_DISABLE_TRACE") == nullptr;
   return exec;
 }
 

@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstdio>
 #include <memory>
 
@@ -33,16 +32,6 @@ const char kQ2[] =
 // Higher-order fan-out over the s2 layout: guards are also checked per
 // grounding, so this exercises the enforcement point the join queries miss.
 const char kFanOut[] = "select R, D, P from s2 -> R, R T, T.date D, T.price P";
-
-
-/// DYNVIEW_DISABLE_TRACE=1 turns the observability gate off so the two
-/// BENCH_guards.json variants can be diffed (no observer is attached here,
-/// so both modes must be within noise).
-ExecConfig GuardsExec() {
-  ExecConfig exec;
-  exec.enable_trace = std::getenv("DYNVIEW_DISABLE_TRACE") == nullptr;
-  return exec;
-}
 
 /// Limits far above what the workloads produce: every check runs, none trips.
 QueryGuards GenerousGuards() {
@@ -90,7 +79,7 @@ void PrintOverheadPreamble() {
   };
   Setup s(20, 100);
   for (const Case& c : cases) {
-    QueryEngine engine(&s.catalog, c.db, GuardsExec());
+    QueryEngine engine(&s.catalog, c.db);
     // Warm-up, then alternate modes to cancel drift; report best-of-N per
     // mode (minimum suppresses scheduler noise, which on a small machine
     // dwarfs the per-check cost being measured).
@@ -118,7 +107,7 @@ void PrintOverheadPreamble() {
 
 void BM_Q1(benchmark::State& state) {
   Setup s(20, 100);
-  QueryEngine engine(&s.catalog, "db0", GuardsExec());
+  QueryEngine engine(&s.catalog, "db0");
   const bool guarded = state.range(0) != 0;
   for (auto _ : state) RunQuery(&engine, kQ1, guarded);
 }
@@ -126,7 +115,7 @@ BENCHMARK(BM_Q1)->Arg(0)->Arg(1)->ArgNames({"guarded"});
 
 void BM_Q2(benchmark::State& state) {
   Setup s(20, 100);
-  QueryEngine engine(&s.catalog, "db0", GuardsExec());
+  QueryEngine engine(&s.catalog, "db0");
   const bool guarded = state.range(0) != 0;
   for (auto _ : state) RunQuery(&engine, kQ2, guarded);
 }
@@ -134,7 +123,7 @@ BENCHMARK(BM_Q2)->Arg(0)->Arg(1)->ArgNames({"guarded"});
 
 void BM_FanOut(benchmark::State& state) {
   Setup s(20, 100);
-  QueryEngine engine(&s.catalog, "s2", GuardsExec());
+  QueryEngine engine(&s.catalog, "s2");
   const bool guarded = state.range(0) != 0;
   for (auto _ : state) RunQuery(&engine, kFanOut, guarded);
 }

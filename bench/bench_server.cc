@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,6 +30,7 @@
 
 #include "common/failpoint.h"
 #include "integration/integration.h"
+#include "observe/metrics.h"
 #include "relational/csv.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -307,10 +309,11 @@ void BM_ServerChaos(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(survived.load()));
   state.counters["dropped"] =
       benchmark::Counter(static_cast<double>(dropped.load()));
+  std::map<std::string, uint64_t> stats = h.server->MetricsSnapshot();
   state.counters["failpoint_trips"] = benchmark::Counter(
-      static_cast<double>(h.server->stats().failpoint_trips.load()));
+      static_cast<double>(stats[counters::kServerFailpointTrips]));
   state.counters["disconnect_cancels"] = benchmark::Counter(
-      static_cast<double>(h.server->stats().disconnect_cancels.load()));
+      static_cast<double>(stats[counters::kServerDisconnectCancels]));
 }
 BENCHMARK(BM_ServerChaos)
     ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);

@@ -31,12 +31,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "integration/integration.h"
+#include "observe/metrics.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "workload/stock_data.h"
@@ -160,9 +162,11 @@ int Serve(const Flags& f) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   server.Stop();
-  std::printf("stopped: accepted=%llu requests=%llu\n",
-              static_cast<unsigned long long>(server.stats().accepted.load()),
-              static_cast<unsigned long long>(server.stats().requests.load()));
+  std::map<std::string, uint64_t> stats = server.MetricsSnapshot();
+  std::printf(
+      "stopped: accepted=%llu requests=%llu\n",
+      static_cast<unsigned long long>(stats[counters::kServerAccepted]),
+      static_cast<unsigned long long>(stats[counters::kServerRequests]));
   return 0;
 }
 

@@ -30,9 +30,9 @@ build/bench/bench_query_guards \
   --benchmark_out=results/BENCH_guards.json \
   --benchmark_out_format=json >/dev/null
 
-# Observability overhead: no-observer vs traced (spans + counters) vs
-# enable_trace=false. Acceptance bar: traced fan-out within 2% of
-# no-observer (warn), hard-fail above 10%.
+# Observability overhead: no-observer vs traced (spans + counters).
+# Acceptance bar: traced fan-out within 2% of no-observer (warn), hard-fail
+# above 10%.
 build/bench/bench_observability \
   --benchmark_out=results/BENCH_observe.json \
   --benchmark_out_format=json >/dev/null
@@ -42,47 +42,12 @@ with open("results/BENCH_observe.json") as f:
     runs = {b["name"]: b["real_time"] for b in json.load(f)["benchmarks"]}
 base = runs["BM_FanOutNoObserver/48/200"]
 traced = runs["BM_FanOutTraced/48/200"]
-off = runs["BM_FanOutTraceDisabled/48/200"]
-for label, t in (("traced", traced), ("trace-disabled", off)):
-    pct = 100.0 * (t - base) / base
-    print(f"observability overhead ({label}): {pct:+.2f}%")
-    if pct > 10.0:
-        raise SystemExit(f"FAIL: {label} overhead {pct:.2f}% > 10%")
-    if pct > 2.0:
-        print(f"WARN: {label} overhead {pct:.2f}% above the 2% target")
-EOF
-
-# enable_trace noise check: rerun the parallel + guards benches with the
-# observability gate off and require the trajectories to stay within noise
-# of the enable_trace=true artifacts above (no observer is attached in
-# either mode, so the gate must cost nothing measurable).
-DYNVIEW_DISABLE_TRACE=1 build/bench/bench_parallel_engine \
-  --benchmark_out=results/BENCH_parallel_notrace.json \
-  --benchmark_out_format=json >/dev/null
-DYNVIEW_DISABLE_TRACE=1 build/bench/bench_query_guards \
-  --benchmark_out=results/BENCH_guards_notrace.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-
-def load(path):
-    with open(path) as f:
-        return {b["name"]: b["real_time"] for b in json.load(f)["benchmarks"]}
-
-for on_path, off_path in (
-    ("results/BENCH_parallel.json", "results/BENCH_parallel_notrace.json"),
-    ("results/BENCH_guards.json", "results/BENCH_guards_notrace.json"),
-):
-    on, off = load(on_path), load(off_path)
-    worst = max(
-        (100.0 * (on[n] - off[n]) / off[n], n) for n in on if n in off
-    )
-    print(f"{on_path}: worst enable_trace delta {worst[0]:+.2f}% ({worst[1]})")
-    if worst[0] > 10.0:
-        raise SystemExit(
-            f"FAIL: enable_trace=true is {worst[0]:.2f}% slower on {worst[1]}")
-    if worst[0] > 2.0:
-        print(f"WARN: {worst[1]} above the 2% target (noise on small hosts)")
+pct = 100.0 * (traced - base) / base
+print(f"observability overhead (traced): {pct:+.2f}%")
+if pct > 10.0:
+    raise SystemExit(f"FAIL: traced overhead {pct:.2f}% > 10%")
+if pct > 2.0:
+    print(f"WARN: traced overhead {pct:.2f}% above the 2% target")
 EOF
 
 # Versioned-catalog reader overhead: queries while a writer thread commits

@@ -28,12 +28,6 @@ struct ExecConfig {
   /// 0 = unbounded.
   size_t max_queued_tasks = 1024;
 
-  /// When true (default) and the query carries an observer, the engine
-  /// records operator spans and counters into it. Opt out for benchmark
-  /// baselines; with no observer attached the cost is one null check either
-  /// way.
-  bool enable_trace = true;
-
   size_t ResolvedThreads() const {
     if (num_threads > 0) return num_threads;
     unsigned hw = std::thread::hardware_concurrency();

@@ -35,10 +35,10 @@ struct ExecContext {
   /// snapshot so the whole query observes one consistent version.
   const CatalogSnapshot* snapshot = nullptr;
 
-  /// Observability sinks (both null when tracing is disabled — the engine
-  /// only fills them from the query's observer when ExecConfig::enable_trace
-  /// is set). Counter increments happen at morsel/operator granularity; see
-  /// observe/metrics.h for which counters are thread-count invariant.
+  /// Observability sinks (both null when the query carries no observer —
+  /// the engine fills them from the query's observer). Counter increments
+  /// happen at morsel/operator granularity; see observe/metrics.h for which
+  /// counters are thread-count invariant.
   QueryTrace* trace = nullptr;
   MetricsRegistry* metrics = nullptr;
 

@@ -5,7 +5,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include <chrono>
 #include <thread>
@@ -65,7 +64,6 @@ Result<Value> ComputeAggregate(const Expr& agg, const PreparedValue& arg,
   }
   if (agg.agg_distinct) {
     std::vector<Value> uniq;
-    std::unordered_set<size_t> seen_hashes;  // Coarse filter then exact scan.
     for (const Value& v : values) {
       bool dup = false;
       for (const Value& u : uniq) {
@@ -297,20 +295,17 @@ ThreadPool* QueryEngine::EnsurePool() {
   // First caller in wins; concurrent guarded queries sharing one engine all
   // reach the same pool.
   std::lock_guard<std::mutex> lock(pool_mu_);
-  std::shared_ptr<ThreadPool> pool = pool_.load(std::memory_order_acquire);
-  if (pool == nullptr) {
+  if (pool_ == nullptr) {
     // The queue cap backpressures runaway fan-outs (ParallelFor degrades to
     // fewer helpers instead of enqueueing unbounded work).
-    pool = std::make_shared<ThreadPool>(threads - 1, exec_.max_queued_tasks);
-    pool_.store(pool, std::memory_order_release);
+    pool_ = std::make_unique<ThreadPool>(threads - 1, exec_.max_queued_tasks);
+    pool_ptr_.store(pool_.get(), std::memory_order_release);
   }
-  return pool.get();
+  return pool_.get();
 }
 
 ThreadPool* QueryEngine::CurrentPool() const {
-  // The pool is created once and never replaced, so the raw pointer from a
-  // dropped shared_ptr load stays valid for the engine's lifetime.
-  return pool_.load(std::memory_order_acquire).get();
+  return pool_ptr_.load(std::memory_order_acquire);
 }
 
 ExecContext QueryEngine::Ctx(QueryContext* qc, const SnapshotRef& snap) const {
@@ -319,7 +314,7 @@ ExecContext QueryEngine::Ctx(QueryContext* qc, const SnapshotRef& snap) const {
   ctx.morsel_rows = exec_.morsel_rows;
   ctx.guard = qc;
   ctx.snapshot = snap.get();
-  if (exec_.enable_trace && qc != nullptr && qc->observer() != nullptr) {
+  if (qc != nullptr && qc->observer() != nullptr) {
     ctx.trace = &qc->observer()->trace;
     ctx.metrics = &qc->observer()->metrics;
   }
@@ -381,7 +376,7 @@ Result<Table> QueryEngine::EvaluateBranchImpl(const SelectStmt& stmt,
     if (HasLargeScan(stmt, *snap, default_db_, exec_.morsel_rows)) {
       EnsurePool();
     }
-    return EvaluateFirstOrder(stmt, bq, qc, snap);
+    return EvaluateFirstOrder(stmt, qc, snap);
   }
 
   // SchemaSQL semantics: grouping, aggregation, DISTINCT and ORDER BY apply
@@ -394,7 +389,7 @@ Result<Table> QueryEngine::EvaluateBranchImpl(const SelectStmt& stmt,
   for (const SelectItem& item : stmt.select_list) {
     if (item.expr->ContainsAggregate()) needs_global = true;
   }
-  if (needs_global) return EvaluateHigherOrderGlobal(stmt, bq, qc, snap);
+  if (needs_global) return EvaluateHigherOrderGlobal(stmt, qc, snap);
 
   // Observability context for the fan-out (pool intentionally not ensured
   // yet — only the trace/metrics sinks are used before evaluation starts).
@@ -457,7 +452,7 @@ Result<Table> QueryEngine::EvaluateBranchImpl(const SelectStmt& stmt,
       DV_RETURN_IF_ERROR(FailPoints::Check(
           "engine.grounding", ToLower(source_label(ground[i]))));
     }
-    return EvaluateFirstOrder(*ground[i].query, bq, qc, snap);
+    return EvaluateFirstOrder(*ground[i].query, qc, snap);
   };
   std::vector<Result<Table>> parts(ground.size(),
                                    Result<Table>(Status::Internal("pending")));
@@ -543,9 +538,7 @@ Result<Table> QueryEngine::EvaluateBranchImpl(const SelectStmt& stmt,
 }
 
 Result<Table> QueryEngine::EvaluateHigherOrderGlobal(
-    const SelectStmt& stmt, const BoundQuery& bq, QueryContext* qc,
-    const SnapshotRef& snap) {
-  (void)bq;  // Binding annotations live in the AST; kept for symmetry.
+    const SelectStmt& stmt, QueryContext* qc, const SnapshotRef& snap) {
   // 1. Collect the base expressions (group keys, aggregate arguments,
   //    aggregate-free select/having/order subtrees).
   std::map<std::string, std::string> expr_to_col;
@@ -618,17 +611,14 @@ Result<Table> QueryEngine::EvaluateHigherOrderGlobal(
   // The outer layer reuses this engine's workers and stays under the same
   // guards; it reads the scratch catalog's own (freshly built) snapshot,
   // never the query's pin, which belongs to the main catalog.
-  sub.pool_.store(pool_.load(std::memory_order_acquire),
-                  std::memory_order_release);
-  DV_ASSIGN_OR_RETURN(BoundQuery obq, Binder::BindBranch(outer.get()));
-  return sub.EvaluateFirstOrder(*outer, obq, qc, scratch.Snapshot());
+  sub.pool_ptr_.store(CurrentPool(), std::memory_order_release);
+  DV_RETURN_IF_ERROR(Binder::BindBranch(outer.get()).status());
+  return sub.EvaluateFirstOrder(*outer, qc, scratch.Snapshot());
 }
 
 Result<Table> QueryEngine::EvaluateFirstOrder(const SelectStmt& stmt,
-                                              const BoundQuery& bq,
                                               QueryContext* qc,
                                               const SnapshotRef& snap) {
-  (void)bq;  // Binding annotations live in the AST; kept for symmetry.
   // May run on a pool worker (one grounding of a parallel fan-out); nested
   // parallel regions then degrade to inline loops inside ParallelFor.
   const ExecContext ctx = Ctx(qc, snap);

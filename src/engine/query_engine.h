@@ -96,15 +96,13 @@ class QueryEngine {
   Result<Table> EvaluateBranchImpl(const SelectStmt& stmt,
                                    const BoundQuery& bq, QueryContext* qc,
                                    const SnapshotRef& snap);
-  Result<Table> EvaluateFirstOrder(const SelectStmt& stmt,
-                                   const BoundQuery& bq, QueryContext* qc,
+  Result<Table> EvaluateFirstOrder(const SelectStmt& stmt, QueryContext* qc,
                                    const SnapshotRef& snap);
 
   /// Evaluates a higher-order branch whose aggregation / DISTINCT / ORDER BY
   /// must apply across all groundings: evaluates an aggregate-free inner
   /// projection per grounding, unions, then applies the outer layer.
   Result<Table> EvaluateHigherOrderGlobal(const SelectStmt& stmt,
-                                          const BoundQuery& bq,
                                           QueryContext* qc,
                                           const SnapshotRef& snap);
 
@@ -120,11 +118,13 @@ class QueryEngine {
   std::string default_db_;
   ExecConfig exec_;
   QueryContext* query_ctx_ = nullptr;  // Borrowed; null = unguarded (legacy).
-  /// Lazily created (guarded by pool_mu_, read via atomic load), shared with
-  /// sub-engines (the higher-order outer layer) so nested evaluation reuses
-  /// one set of workers.
-  mutable std::mutex pool_mu_;
-  std::atomic<std::shared_ptr<ThreadPool>> pool_;
+  /// Lazily created once under pool_mu_ and never replaced; pool_ptr_
+  /// publishes it to lock-free readers. Sub-engines (the higher-order outer
+  /// layer) borrow this engine's pointer so nested evaluation reuses one set
+  /// of workers.
+  std::mutex pool_mu_;
+  std::unique_ptr<ThreadPool> pool_;
+  std::atomic<ThreadPool*> pool_ptr_{nullptr};
   /// Compiled-program memo used when the query carries none of its own
   /// (ExecContext::programs; thread-safe, bounded). Mutable because program
   /// compilation is a cache fill, not a semantic change.

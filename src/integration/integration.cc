@@ -46,7 +46,7 @@ Result<DefinedView> IntegrationSystem::DefineView(
   opts.multiset = options.multiset;
   std::vector<Diagnostic> diags =
       analyzer.AnalyzeCreateView(create_view_sql, opts);
-  RecordAnalyzeMetrics(diags, &analyze_metrics_);
+  RecordAnalyzeMetrics(diags, &metrics_);
   if (HasErrors(diags)) {
     return Status::InvalidArgument("view definition rejected:\n" +
                                    RenderDiagnosticsText(diags));
@@ -75,7 +75,7 @@ std::vector<Diagnostic> IntegrationSystem::LintSources() const {
       all.push_back(std::move(d));
     }
   }
-  RecordAnalyzeMetrics(all, &analyze_metrics_);
+  RecordAnalyzeMetrics(all, &metrics_);
   SortDiagnostics(&all);
   return all;
 }
@@ -87,22 +87,30 @@ std::vector<Diagnostic> IntegrationSystem::LintSource(
   Analyzer analyzer(&snap, integration_db_);
   diags = analyzer.AnalyzeRegisteredView(*sources_[index], snap);
   for (Diagnostic& d : diags) d.statement = static_cast<int>(index);
-  RecordAnalyzeMetrics(diags, &analyze_metrics_);
+  RecordAnalyzeMetrics(diags, &metrics_);
   SortDiagnostics(&diags);
   return diags;
 }
 
 void IntegrationSystem::ExportAnalyzeMetrics(MetricsRegistry* sink) const {
-  for (const auto& [name, value] : analyze_metrics_.Merged()) {
-    sink->Set(name.c_str(), value);
+  for (const auto& [name, value] : metrics_.Merged()) {
+    if (name.rfind("analyze.", 0) == 0) sink->Set(name.c_str(), value);
   }
+}
+
+PlanCacheStats IntegrationSystem::plan_cache_stats() const {
+  return PlanCacheStats{
+      .hits = metrics_.Value(counters::kPlanCacheHits),
+      .misses = metrics_.Value(counters::kPlanCacheMisses),
+      .evictions = metrics_.Value(counters::kPlanCacheEvictions),
+      .invalidations = metrics_.Value(counters::kPlanCacheInvalidations)};
 }
 
 AuditReport IntegrationSystem::AuditWorkload() const {
   WorkloadAuditor auditor(catalog_->Snapshot(), integration_db_, sources_,
                           WorkloadAuditor::DescribeIndexes(indexes_,
                                                            integration_db_),
-                          &analyze_metrics_);
+                          &metrics_);
   return auditor.Audit();
 }
 
@@ -110,7 +118,7 @@ WhatIfReport IntegrationSystem::WhatIfAudit(const DdlOp& op) const {
   WorkloadAuditor auditor(catalog_->Snapshot(), integration_db_, sources_,
                           WorkloadAuditor::DescribeIndexes(indexes_,
                                                            integration_db_),
-                          &analyze_metrics_);
+                          &metrics_);
   return auditor.WhatIf(op);
 }
 
@@ -637,11 +645,11 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     qc->PinSnapshot(catalog_->Snapshot());
   }
   std::shared_ptr<const CatalogSnapshot> snap = qc->snapshot();
-  // Attach an observer unless tracing is off or the caller brought their
-  // own (a caller-attached observer also receives this query's data and is
-  // simply not re-exported on the result).
+  // Attach an observer unless the caller brought their own (a
+  // caller-attached observer also receives this query's data and is simply
+  // not re-exported on the result).
   std::shared_ptr<QueryObserver> observer;
-  if (engine_.exec_config().enable_trace && qc->observer() == nullptr) {
+  if (qc->observer() == nullptr) {
     observer = std::make_shared<QueryObserver>();
     qc->set_observer(observer.get());
   }
@@ -657,7 +665,7 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
       qc->set_expr_programs(nullptr);
     }
   } detach{qc, observer != nullptr};
-  QueryObserver* sink = qc->observer();
+  MetricsRegistry& sink = qc->observer()->metrics;
 
   // Chaos hook: a poisoned cache entry is erased and the query degrades to a
   // fresh compile with a warning — never a wrong answer.
@@ -674,19 +682,21 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
   std::shared_ptr<CachedPlan> plan =
       plan_cache_.Lookup(query.cache_key, snap->version(), &outcome);
   const bool plan_cached = plan != nullptr;
-  if (sink != nullptr) {
-    sink->metrics.Add(plan_cached ? counters::kPlanCacheHits
-                                  : counters::kPlanCacheMisses,
-                      1);
-    if (outcome == CacheLookupOutcome::kStaleMiss) {
-      sink->metrics.Add(counters::kPlanCacheInvalidations, 1);
-    }
+  // Cache outcomes count cumulatively on the system registry and per answer
+  // on the observer.
+  auto count = [&](const char* name, uint64_t n) {
+    metrics_.Add(name, n);
+    sink.Add(name, n);
+  };
+  count(plan_cached ? counters::kPlanCacheHits : counters::kPlanCacheMisses,
+        1);
+  if (outcome == CacheLookupOutcome::kStaleMiss) {
+    count(counters::kPlanCacheInvalidations, 1);
   }
   auto remember = [&] {
     size_t evicted = plan_cache_.Insert(query.cache_key, snap->version(), plan);
-    if (sink != nullptr && evicted > 0) {
-      sink->metrics.Add(counters::kPlanCacheEvictions,
-                        static_cast<uint64_t>(evicted));
+    if (evicted > 0) {
+      count(counters::kPlanCacheEvictions, static_cast<uint64_t>(evicted));
     }
   };
 
@@ -743,18 +753,15 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     }
   }
 
-  if (sink != nullptr && !stale.empty()) {
-    sink->metrics.Add(counters::kCatalogStalePath,
-                      static_cast<uint64_t>(stale.size()));
+  if (!stale.empty()) {
+    sink.Add(counters::kCatalogStalePath, static_cast<uint64_t>(stale.size()));
   }
   DV_RETURN_IF_ERROR(answered.status());
-  if (sink != nullptr) {
-    // Budget gauges come from the guard's accounting, set once at query end
-    // on the driving thread.
-    sink->metrics.Set(counters::kBudgetRowsCharged, qc->rows_charged());
-    sink->metrics.Set(counters::kBudgetBytesCharged, qc->bytes_charged());
-    ExportAnalyzeMetrics(&sink->metrics);
-  }
+  // Budget gauges come from the guard's accounting, set once at query end on
+  // the driving thread.
+  sink.Set(counters::kBudgetRowsCharged, qc->rows_charged());
+  sink.Set(counters::kBudgetBytesCharged, qc->bytes_charged());
+  ExportAnalyzeMetrics(&sink);
   for (SourceWarning& w : stale) warnings.push_back(std::move(w));
   // Analysis warnings DefineView attached to the chosen source travel with
   // every answer it serves (the Sec. 4.3 hazards are per-result facts).

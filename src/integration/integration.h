@@ -49,10 +49,10 @@ struct AnswerOptions {
 /// or fenced off as stale. An empty warning list means the result is
 /// complete.
 ///
-/// `observer` carries the query's trace and merged counters when tracing was
-/// enabled (ExecConfig::enable_trace and no caller-attached observer on
-/// `ctx`); null otherwise. Shared ownership lets callers keep the trace past
-/// the next AnswerGuarded call.
+/// `observer` carries the query's trace and merged counters unless the
+/// caller attached its own observer to `ctx` (that one receives them
+/// instead, and this is null). Shared ownership lets callers keep the trace
+/// past the next AnswerGuarded call.
 ///
 /// `snapshot` / `snapshot_version` record the one catalog version every read
 /// of this query observed. Re-executing the same query serially against
@@ -70,6 +70,17 @@ struct AnswerResult {
   /// query hash (16 hex digits, exact mode) the plan cache keyed on.
   bool plan_cached = false;
   std::string plan_fingerprint;
+};
+
+/// Cumulative plan-cache outcomes since construction (ClearPlanCache drops
+/// entries, not these counts): the plan_cache.* counters of
+/// IntegrationSystem::metrics(). A stale miss counts as a miss and an
+/// invalidation.
+struct PlanCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t invalidations = 0;
 };
 
 /// A query template compiled once by IntegrationSystem::Prepare: the parsed
@@ -147,7 +158,7 @@ class IntegrationSystem {
   /// error-severity diagnostic fires — a Def. 3.1-violating body (DV002)
   /// never becomes a source. Warnings and notes admit the view; they come
   /// back on DefinedView::diagnostics, tally into the `analyze.*` metrics
-  /// family (analyze_metrics()), and warnings re-surface on
+  /// family (metrics()), and warnings re-surface on
   /// AnswerResult::warnings whenever the source answers a query.
   Result<DefinedView> DefineView(const std::string& create_view_sql,
                                  const DefineViewOptions& options = {});
@@ -161,24 +172,27 @@ class IntegrationSystem {
   /// Re-lints ONE registered source against `snap` (the schema evolver's
   /// per-affected-source pass). Same checks and determinism as LintSources;
   /// diagnostics carry `index` in Diagnostic::statement and tally into
-  /// analyze_metrics().
+  /// metrics().
   std::vector<Diagnostic> LintSource(size_t index,
                                      const CatalogSnapshot& snap) const;
 
-  /// The cumulative `analyze.*` counters across DefineView/LintSources
-  /// calls on this system.
-  const MetricsRegistry& analyze_metrics() const { return analyze_metrics_; }
+  /// The system's cumulative counters: `plan_cache.*` (every answer) and
+  /// `analyze.*` / `analyze.audit.*` (DefineView, lint, audit and what-if
+  /// calls). Safe to read while other threads answer; the server `stats`
+  /// verb reports it whole.
+  const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Copies the cumulative `analyze.*` / `analyze.audit.*` tallies into
-  /// `sink` as gauges. The answer body calls this at query end so the
-  /// per-answer observer export (AnswerResult::observer) carries the
-  /// analysis counters alongside the engine's own; the server `stats` verb
-  /// uses analyze_metrics() directly.
+  /// Copies the cumulative `analyze.*` / `analyze.audit.*` tallies — and
+  /// only those — into `sink` as gauges. The answer body calls this at query
+  /// end so the per-answer observer export (AnswerResult::observer) carries
+  /// the analysis counters alongside the engine's own. The cumulative
+  /// plan_cache.* counters stay out: as gauges they would shadow the
+  /// answer's own per-query plan_cache.* counts.
   void ExportAnalyzeMetrics(MetricsRegistry* sink) const;
 
   /// Workload-level static audit (analyze/audit.h) over the current catalog
   /// snapshot: dependency graph + DV100..DV103 redundancy/reachability
-  /// findings. Tallies into analyze_metrics() (analyze.audit.*).
+  /// findings. Tallies into metrics() (analyze.audit.*).
   AuditReport AuditWorkload() const;
 
   /// Blast-radius prediction for `op` without applying it: which sources
@@ -288,8 +302,8 @@ class IntegrationSystem {
   /// measure the cold path; registration paths clear the plans internally.
   void ClearPlanCache();
 
-  /// Cumulative plan-cache counters since construction.
-  PlanCacheStats plan_cache_stats() const { return plan_cache_.Stats(); }
+  /// Cumulative plan-cache counters since construction, read from metrics().
+  PlanCacheStats plan_cache_stats() const;
 
   /// The rewriting AnswerGuarded would choose for the parsed, unbound
   /// `query`, without executing it (against the current catalog snapshot).
@@ -403,8 +417,9 @@ class IntegrationSystem {
   /// Warning/note diagnostics DefineView attached to each admitted source,
   /// re-surfaced on AnswerResult::warnings when the source answers a query.
   std::map<const ViewDefinition*, std::vector<Diagnostic>> source_diags_;
-  /// Cumulative analyze.* tallies (DefineView and LintSources record here).
-  mutable MetricsRegistry analyze_metrics_;
+  /// The system registry (metrics()): cumulative plan_cache.* and analyze.*
+  /// counters, written from every answering, linting and auditing thread.
+  mutable MetricsRegistry metrics_;
 
   /// Normalized-fingerprint plan cache: key = exact fingerprint + multiset
   /// flag, version = pinned snapshot version. Cleared whenever the source /

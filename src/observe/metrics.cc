@@ -1,55 +1,35 @@
 #include "observe/metrics.h"
 
+#include <string_view>
+
 namespace dynview {
 
 namespace {
 
-uint64_t NextGen() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+using NameMap = std::map<std::string, uint64_t, std::less<>>;
+
+/// The slot for `name`, allocating the key only on first touch.
+uint64_t& Slot(NameMap& map, const char* name) {
+  auto it = map.find(std::string_view(name));
+  if (it == map.end()) it = map.emplace(name, 0).first;
+  return it->second;
 }
 
 }  // namespace
 
-MetricsRegistry::MetricsRegistry() : gen_(NextGen()) {}
-
-MetricsRegistry::~MetricsRegistry() {
-  // Invalidate thread-local caches pointing at our shards: a dangling cached
-  // pointer is only ever compared against gen_, never dereferenced, so
-  // bumping the generation on destruction is sufficient.
-  gen_.store(NextGen(), std::memory_order_relaxed);
-}
-
-MetricsRegistry::Shard* MetricsRegistry::LocalShard() {
-  // One-entry cache per thread: (generation → shard). A thread alternating
-  // between live registries re-registers a fresh shard on each switch; the
-  // merge sums them all, so extra shards cost memory, never correctness.
-  thread_local uint64_t cached_gen = 0;
-  thread_local Shard* cached_shard = nullptr;
-  const uint64_t gen = gen_.load(std::memory_order_relaxed);
-  if (cached_gen == gen && cached_shard != nullptr) return cached_shard;
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  cached_shard = shards_.back().get();
-  cached_gen = gen;
-  return cached_shard;
-}
-
 void MetricsRegistry::Add(const char* name, uint64_t delta) {
-  LocalShard()->counts[name] += delta;
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot(counters_, name) += delta;
 }
 
 void MetricsRegistry::Set(const char* name, uint64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
-  gauges_[name] = value;
+  Slot(gauges_, name) = value;
 }
 
 std::map<std::string, uint64_t> MetricsRegistry::Merged() const {
-  std::map<std::string, uint64_t> out;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
-    for (const auto& [name, count] : shard->counts) out[name] += count;
-  }
+  std::map<std::string, uint64_t> out(counters_.begin(), counters_.end());
   for (const auto& [name, value] : gauges_) out[name] = value;
   return out;
 }
@@ -58,12 +38,8 @@ uint64_t MetricsRegistry::Value(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto git = gauges_.find(name);
   if (git != gauges_.end()) return git->second;
-  uint64_t sum = 0;
-  for (const auto& shard : shards_) {
-    auto it = shard->counts.find(name);
-    if (it != shard->counts.end()) sum += it->second;
-  }
-  return sum;
+  auto cit = counters_.find(name);
+  return cit != counters_.end() ? cit->second : 0;
 }
 
 std::string MetricsRegistry::ToFlatText() const {
@@ -79,9 +55,8 @@ std::string MetricsRegistry::ToFlatText() const {
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  shards_.clear();
+  counters_.clear();
   gauges_.clear();
-  gen_.store(NextGen(), std::memory_order_relaxed);
 }
 
 }  // namespace dynview

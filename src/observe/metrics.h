@@ -1,21 +1,20 @@
 #ifndef DYNVIEW_OBSERVE_METRICS_H_
 #define DYNVIEW_OBSERVE_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace dynview {
 
 /// Canonical counter and gauge names. Scheme: `<subsystem>.<what>`, all
-/// lowercase, dot-separated — counters count events/rows cumulatively over
-/// one query, gauges are point-in-time values set once at query end by the
-/// driving thread (see docs/ARCHITECTURE.md "Observability").
+/// lowercase, dot-separated. Each family lives on one owner's
+/// MetricsRegistry: the per-query families count events/rows over one query
+/// (gauges there are set once at query end by the driving thread); the
+/// server.*, plan_cache.*, analyze.* and storage.* families count over the
+/// life of their owner (see docs/ARCHITECTURE.md "Observability").
 ///
 /// Counters whose value is independent of `ExecConfig::num_threads` (the
 /// stable cross-thread-count oracles used by the determinism suite) are
@@ -46,6 +45,8 @@ inline constexpr char kBudgetBytesCharged[] = "budget.bytes_charged";
 // All four plan_cache counters are decided on the driving thread before any
 // worker runs, and exprs_flattened counts distinct programs inserted into
 // the program cache (raced compiles insert once) — thread-count invariant.
+// The plan_cache counters land twice: on the answer's observer and,
+// cumulatively, on the IntegrationSystem's registry (its metrics()).
 inline constexpr char kPlanCacheHits[] = "plan_cache.hits";  // [invariant]
 inline constexpr char kPlanCacheMisses[] =
     "plan_cache.misses";                                     // [invariant]
@@ -65,8 +66,8 @@ inline constexpr char kStorageReplayedRecords[] =
 inline constexpr char kStorageTornTail[] = "storage.torn_tail";
 inline constexpr char kStorageCheckpoints[] = "storage.checkpoints";
 // Query server (src/server/) counter family. Owned by the QueryServer's
-// atomic stats block, not a per-query registry: these count connection and
-// admission events across the life of one server, and are exported by
+// registry, not a per-query one: these count connection and admission
+// events across the life of one server, and are exported by
 // QueryServer::MetricsSnapshot() / the wire "stats" verb under exactly
 // these names.
 inline constexpr char kServerAccepted[] = "server.connections_accepted";
@@ -83,7 +84,8 @@ inline constexpr char kServerDisconnectCancels[] = "server.disconnect_cancels";
 inline constexpr char kServerChunksSent[] = "server.chunks_sent";
 inline constexpr char kServerBytesSent[] = "server.bytes_sent";
 inline constexpr char kServerFailpointTrips[] = "server.failpoint_trips";
-// Static analysis (DefineView / dynview-lint) tallies.
+// Static analysis (DefineView / dynview-lint) tallies, cumulative on the
+// IntegrationSystem's registry.
 inline constexpr char kAnalyzeChecksRun[] = "analyze.checks_run";
 inline constexpr char kAnalyzeDiagnostics[] = "analyze.diagnostics";
 inline constexpr char kAnalyzeErrors[] = "analyze.errors";
@@ -101,63 +103,54 @@ inline constexpr char kAuditUnused[] = "analyze.audit.unused";
 inline constexpr char kAuditWhatIfRuns[] = "analyze.audit.whatif_runs";
 }  // namespace counters
 
-/// A per-query registry of named counters and gauges.
+/// A registry of named counters and gauges, safe to use from any thread at
+/// any time: one mutex guards both maps, so `Add`, `Set`, `Merged` and
+/// `Value` may interleave freely (a reader sees some prefix of the
+/// increments, never a torn map).
 ///
-/// Counter increments go to per-thread shards (no cross-thread contention on
-/// the hot path: one thread-local generation check plus one hash-map bump);
-/// `Merged()` sums the shards into a sorted map at query end. Because
-/// addition commutes, the merged value of every counter is a deterministic
-/// function of the *set* of increments — independent of thread scheduling —
-/// which is what makes counters usable as test oracles.
+/// Two kinds of owner share this one type:
+///   * a query's observer (observe/observer.h) holds the per-query family,
+///     written by the engine's workers at morsel granularity;
+///   * long-lived components hold cumulative families: the QueryServer
+///     (server.*), the IntegrationSystem (plan_cache.*, analyze.*) and the
+///     DurableCatalog (storage.*). The wire `stats` verb reads them all.
 ///
-/// Thread-safety contract: `Add` may race with other `Add`s from any thread;
-/// `Merged`/`Set`/`Reset`/`ToFlatText` must be called from the driving
-/// thread while no worker is mid-increment (i.e. between queries or after a
-/// ParallelFor join — the same points the engine merges result tables).
+/// Because addition commutes, the merged value of every counter is a
+/// deterministic function of the *set* of increments — independent of
+/// thread scheduling — which is what makes counters usable as test oracles.
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Adds `delta` to counter `name` in the calling thread's shard. Call at
-  /// morsel/batch granularity, never per row.
+  /// Adds `delta` to counter `name`. Call at morsel/batch granularity,
+  /// never per row.
   void Add(const char* name, uint64_t delta);
 
-  /// Sets gauge `name` to `value` (last write wins; driving thread only).
+  /// Sets gauge `name` to `value` (last write wins).
   void Set(const char* name, uint64_t value);
 
-  /// Deterministic merge: counters summed across all shards, then gauges,
+  /// Counters, then gauges (a gauge wins over a counter of the same name),
   /// in lexicographic name order.
   std::map<std::string, uint64_t> Merged() const;
 
-  /// Merged value of one counter/gauge (0 when never touched).
+  /// Value of one counter/gauge, the gauge when both exist (0 when never
+  /// touched).
   uint64_t Value(const std::string& name) const;
 
   /// One `name=value` line per merged entry, sorted by name — the flat
   /// export format the benches attach to their BENCH_*.json counters.
   std::string ToFlatText() const;
 
-  /// Forgets every counter, gauge and shard. Driving thread only.
+  /// Forgets every counter and gauge.
   void Reset();
 
  private:
-  struct Shard {
-    std::unordered_map<std::string, uint64_t> counts;
-  };
-
-  Shard* LocalShard();
-
-  /// Process-unique generation for (registry instance, reset epoch): lets
-  /// the thread-local shard cache detect both Reset() and registry reuse at
-  /// the same address without ever dereferencing a stale pointer.
-  std::atomic<uint64_t> gen_;
-
-  mutable std::mutex mu_;  // Guards shards_ layout and gauges_, not counts.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::map<std::string, uint64_t> gauges_;
+  mutable std::mutex mu_;
+  std::map<std::string, uint64_t, std::less<>> counters_;
+  std::map<std::string, uint64_t, std::less<>> gauges_;
 };
 
 }  // namespace dynview

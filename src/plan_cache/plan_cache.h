@@ -18,19 +18,11 @@ namespace dynview {
 /// staleness detection for free, no TTLs or epoch guesses.
 enum class CacheLookupOutcome { kHit, kMiss, kStaleMiss };
 
-/// Cumulative counters across all shards since construction (or Clear — the
-/// counters survive Clear; only entries are dropped).
-struct PlanCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t invalidations = 0;
-};
-
 /// A bounded, sharded LRU map from string keys to shared values, each entry
 /// pinned to a catalog snapshot version. Repeated query traffic hits in one
 /// shard lock + one hash probe; entries whose version no longer matches the
-/// pinned snapshot die lazily at lookup (counted as invalidations).
+/// pinned snapshot die lazily at lookup. The cache keeps no counters: its
+/// caller tallies the outcomes Lookup and Insert report.
 ///
 /// Sharding keeps concurrent Answer calls on one IntegrationSystem from
 /// serializing on a single mutex; within a shard, LRU order is maintained by
@@ -60,19 +52,15 @@ class ShardedLruCache {
     std::lock_guard<std::mutex> lock(s.mu);
     auto it = s.map.find(key);
     if (it == s.map.end()) {
-      ++s.stats.misses;
       if (outcome != nullptr) *outcome = CacheLookupOutcome::kMiss;
       return nullptr;
     }
     if (it->second.version != version) {
       s.lru.erase(it->second.lru_it);
       s.map.erase(it);
-      ++s.stats.invalidations;
-      ++s.stats.misses;
       if (outcome != nullptr) *outcome = CacheLookupOutcome::kStaleMiss;
       return nullptr;
     }
-    ++s.stats.hits;
     s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
     if (outcome != nullptr) *outcome = CacheLookupOutcome::kHit;
     return it->second.value;
@@ -99,7 +87,6 @@ class ShardedLruCache {
       s.lru.pop_back();
       ++evicted;
     }
-    s.stats.evictions += evicted;
     return evicted;
   }
 
@@ -114,26 +101,13 @@ class ShardedLruCache {
     return true;
   }
 
-  /// Drops every entry (catalog shape changed: new source/index/view). Keeps
-  /// the cumulative stats.
+  /// Drops every entry (catalog shape changed: new source/index/view).
   void Clear() {
     for (auto& sp : shards_) {
       std::lock_guard<std::mutex> lock(sp->mu);
       sp->map.clear();
       sp->lru.clear();
     }
-  }
-
-  PlanCacheStats Stats() const {
-    PlanCacheStats total;
-    for (const auto& sp : shards_) {
-      std::lock_guard<std::mutex> lock(sp->mu);
-      total.hits += sp->stats.hits;
-      total.misses += sp->stats.misses;
-      total.evictions += sp->stats.evictions;
-      total.invalidations += sp->stats.invalidations;
-    }
-    return total;
   }
 
   size_t size() const {
@@ -156,7 +130,6 @@ class ShardedLruCache {
     mutable std::mutex mu;
     std::list<std::string> lru;  // Front = most recently used.
     std::unordered_map<std::string, Entry> map;
-    PlanCacheStats stats;
   };
 
   Shard& ShardFor(const std::string& key) {

@@ -107,7 +107,7 @@ Status QueryServer::Start() {
   }
   Status fp = FailPoints::Check("server.accept", "listen");
   if (!fp.ok()) {
-    stats_.failpoint_trips.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerFailpointTrips, 1);
     return Status::Unavailable("listen failpoint: " + fp.message());
   }
 
@@ -188,33 +188,16 @@ void QueryServer::WakeReactor() {
 }
 
 std::map<std::string, uint64_t> QueryServer::MetricsSnapshot() const {
-  std::map<std::string, uint64_t> out;
-  auto ld = [](const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  out[counters::kServerAccepted] = ld(stats_.accepted);
-  out[counters::kServerClosed] = ld(stats_.closed);
-  out[counters::kServerRequests] = ld(stats_.requests);
-  out[counters::kServerAdmitted] = ld(stats_.admitted);
-  out[counters::kServerQueued] = ld(stats_.queued);
-  out[counters::kServerShedQueueFull] = ld(stats_.shed_queue_full);
-  out[counters::kServerShedSessionCap] = ld(stats_.shed_session_cap);
-  out[counters::kServerShedPool] = ld(stats_.shed_pool);
-  out[counters::kServerBadFrames] = ld(stats_.bad_frames);
-  out[counters::kServerOversizedFrames] = ld(stats_.oversized_frames);
-  out[counters::kServerDisconnectCancels] = ld(stats_.disconnect_cancels);
-  out[counters::kServerChunksSent] = ld(stats_.chunks_sent);
-  out[counters::kServerBytesSent] = ld(stats_.bytes_sent);
-  out[counters::kServerFailpointTrips] = ld(stats_.failpoint_trips);
+  std::map<std::string, uint64_t> out = metrics_.Merged();
   AdmissionController::Snapshot adm = admission_->snapshot();
   out["server.admission_running"] = adm.running;
   out["server.admission_queued_cheap"] = adm.queued_cheap;
   out["server.admission_queued_heavy"] = adm.queued_heavy;
-  // The integration system's cumulative analyze.* / analyze.audit.* tallies
-  // (DefineView, lint and audit verbs), exported under their own names so
-  // the stats verb is the one-stop counter surface.
-  for (const auto& [name, value] : system_->analyze_metrics().Merged()) {
-    out[name] = value;
+  // The integration system's plan_cache.* and analyze.* families and, when
+  // durable, the storage.* family: every tier's counters in one reply.
+  out.merge(system_->metrics().Merged());
+  if (const MetricsRegistry* storage = system_->storage_metrics()) {
+    out.merge(storage->Merged());
   }
   return out;
 }
@@ -297,7 +280,7 @@ void QueryServer::AcceptReady() {
     if (!fp.ok()) {
       // Degraded accept path: the client observes a clean EOF right after
       // connect and can retry; nothing of the server's state is touched.
-      stats_.failpoint_trips.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Add(counters::kServerFailpointTrips, 1);
       close(fd);
       continue;
     }
@@ -324,7 +307,7 @@ void QueryServer::AcceptReady() {
     auto conn = std::make_shared<Connection>(options_.max_frame_bytes);
     conn->fd = fd;
     conns_[fd] = conn;
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerAccepted, 1);
   }
 }
 
@@ -332,7 +315,7 @@ void QueryServer::ReadReady(const std::shared_ptr<Connection>& conn) {
   Status fp =
       FailPoints::Check("server.read", std::to_string(conn->session));
   if (!fp.ok()) {
-    stats_.failpoint_trips.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerFailpointTrips, 1);
     CloseConnection(conn, "read failpoint");
     return;
   }
@@ -344,7 +327,7 @@ void QueryServer::ReadReady(const std::shared_ptr<Connection>& conn) {
       if (!fed.ok()) {
         // Oversized frame declaration: the stream is unrecoverable (the
         // length itself is poisoned). Tell the client why, then drop.
-        stats_.oversized_frames.fetch_add(1, std::memory_order_relaxed);
+        metrics_.Add(counters::kServerOversizedFrames, 1);
         ErrorReply err;
         err.status = fed;
         SendError(conn, err);
@@ -365,7 +348,7 @@ void QueryServer::ReadReady(const std::shared_ptr<Connection>& conn) {
       // it, then treat the whole thing as a disconnect (canceling whatever
       // the session still had running).
       if (conn->decoder.HasPartial()) {
-        stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+        metrics_.Add(counters::kServerBadFrames, 1);
       }
       CloseConnection(conn, "eof");
       return;
@@ -381,7 +364,7 @@ void QueryServer::WriteReady(const std::shared_ptr<Connection>& conn) {
   Status fp =
       FailPoints::Check("server.write", std::to_string(conn->session));
   if (!fp.ok()) {
-    stats_.failpoint_trips.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerFailpointTrips, 1);
     CloseConnection(conn, "write failpoint");
     return;
   }
@@ -403,8 +386,7 @@ void QueryServer::WriteReady(const std::shared_ptr<Connection>& conn) {
       CloseConnection(conn, "write error");
       return;
     }
-    stats_.bytes_sent.fetch_add(static_cast<uint64_t>(n),
-                                std::memory_order_relaxed);
+    metrics_.Add(counters::kServerBytesSent, static_cast<uint64_t>(n));
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->front_off += static_cast<size_t>(n);
     if (conn->front_off >= conn->outbox.front().size()) {
@@ -437,10 +419,10 @@ void QueryServer::CloseConnection(const std::shared_ptr<Connection>& conn,
   // at their next guard check; their results are dropped at SendFrames.
   for (auto& ctx : to_cancel) {
     ctx->Cancel();
-    stats_.disconnect_cancels.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerDisconnectCancels, 1);
   }
   conns_.erase(conn->fd);
-  stats_.closed.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(counters::kServerClosed, 1);
 }
 
 // --- Frames and requests ---------------------------------------------------
@@ -470,7 +452,7 @@ void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   if (!doc.ok()) {
     // Garbage inside a well-framed payload: answer, then drop the
     // connection — a peer that can't form JSON can't be trusted to frame.
-    stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerBadFrames, 1);
     ErrorReply err;
     err.status = doc.status();
     SendError(conn, err);
@@ -481,7 +463,7 @@ void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   if (!parsed.ok()) {
     // Well-formed JSON, malformed request: a request-level error; the
     // connection survives.
-    stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerBadFrames, 1);
     ErrorReply err;
     err.id = static_cast<uint64_t>(doc.value().GetInt("id", 0));
     err.status = parsed.status();
@@ -511,7 +493,7 @@ void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(counters::kServerRequests, 1);
   switch (req.verb) {
     case Verb::kPing: {
       DoneReply done;
@@ -595,8 +577,8 @@ void QueryServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   AdmissionController::Outcome outcome =
       admission_->Admit(lane, session, std::move(task));
   if (outcome.admitted) {
-    stats_.admitted.fetch_add(1, std::memory_order_relaxed);
-    if (outcome.queued) stats_.queued.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Add(counters::kServerAdmitted, 1);
+    if (outcome.queued) metrics_.Add(counters::kServerQueued, 1);
     return;
   }
 
@@ -613,13 +595,13 @@ void QueryServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   }
   switch (outcome.reason) {
     case AdmissionController::ShedReason::kQueueFull:
-      stats_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Add(counters::kServerShedQueueFull, 1);
       break;
     case AdmissionController::ShedReason::kSessionCap:
-      stats_.shed_session_cap.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Add(counters::kServerShedSessionCap, 1);
       break;
     case AdmissionController::ShedReason::kPoolSaturated:
-      stats_.shed_pool.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Add(counters::kServerShedPool, 1);
       break;
     case AdmissionController::ShedReason::kNone:
       break;
@@ -719,7 +701,7 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
       }
       const AnswerResult& ans = r.value();
       std::vector<std::string> frames = ChunkTable(req.id, ans.table, &done);
-      stats_.chunks_sent.fetch_add(frames.size(), std::memory_order_relaxed);
+      metrics_.Add(counters::kServerChunksSent, frames.size());
       done.warnings = ans.warnings;
       done.snapshot_version = ans.snapshot_version;
       done.plan_cached = ans.plan_cached;

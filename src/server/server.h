@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "integration/integration.h"
+#include "observe/metrics.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 
@@ -52,27 +53,6 @@ struct ServerOptions {
   /// Workers for the server's own pool when the engine runs serial
   /// (ExecConfig::num_threads == 1 has no shared pool to reuse).
   size_t fallback_workers = 4;
-};
-
-/// Monotonic server counters (the server.* family of observe/metrics.h).
-/// All atomics: readable from any thread at any time — unlike the sharded
-/// MetricsRegistry, whose merge contract requires quiescence — so tests and
-/// the wire "stats" verb can poll mid-traffic.
-struct ServerStats {
-  std::atomic<uint64_t> accepted{0};
-  std::atomic<uint64_t> closed{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> queued{0};
-  std::atomic<uint64_t> shed_queue_full{0};
-  std::atomic<uint64_t> shed_session_cap{0};
-  std::atomic<uint64_t> shed_pool{0};
-  std::atomic<uint64_t> bad_frames{0};
-  std::atomic<uint64_t> oversized_frames{0};
-  std::atomic<uint64_t> disconnect_cancels{0};
-  std::atomic<uint64_t> chunks_sent{0};
-  std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> failpoint_trips{0};
 };
 
 /// The network front door of the Fig. 6 architecture: a poll()-based
@@ -131,10 +111,13 @@ class QueryServer {
   int port() const { return port_; }
 
   const ServerOptions& options() const { return options_; }
-  const ServerStats& stats() const { return stats_; }
 
-  /// The server.* counters as named in observe/metrics.h. Safe to call at
-  /// any time from any thread (atomic reads).
+  /// Every counter family in one map, as named in observe/metrics.h: the
+  /// server's own server.* counters plus the admission gauges, the
+  /// integration system's plan_cache.* and analyze.* families and, when
+  /// durable, storage.*. A counter appears once first touched (absent
+  /// reads as 0). This is the wire `stats` reply. Safe to call at any time
+  /// from any thread.
   std::map<std::string, uint64_t> MetricsSnapshot() const;
 
   /// Instantaneous admission state (running / queued per lane).
@@ -199,7 +182,8 @@ class QueryServer {
   std::condition_variable drain_cv_;
   size_t inflight_tasks_ = 0;
 
-  ServerStats stats_;
+  /// The server.* counter family, lasting as long as the server.
+  MetricsRegistry metrics_;
 };
 
 }  // namespace dynview

@@ -224,7 +224,7 @@ TEST_F(AnalyzeTest, DefineViewRejectsDv002AndAcceptsSeedViews) {
 TEST_F(AnalyzeTest, AnalyzeMetricsTally) {
   IntegrationSystem system(&catalog_, "db0");
   ASSERT_TRUE(system.DefineView(kPivotViewSql).ok());
-  const MetricsRegistry& m = system.analyze_metrics();
+  const MetricsRegistry& m = system.metrics();
   EXPECT_GT(m.Value(counters::kAnalyzeChecksRun), 0u);
   EXPECT_GT(m.Value(counters::kAnalyzeDiagnostics), 0u);
   EXPECT_GT(m.Value(counters::kAnalyzeWarnings), 0u);

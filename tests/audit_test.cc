@@ -161,7 +161,7 @@ TEST_F(AuditTest, AuditMetricsAreRecorded) {
       "create view cp2::base0(id, cat) as "
       "select A, C from I::base0 T, T.id A, T.cat C");
   (void)system_->AuditWorkload();
-  const MetricsRegistry& m = system_->analyze_metrics();
+  const MetricsRegistry& m = system_->metrics();
   EXPECT_EQ(m.Value("analyze.audit.runs"), 1u);
   EXPECT_EQ(m.Value("analyze.audit.pairs_checked"), 1u);
   EXPECT_EQ(m.Value("analyze.audit.duplicates"), 1u);
@@ -178,6 +178,16 @@ TEST_F(AuditTest, AuditMetricsAreRecorded) {
   EXPECT_EQ(
       answered.value().observer->metrics.Value("analyze.audit.whatif_runs"),
       1u);
+  // Only analyze.* is exported: the answer's plan_cache.* counters are its
+  // own, not the system's cumulative ones.
+  Result<AnswerResult> again =
+      system_->AnswerGuarded("select T.id from I::base0 T", AnswerOptions{});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(m.Value(counters::kPlanCacheMisses), 1u);
+  EXPECT_EQ(again.value().observer->metrics.Value(counters::kPlanCacheHits),
+            1u);
+  EXPECT_EQ(
+      again.value().observer->metrics.Value(counters::kPlanCacheMisses), 0u);
 }
 
 // ---- Zero false positives on the example workloads -------------------------

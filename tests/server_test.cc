@@ -17,7 +17,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "analyze/diagnostic.h"
 #include "common/failpoint.h"
 #include "integration/integration.h"
+#include "observe/metrics.h"
 #include "relational/csv.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -35,6 +38,13 @@ namespace {
 
 constexpr char kFanOut[] =
     "select R, D, P from s2 -> R, R T, T.date D, T.price P";
+
+/// One counter of the server's `stats` surface (0 when never touched).
+uint64_t Counter(const QueryServer& server, const char* name) {
+  const std::map<std::string, uint64_t> snapshot = server.MetricsSnapshot();
+  auto it = snapshot.find(name);
+  return it == snapshot.end() ? 0 : it->second;
+}
 
 // First-order companion (Explain's optimizer path only takes queries on the
 // integration schema).
@@ -187,7 +197,8 @@ TEST_F(ServerTest, ConcurrentSessionsMatchInProcessAnswersByteForByte) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(max_chunks.load(), 1u) << "chunk_rows=4 should stream >1 chunk";
-  EXPECT_EQ(server.stats().accepted.load(), static_cast<uint64_t>(kSessions));
+  EXPECT_EQ(Counter(server, counters::kServerAccepted),
+            static_cast<uint64_t>(kSessions));
   server.Stop();
 }
 
@@ -267,6 +278,125 @@ TEST_F(ServerTest, ExplainLintPrepareExecuteAndStatsOverTheWire) {
   server.Stop();
 }
 
+// --- One metrics surface ---------------------------------------------------
+
+TEST_F(ServerTest, StatsPolledDuringLintAuditAndQueriesKeepsExactTotals) {
+  // Lint and audit tally into the system registry on pool workers while
+  // every query copies its analyze.* family at answer end and a poller reads
+  // all of it through `stats` on the reactor. The totals come out exact.
+  IntegrationSystem system(&catalog_, "s2");
+  QueryServer server(&system);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kRounds = 8;
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> sent{0};
+  auto session = [&](const std::function<Result<ClientReply>(ServerClient&)>&
+                         verb) {
+    auto client = ServerClient::Connect("127.0.0.1", server.port());
+    if (!client.ok()) {
+      failures.fetch_add(1);
+      return;
+    }
+    for (int i = 0; i < kRounds; ++i) {
+      auto reply = verb(*client.value());
+      sent.fetch_add(1);
+      if (!reply.ok() || !reply.value().status.ok()) failures.fetch_add(1);
+    }
+  };
+  auto lint = [](ServerClient& c) { return c.Lint(); };
+  auto audit = [](ServerClient& c) { return c.Audit(); };
+  auto query = [](ServerClient& c) {
+    ClientQueryOptions qopts;
+    qopts.multiset = true;
+    return c.Query(kFanOut, qopts);
+  };
+
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    auto client = ServerClient::Connect("127.0.0.1", server.port());
+    if (!client.ok()) {
+      failures.fetch_add(1);
+      return;
+    }
+    while (!done.load()) {
+      auto reply = client.value()->Stats();
+      sent.fetch_add(1);
+      if (!reply.ok() || !reply.value().status.ok()) failures.fetch_add(1);
+      (void)server.MetricsSnapshot();
+    }
+  });
+  std::vector<std::thread> sessions;
+  for (int i = 0; i < 2; ++i) {
+    sessions.emplace_back(session, lint);
+    sessions.emplace_back(session, audit);
+    sessions.emplace_back(session, query);
+  }
+  for (auto& t : sessions) t.join();
+  done.store(true);
+  poller.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  IntegrationSystem one_lint(&catalog_, "s2");
+  (void)one_lint.LintSources();
+  const uint64_t checks_per_lint =
+      one_lint.metrics().Value(counters::kAnalyzeChecksRun);
+  const std::map<std::string, uint64_t> stats = server.MetricsSnapshot();
+  auto at = [&](const char* name) {
+    auto it = stats.find(name);
+    return it == stats.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(at(counters::kAuditRuns), 2u * kRounds);
+  EXPECT_EQ(at(counters::kServerRequests), sent.load());
+  EXPECT_GT(checks_per_lint, 0u);
+  EXPECT_EQ(at(counters::kAnalyzeChecksRun), 2u * kRounds * checks_per_lint);
+  server.Stop();
+}
+
+TEST_F(ServerTest, StatsReplyCarriesEveryCounterFamily) {
+  const std::string dir =
+      "/tmp/dynview_server_stats_" + std::to_string(::getpid());
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+  {
+    IntegrationSystem system(&catalog_, "I");
+    ASSERT_TRUE(system.OpenDurable(dir).ok());
+    // Registered after OpenDurable: the source record is a WAL append.
+    ASSERT_TRUE(system
+                    .RegisterSource("create view s2::C(date, price) as "
+                                    "select D, P from I::stock T, "
+                                    "T.company C, T.date D, T.price P")
+                    .ok());
+    QueryServer server(&system);
+    ASSERT_TRUE(server.Start().ok());
+    auto client = ServerClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ServerClient& c = *client.value();
+
+    for (int i = 0; i < 2; ++i) {
+      auto reply = c.Query(kFirstOrder);
+      ASSERT_TRUE(reply.ok() && reply.value().status.ok());
+    }
+    auto lint = c.Lint();
+    ASSERT_TRUE(lint.ok() && lint.value().status.ok());
+    auto stats = c.Stats();
+    ASSERT_TRUE(stats.ok() && stats.value().status.ok());
+    std::map<std::string, uint64_t> reply = stats.value().stats;
+    EXPECT_GE(reply[counters::kPlanCacheHits], 1u);
+    EXPECT_GT(reply[counters::kAnalyzeChecksRun], 0u);
+    EXPECT_GT(reply[counters::kStorageWalAppends], 0u);
+    EXPECT_EQ(reply[counters::kServerRequests], 4u);  // 2 queries, lint, stats.
+    // The reply is the in-process surface, family for family.
+    const PlanCacheStats cache = system.plan_cache_stats();
+    EXPECT_EQ(reply[counters::kPlanCacheHits], cache.hits);
+    EXPECT_EQ(reply[counters::kPlanCacheMisses], cache.misses);
+    EXPECT_EQ(reply[counters::kStorageWalAppends],
+              system.storage_metrics()->Value(counters::kStorageWalAppends));
+    server.Stop();
+    ASSERT_TRUE(system.CloseDurable().ok());
+  }
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
 // --- Load shedding ---------------------------------------------------------
 
 TEST_F(ServerTest, ShedsDeterministicallyWhenHeavyQueueIsFull) {
@@ -308,7 +438,7 @@ TEST_F(ServerTest, ShedsDeterministicallyWhenHeavyQueueIsFull) {
   }
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(shed, 2);
-  EXPECT_EQ(server.stats().shed_queue_full.load(), 2u);
+  EXPECT_EQ(Counter(server, counters::kServerShedQueueFull), 2u);
   server.Stop();
 }
 
@@ -388,7 +518,8 @@ TEST_F(ServerTest, PoolBackpressureShedsWithResourceExhausted) {
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1);
   EXPECT_EQ(ok + shed, 3);
-  EXPECT_EQ(server.stats().shed_pool.load(), static_cast<uint64_t>(shed));
+  EXPECT_EQ(Counter(server, counters::kServerShedPool),
+            static_cast<uint64_t>(shed));
   server.Stop();
 }
 
@@ -418,7 +549,7 @@ TEST_F(ServerTest, SessionInflightCapSheds) {
             std::string::npos);
   EXPECT_TRUE(c.Await(q1.value()).value().status.ok());
   EXPECT_TRUE(c.Await(q2.value()).value().status.ok());
-  EXPECT_EQ(server.stats().shed_session_cap.load(), 1u);
+  EXPECT_EQ(Counter(server, counters::kServerShedSessionCap), 1u);
   server.Stop();
 }
 
@@ -468,7 +599,8 @@ TEST_F(ServerTest, DisconnectMidQueryCancelsCooperatively) {
     client.value()->CloseAbruptly();  // Mid-query vanish.
   }
   EXPECT_TRUE(WaitFor(
-      [&] { return server.stats().disconnect_cancels.load() >= 1; }, 5000))
+      [&] { return Counter(server, counters::kServerDisconnectCancels) >= 1; },
+      5000))
       << "disconnect did not cancel the in-flight query";
 
   // The server shrugged it off: a fresh session still answers.
@@ -514,7 +646,7 @@ TEST_F(ServerTest, IoFailpointsDegradeToCleanCloses) {
   auto healthy = ServerClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(healthy.ok());
   EXPECT_TRUE(healthy.value()->Ping().ok());
-  EXPECT_GE(server.stats().failpoint_trips.load(), 3u);
+  EXPECT_GE(Counter(server, counters::kServerFailpointTrips), 3u);
   server.Stop();
 }
 
@@ -537,7 +669,7 @@ TEST_F(ServerTest, MalformedFramesAreRejectedWithoutCrashing) {
     auto after = c.value()->Ping();
     EXPECT_FALSE(after.ok() && after.value().status.ok());
   }
-  EXPECT_GE(server.stats().bad_frames.load(), 1u);
+  EXPECT_GE(Counter(server, counters::kServerBadFrames), 1u);
 
   // Oversized declared length: deterministic error + drop.
   {
@@ -552,7 +684,8 @@ TEST_F(ServerTest, MalformedFramesAreRejectedWithoutCrashing) {
     EXPECT_EQ(reply.value().status.code(), StatusCode::kResourceExhausted);
   }
   EXPECT_TRUE(WaitFor(
-      [&] { return server.stats().oversized_frames.load() >= 1; }, 5000));
+      [&] { return Counter(server, counters::kServerOversizedFrames) >= 1; },
+      5000));
 
   // Torn frame: half a header, then gone. Counted, survived.
   {
@@ -562,7 +695,7 @@ TEST_F(ServerTest, MalformedFramesAreRejectedWithoutCrashing) {
     c.value()->CloseAbruptly();
   }
   EXPECT_TRUE(WaitFor(
-      [&] { return server.stats().bad_frames.load() >= 2; }, 5000));
+      [&] { return Counter(server, counters::kServerBadFrames) >= 2; }, 5000));
 
   // A well-behaved session still works after all of the above.
   auto healthy = ServerClient::Connect("127.0.0.1", server.port());
