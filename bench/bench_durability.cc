@@ -46,16 +46,7 @@ SnapshotData MakeSnapshot(int companies, int dates) {
   cfg.num_dates = dates;
   Catalog catalog;
   InstallStockS2(&catalog, "s2", GenerateStockS1(cfg));
-  SnapshotData data;
-  data.catalog_version = catalog.version();
-  for (const std::string& name : catalog.DatabaseNames()) {
-    RecoveredDatabase rd;
-    rd.name = name;
-    rd.version = catalog.version();
-    rd.db = *catalog.GetDatabase(name).value();
-    data.databases.push_back(std::move(rd));
-  }
-  return data;
+  return CaptureSnapshot(*catalog.Snapshot());
 }
 
 void BM_SnapshotEncode(benchmark::State& state) {

@@ -13,13 +13,14 @@ Status Database::AddTable(const std::string& rel_name, Table table) {
     return Status::AlreadyExists("table '" + rel_name + "' already exists in " +
                                  name_);
   }
-  tables_.emplace(key, std::make_pair(rel_name, std::move(table)));
+  tables_.emplace(key,
+                  Entry{rel_name, std::make_shared<Table>(std::move(table))});
   return Status::OK();
 }
 
 void Database::PutTable(const std::string& rel_name, Table table) {
-  std::string key = ToLower(rel_name);
-  tables_[key] = std::make_pair(rel_name, std::move(table));
+  tables_[ToLower(rel_name)] =
+      Entry{rel_name, std::make_shared<Table>(std::move(table))};
 }
 
 Status Database::DropTable(const std::string& rel_name) {
@@ -40,7 +41,7 @@ Result<const Table*> Database::GetTable(const std::string& rel_name) const {
     return Status::NotFound("table '" + rel_name + "' not found in database '" +
                             name_ + "'");
   }
-  return &it->second.second;
+  return it->second.table.get();
 }
 
 Result<Table*> Database::GetMutableTable(const std::string& rel_name) {
@@ -49,13 +50,19 @@ Result<Table*> Database::GetMutableTable(const std::string& rel_name) {
     return Status::NotFound("table '" + rel_name + "' not found in database '" +
                             name_ + "'");
   }
-  return &it->second.second;
+  std::shared_ptr<Table>& table = it->second.table;
+  // Sole owner: nothing else (no published snapshot in particular) reaches
+  // the table, so it is written in place. Inside a transaction every table
+  // still shared with the base version counts at least two references,
+  // because the base snapshot stays pinned for the whole transaction.
+  if (table.use_count() != 1) table = std::make_shared<Table>(*table);
+  return table.get();
 }
 
 std::vector<std::string> Database::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
-  for (const auto& [key, entry] : tables_) names.push_back(entry.first);
+  for (const auto& [key, entry] : tables_) names.push_back(entry.name);
   return names;
 }
 
@@ -238,9 +245,7 @@ Result<uint64_t> Catalog::Mutate(const std::function<Status(CatalogTxn&)>& fn,
     // Durability before visibility: the sink (WAL) must acknowledge the
     // commit — append + fsync — before the head pointer swaps. Its error
     // aborts the commit; readers keep the old version.
-    std::vector<std::string> touched(txn.touched_.begin(),
-                                     txn.touched_.end());
-    DV_RETURN_IF_ERROR(sink_->OnCommit(*built, touched, tag));
+    DV_RETURN_IF_ERROR(sink_->OnCommit(*base, *built, tag));
   }
   Publish(std::move(built));
   return next;
@@ -278,24 +283,78 @@ Status Catalog::InstallRecoveredSnapshot(
   return Status::OK();
 }
 
+namespace {
+
+Status ApplyTableChange(TableChange& change, Database* db) {
+  switch (change.op) {
+    case TableChange::Op::kDrop:
+      return db->DropTable(change.rel);
+    case TableChange::Op::kPut:
+      db->PutTable(change.rel, std::move(change.table));
+      return Status::OK();
+    case TableChange::Op::kSplice: {
+      // Splices a clone and puts it back under the record's name, which
+      // carries the case the relation was last written with.
+      DV_ASSIGN_OR_RETURN(const Table* current, db->GetTable(change.rel));
+      Table spliced = *current;
+      DV_RETURN_IF_ERROR(spliced.Splice(change.at, change.removed,
+                                        std::move(change.inserted)));
+      db->PutTable(change.rel, std::move(spliced));
+      return Status::OK();
+    }
+  }
+  return Status::ParseError("unknown table change op " +
+                            std::to_string(static_cast<int>(change.op)));
+}
+
+}  // namespace
+
 Status Catalog::ApplyRecoveredCommit(uint64_t version,
-                                     std::vector<RecoveredDatabase> puts,
-                                     const std::vector<std::string>& drops) {
+                                     std::vector<DatabaseChange> changes) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   std::shared_ptr<const CatalogSnapshot> base = Snapshot();
-  if (version <= base->version()) {
-    return Status::InvalidArgument(
+  // Splice positions and updates mean something only against the version
+  // the record was written from. A gap arises when the newest snapshot is
+  // unreadable and recovery falls back to its predecessor while the log
+  // holds the records written after the newest one.
+  if (version != base->version() + 1) {
+    return Status::ParseError(
         "replayed commit version " + std::to_string(version) +
-        " is not newer than head " + std::to_string(base->version()));
+        " does not follow head " + std::to_string(base->version()) +
+        ": the commits in between are missing (was a newer snapshot "
+        "skipped?)");
   }
   auto snap = std::make_shared<CatalogSnapshot>();
   snap->entries_ = base->entries_;
-  for (RecoveredDatabase& rd : puts) {
-    std::string key = ToLower(rd.name);
-    snap->entries_[key] = CatalogSnapshot::Entry{
-        rd.name, std::make_shared<Database>(std::move(rd.db)), version};
+  for (DatabaseChange& change : changes) {
+    std::string key = ToLower(change.name);
+    auto it = snap->entries_.find(key);
+    if (change.op == DatabaseChange::Op::kDrop) {
+      if (it == snap->entries_.end()) {
+        return Status::ParseError("replayed commit drops missing database '" +
+                                  change.name + "'");
+      }
+      snap->entries_.erase(it);
+      continue;
+    }
+    std::shared_ptr<Database> db;
+    if (change.op == DatabaseChange::Op::kCreate) {
+      db = std::make_shared<Database>(change.name);
+    } else if (it != snap->entries_.end()) {
+      db = std::make_shared<Database>(*it->second.db);  // Shares the tables.
+    } else {
+      return Status::ParseError("replayed commit updates missing database '" +
+                                change.name + "'");
+    }
+    for (TableChange& table : change.tables) {
+      Status st = ApplyTableChange(table, db.get());
+      if (!st.ok()) {
+        return Status::ParseError("replayed commit on " + change.name +
+                                  "::" + table.rel + ": " + st.message());
+      }
+    }
+    snap->entries_[key] = CatalogSnapshot::Entry{db->name(), db, version};
   }
-  for (const std::string& key : drops) snap->entries_.erase(key);
   snap->version_ = version;
   snap->origin_ = this;
   Publish(std::move(snap));

@@ -22,9 +22,14 @@ struct RecoveryReport;  // storage/durable_catalog.h
 /// are schema labels that SchemaSQL relation variables (`db -> R`) range
 /// over, so enumeration order must be deterministic (we keep names sorted).
 ///
-/// A Database object is only ever mutated inside a CatalogTxn (where the
-/// transaction owns a private clone); everywhere else it is reached through
-/// a `const Database*` and is immutable.
+/// Tables are refcounted and shared by every copy of a Database, so copying
+/// one copies a map of pointers, not rows. A copy clones a table the first
+/// time it asks for mutable access to it while the table is still shared
+/// (copy-on-write per table): a table reachable from a published snapshot is
+/// never written, and the untouched tables of a copy keep their
+/// `const Table*`. A Database object is only ever mutated inside a CatalogTxn
+/// (where the transaction owns a private copy); everywhere else it is reached
+/// through a `const Database*` and is immutable.
 class Database {
  public:
   Database() = default;
@@ -35,7 +40,7 @@ class Database {
   /// Adds `table` under `rel_name`; fails if it already exists.
   Status AddTable(const std::string& rel_name, Table table);
 
-  /// Replaces or creates `rel_name`.
+  /// Replaces or creates `rel_name` (taking `rel_name`'s case).
   void PutTable(const std::string& rel_name, Table table);
 
   /// Removes `rel_name`; fails if absent.
@@ -43,6 +48,9 @@ class Database {
 
   bool HasTable(const std::string& rel_name) const;
   Result<const Table*> GetTable(const std::string& rel_name) const;
+
+  /// Mutable access to `rel_name`, cloning it first when another Database
+  /// still shares it. Do not copy this Database while holding the pointer.
   Result<Table*> GetMutableTable(const std::string& rel_name);
 
   /// Relation names in sorted order — the range of a relation variable.
@@ -51,9 +59,13 @@ class Database {
   size_t num_tables() const { return tables_.size(); }
 
  private:
+  struct Entry {
+    std::string name;              // Original-case relation name.
+    std::shared_ptr<Table> table;  // Shared with copies until written.
+  };
+
   std::string name_;
-  // Keyed by lowercase name; value keeps original-case name + table.
-  std::map<std::string, std::pair<std::string, Table>> tables_;
+  std::map<std::string, Entry> tables_;  // Keyed by lowercase name.
 };
 
 /// Read-only view of a federation of databases. Both the live `Catalog`
@@ -84,8 +96,9 @@ class CatalogReader {
 /// for the duration of a query, so every read the query performs — grounding
 /// enumeration, operator scans, optimizer statistics, view materialization
 /// input — observes one consistent version even while writers commit new
-/// ones concurrently. Databases are shared (refcounted) across versions;
-/// a commit clones only the databases it touched.
+/// ones concurrently. Databases and their tables are shared (refcounted)
+/// across versions; a commit clones only the tables it touched (and the
+/// pointer maps of their databases).
 class CatalogSnapshot final : public CatalogReader {
  public:
   /// Monotonic catalog version this snapshot represents (0 = empty seed).
@@ -128,8 +141,9 @@ class CatalogSnapshot final : public CatalogReader {
 
 /// A pending catalog mutation: a copy-on-write overlay over the version the
 /// writer observed at `Catalog::Mutate` entry. Reads see this transaction's
-/// own writes (read-your-writes); a database is deep-cloned the first time
-/// the transaction asks for mutable access to it. Nothing is visible to
+/// own writes (read-your-writes); a database's table map is copied the
+/// first time the transaction asks for mutable access to it, and a table is
+/// cloned the first time it is written (Database). Nothing is visible to
 /// concurrent readers until `Mutate` publishes the commit atomically —
 /// a failed transaction publishes nothing.
 class CatalogTxn {
@@ -167,12 +181,12 @@ class CatalogTxn {
   std::shared_ptr<const CatalogSnapshot> Build(uint64_t version,
                                                const Catalog* origin) const;
 
-  /// Clones the base database under `key` for write (no-op when already
-  /// owned by this transaction).
+  /// Copies the base database under `key` for write — its table map, not
+  /// its rows (no-op when already owned by this transaction).
   Database* Own(const std::string& key);
 
   std::map<std::string, CatalogSnapshot::Entry> entries_;
-  // Private clones this transaction may mutate, aliased by entries_.
+  // Private copies this transaction may mutate, aliased by entries_.
   std::map<std::string, std::shared_ptr<Database>> owned_;
   std::set<std::string> touched_;
 };
@@ -189,14 +203,15 @@ class CatalogCommitSink {
  public:
   virtual ~CatalogCommitSink() = default;
 
-  /// `next` is the snapshot about to publish. `touched` holds the sorted
-  /// lowercase keys of every database the transaction created, modified or
-  /// dropped (a touched key absent from `next` was dropped). `tag` labels
-  /// the mutation's origin ("txn" by default); it is persisted verbatim and
-  /// handed back during replay, letting higher layers re-attach semantics
-  /// (e.g. maintainer fence advances) to physical records.
-  virtual Status OnCommit(const CatalogSnapshot& next,
-                          const std::vector<std::string>& touched,
+  /// `base` is the head the transaction started from and `next` the
+  /// snapshot about to publish (always version `base.version() + 1`). A
+  /// database or table changed iff its pointer differs between them or it
+  /// is present in only one of them. `tag` labels the mutation's origin
+  /// ("txn" by default); it is persisted verbatim and handed back during
+  /// replay, letting higher layers re-attach semantics (e.g. maintainer
+  /// fence advances) to physical records.
+  virtual Status OnCommit(const CatalogSnapshot& base,
+                          const CatalogSnapshot& next,
                           const std::string& tag) = 0;
 };
 
@@ -206,6 +221,34 @@ struct RecoveredDatabase {
   std::string name;
   uint64_t version = 0;
   Database db;
+};
+
+/// One table-level change of a replayed commit (storage/wal.h).
+struct TableChange {
+  enum class Op : uint8_t {
+    kDrop = 1,    // Remove `rel`.
+    kPut = 2,     // Replace or create `rel` with `table`.
+    kSplice = 3,  // Replace rows [at, at + removed) of `rel` by `inserted`.
+  };
+  Op op = Op::kDrop;
+  std::string rel;  // Original-case relation name.
+  Table table;
+  uint64_t at = 0;
+  uint64_t removed = 0;
+  std::vector<Row> inserted;
+};
+
+/// One database-level change of a replayed commit. Every database the
+/// commit touched gets one; its catalog version becomes the commit's.
+struct DatabaseChange {
+  enum class Op : uint8_t {
+    kCreate = 1,  // (Re)create `name` empty, then apply `tables`.
+    kDrop = 2,    // Remove `name`.
+    kUpdate = 3,  // Apply `tables` to the existing `name`.
+  };
+  Op op = Op::kUpdate;
+  std::string name;  // Original-case database name.
+  std::vector<TableChange> tables;
 };
 
 /// A federation of databases (Fig. 6 of the paper): the range of SchemaSQL
@@ -222,9 +265,11 @@ struct RecoveredDatabase {
 /// the head lock, and publish with one pointer swap — so mutations never
 /// block readers behind transaction work and readers never observe a torn
 /// mix of versions. The inherited CatalogReader methods read the *current*
-/// version; the `const Database*`/`const Table*` they return stay valid
-/// until a later commit touches that database, which is always safe
-/// single-threaded, while concurrent readers must pin a snapshot.
+/// version; the `const Database*` they return stays valid until a later
+/// commit touches that database, and a `const Table*` until a later commit
+/// writes, replaces or drops that table (the other tables of a touched
+/// database keep their pointers). That is always safe single-threaded,
+/// while concurrent readers must pin a snapshot.
 class Catalog final : public CatalogReader {
  public:
   Catalog();
@@ -282,15 +327,20 @@ class Catalog final : public CatalogReader {
   Status InstallRecoveredSnapshot(uint64_t version,
                                   std::vector<RecoveredDatabase> databases);
 
-  /// Re-applies one replayed WAL commit: `puts` replace whole databases
-  /// (original-case name + contents), `drops` remove by lowercase key.
-  /// `version` must be strictly newer than the current head.
+  /// Re-applies one replayed WAL commit: each change names a database and
+  /// the tables to drop, put or splice in it. Only the tables named are
+  /// cloned; the rest stay shared with the previous head. A commit record
+  /// is a delta against the version before it, so `version` must be exactly
+  /// the head's successor: a gap (records missing in between) fails with
+  /// ParseError, as does a change that does not fit the head (missing
+  /// database or table, splice out of range, wrong arity). A failure
+  /// publishes nothing.
   Status ApplyRecoveredCommit(uint64_t version,
-                              std::vector<RecoveredDatabase> puts,
-                              const std::vector<std::string>& drops);
+                              std::vector<DatabaseChange> changes);
 
   /// Restores this catalog from `dir` (newest valid snapshot + WAL replay,
-  /// tolerating a torn tail — truncate, warn, never crash). Defined in
+  /// tolerating a torn tail — truncate, warn, never crash — and refusing a
+  /// checksummed record it cannot read; see storage/wal.h). Defined in
   /// storage/durable_catalog.cc; see RecoveryReport there for what recovery
   /// observed. The catalog must be untouched. Standalone recovery ignores
   /// integration-layer records (IntegrationSystem::OpenDurable replays

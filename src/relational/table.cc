@@ -1,6 +1,7 @@
 #include "relational/table.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 
 namespace dynview {
@@ -39,6 +40,27 @@ Status Table::AppendRow(Row row) {
         std::to_string(schema_.num_columns()));
   }
   rows_.push_back(std::move(row));
+  return Status::OK();
+}
+
+Status Table::Splice(size_t at, size_t removed, std::vector<Row> rows) {
+  if (at > rows_.size() || removed > rows_.size() - at) {
+    return Status::InvalidArgument(
+        "splice of rows [" + std::to_string(at) + ", +" +
+        std::to_string(removed) + ") exceeds " +
+        std::to_string(rows_.size()) + " row(s)");
+  }
+  for (const Row& row : rows) {
+    if (row.size() != schema_.num_columns()) {
+      return Status::InvalidArgument(
+          "spliced row arity " + std::to_string(row.size()) +
+          " does not match schema " + std::to_string(schema_.num_columns()));
+    }
+  }
+  auto first = rows_.begin() + static_cast<std::ptrdiff_t>(at);
+  first = rows_.erase(first, first + static_cast<std::ptrdiff_t>(removed));
+  rows_.insert(first, std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
   return Status::OK();
 }
 

@@ -43,6 +43,11 @@ class Table {
   /// This table's schema wins (as in UnionAll).
   Status AppendTable(Table&& other);
 
+  /// Replaces the `removed` rows starting at row `at` by `rows`, in place.
+  /// Fails (changing nothing) when the range is out of bounds or a row's
+  /// arity does not match the schema.
+  Status Splice(size_t at, size_t removed, std::vector<Row> rows);
+
   /// Drops every row past the first `n`, in place (LIMIT).
   void Truncate(size_t n) {
     if (n < rows_.size()) rows_.resize(n);

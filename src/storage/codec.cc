@@ -127,6 +127,11 @@ void EncodeSchema(const Schema& schema, ByteWriter* w) {
 Result<Schema> DecodeSchema(ByteReader* r) {
   uint32_t n = 0;
   DV_RETURN_IF_ERROR(r->U32(&n));
+  if (n > r->remaining() / 5) {  // A column is at least a str and a tag.
+    return Status::ParseError("schema claims " + std::to_string(n) +
+                              " column(s) in " +
+                              std::to_string(r->remaining()) + " byte(s)");
+  }
   std::vector<Column> cols;
   cols.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -144,8 +149,6 @@ Result<Schema> DecodeSchema(ByteReader* r) {
   return Schema(std::move(cols));
 }
 
-namespace {
-
 void EncodeCell(const Value& v, StringDict* dict, ByteWriter* w) {
   w->U8(static_cast<uint8_t>(v.kind()));
   switch (v.kind()) {
@@ -161,7 +164,11 @@ void EncodeCell(const Value& v, StringDict* dict, ByteWriter* w) {
       w->F64(v.as_double());
       break;
     case TypeKind::kString:
-      w->U32(dict->Intern(v.as_string()));
+      if (dict != nullptr) {
+        w->U32(dict->Intern(v.as_string()));
+      } else {
+        w->Str(v.as_string());
+      }
       break;
     case TypeKind::kDate:
       w->I32(v.as_date().days_since_epoch());
@@ -169,7 +176,7 @@ void EncodeCell(const Value& v, StringDict* dict, ByteWriter* w) {
   }
 }
 
-Result<Value> DecodeCell(ByteReader* r, const std::vector<std::string>& dict) {
+Result<Value> DecodeCell(ByteReader* r, const std::vector<std::string>* dict) {
   uint8_t tag = 0;
   DV_RETURN_IF_ERROR(r->U8(&tag));
   switch (static_cast<TypeKind>(tag)) {
@@ -191,13 +198,18 @@ Result<Value> DecodeCell(ByteReader* r, const std::vector<std::string>& dict) {
       return Value::Double(d);
     }
     case TypeKind::kString: {
+      if (dict == nullptr) {
+        std::string s;
+        DV_RETURN_IF_ERROR(r->Str(&s));
+        return Value::String(std::move(s));
+      }
       uint32_t id = 0;
       DV_RETURN_IF_ERROR(r->U32(&id));
-      if (id >= dict.size()) {
+      if (id >= dict->size()) {
         return Status::ParseError("string dictionary id " +
                                   std::to_string(id) + " out of range");
       }
-      return Value::String(dict[id]);
+      return Value::String((*dict)[id]);
     }
     case TypeKind::kDate: {
       int32_t days = 0;
@@ -207,8 +219,6 @@ Result<Value> DecodeCell(ByteReader* r, const std::vector<std::string>& dict) {
   }
   return Status::ParseError("unknown value tag " + std::to_string(tag));
 }
-
-}  // namespace
 
 void EncodeTablePayload(const Table& table, StringDict* dict, ByteWriter* w) {
   EncodeSchema(table.schema(), w);
@@ -225,11 +235,20 @@ void EncodeTablePayload(const Table& table, StringDict* dict, ByteWriter* w) {
 }
 
 Result<Table> DecodeTablePayload(ByteReader* r,
-                                 const std::vector<std::string>& dict) {
+                                 const std::vector<std::string>* dict) {
   DV_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(r));
   uint64_t nrows = 0;
   DV_RETURN_IF_ERROR(r->U64(&nrows));
   const size_t ncols = schema.num_columns();
+  // Every cell takes at least its tag byte: a count the payload cannot hold
+  // is corrupt, and must not size an allocation. Rows without columns take
+  // no byte at all, so storage holds none (CheckStorable).
+  if (ncols == 0 ? nrows > 0 : nrows > r->remaining() / ncols) {
+    return Status::ParseError("table payload claims " + std::to_string(nrows) +
+                              " row(s) of " + std::to_string(ncols) +
+                              " column(s) in " +
+                              std::to_string(r->remaining()) + " byte(s)");
+  }
   Table table(std::move(schema));
   std::vector<Row> rows(nrows);
   for (Row& row : rows) row.resize(ncols);
@@ -245,6 +264,32 @@ Result<Table> DecodeTablePayload(ByteReader* r,
   for (Row& row : rows) table.AppendRowUnchecked(std::move(row));
   return table;
 }
+
+Status CheckStorable(const Table& table, const std::string& what) {
+  if (table.schema().num_columns() > 0 || table.num_rows() == 0) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      what + " has no columns but " + std::to_string(table.num_rows()) +
+      " row(s); storage cannot hold rows without columns");
+}
+
+namespace {
+
+Result<std::vector<std::string>> DecodeDict(ByteReader* r) {
+  uint32_t size = 0;
+  DV_RETURN_IF_ERROR(r->U32(&size));
+  if (size > r->remaining() / 4) {  // Every string has a u32 length.
+    return Status::ParseError("string dictionary claims " +
+                              std::to_string(size) + " string(s) in " +
+                              std::to_string(r->remaining()) + " byte(s)");
+  }
+  std::vector<std::string> dict(size);
+  for (std::string& s : dict) DV_RETURN_IF_ERROR(r->Str(&s));
+  return dict;
+}
+
+}  // namespace
 
 void EncodeDatabasePayload(const Database& db, ByteWriter* w) {
   w->Str(db.name());
@@ -269,17 +314,14 @@ void EncodeDatabasePayload(const Database& db, ByteWriter* w) {
 Result<Database> DecodeDatabasePayload(ByteReader* r) {
   std::string name;
   DV_RETURN_IF_ERROR(r->Str(&name));
-  uint32_t dict_size = 0;
-  DV_RETURN_IF_ERROR(r->U32(&dict_size));
-  std::vector<std::string> dict(dict_size);
-  for (std::string& s : dict) DV_RETURN_IF_ERROR(r->Str(&s));
+  DV_ASSIGN_OR_RETURN(std::vector<std::string> dict, DecodeDict(r));
   uint32_t ntables = 0;
   DV_RETURN_IF_ERROR(r->U32(&ntables));
   Database db(name);
   for (uint32_t i = 0; i < ntables; ++i) {
     std::string rel;
     DV_RETURN_IF_ERROR(r->Str(&rel));
-    DV_ASSIGN_OR_RETURN(Table t, DecodeTablePayload(r, dict));
+    DV_ASSIGN_OR_RETURN(Table t, DecodeTablePayload(r, &dict));
     db.PutTable(rel, std::move(t));
   }
   return db;
@@ -294,11 +336,8 @@ void EncodeStandaloneTable(const Table& table, ByteWriter* w) {
 }
 
 Result<Table> DecodeStandaloneTable(ByteReader* r) {
-  uint32_t dict_size = 0;
-  DV_RETURN_IF_ERROR(r->U32(&dict_size));
-  std::vector<std::string> dict(dict_size);
-  for (std::string& s : dict) DV_RETURN_IF_ERROR(r->Str(&s));
-  return DecodeTablePayload(r, dict);
+  DV_ASSIGN_OR_RETURN(std::vector<std::string> dict, DecodeDict(r));
+  return DecodeTablePayload(r, &dict);
 }
 
 }  // namespace dynview

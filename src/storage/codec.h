@@ -81,17 +81,31 @@ class StringDict {
 /// EncodeTablePayload resolves each to an existing id.
 void CollectTableStrings(const Table& table, StringDict* dict);
 
+/// Cell: u8 TypeKind tag, then the payload (bool u8, int i64, double f64
+/// bits, date i32 days). A string is a u32 id interned in `dict`, or written
+/// inline (str) when `dict` is null — WAL records carry too few strings for
+/// a dictionary to pay. The decoder reads the same form (`dict` null ⇔
+/// inline).
+void EncodeCell(const Value& v, StringDict* dict, ByteWriter* w);
+Result<Value> DecodeCell(ByteReader* r, const std::vector<std::string>* dict);
+
 /// Schema: u32 column count, then per column name + u8 TypeKind.
 void EncodeSchema(const Schema& schema, ByteWriter* w);
 Result<Schema> DecodeSchema(ByteReader* r);
 
 /// Table payload: schema, u64 row count, then one length-prefixed column
-/// page per column. A page holds, per row, a u8 TypeKind tag and the cell
-/// payload (strings as u32 dictionary ids). Column-major pages keep all
-/// tags/payloads of one column adjacent.
+/// page per column. A page holds one cell per row (strings as `dict` ids, or
+/// inline when `dict` is null). Column-major pages keep all tags/payloads
+/// of one column adjacent.
 void EncodeTablePayload(const Table& table, StringDict* dict, ByteWriter* w);
 Result<Table> DecodeTablePayload(ByteReader* r,
-                                 const std::vector<std::string>& dict);
+                                 const std::vector<std::string>* dict);
+
+/// A table without columns stores no byte per row, so nothing in a payload
+/// bounds its row count: DecodeTablePayload refuses one that claims rows,
+/// and the durable writers (WAL, snapshot) refuse to store one through this
+/// check (InvalidArgument naming `what`).
+Status CheckStorable(const Table& table, const std::string& what);
 
 /// Database payload: name, u32 dictionary size + strings (interned across
 /// every table of the database), u32 table count, then per table the

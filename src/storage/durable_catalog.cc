@@ -61,8 +61,8 @@ Status DurableCatalog::RecoverInto(Catalog* catalog, const std::string& dir,
       [&](WalCommitRecord&& rec) -> Status {
         uint64_t version = rec.version;
         std::string tag = std::move(rec.tag);
-        DV_RETURN_IF_ERROR(catalog->ApplyRecoveredCommit(
-            version, std::move(rec.puts), rec.drops));
+        DV_RETURN_IF_ERROR(
+            catalog->ApplyRecoveredCommit(version, std::move(rec.changes)));
         if (hooks.commit_replay) hooks.commit_replay(version, tag);
         return Status::OK();
       },
@@ -138,10 +138,10 @@ Status DurableCatalog::Close() {
   return ckpt;
 }
 
-Status DurableCatalog::OnCommit(const CatalogSnapshot& next,
-                                const std::vector<std::string>& touched,
+Status DurableCatalog::OnCommit(const CatalogSnapshot& base,
+                                const CatalogSnapshot& next,
                                 const std::string& tag) {
-  DV_RETURN_IF_ERROR(wal_->OnCommit(next, touched, tag));
+  DV_RETURN_IF_ERROR(wal_->OnCommit(base, next, tag));
   metrics_.Add(counters::kStorageWalAppends, 1);
   // Gauge: the writer already accounts cumulative bytes.
   metrics_.Set(counters::kStorageWalBytes, wal_->bytes_written());
@@ -167,16 +167,7 @@ Status DurableCatalog::Checkpoint() {
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   return catalog_->WithWriterPaused([&](const CatalogSnapshot& snap)
                                         -> Status {
-    SnapshotData data;
-    data.catalog_version = snap.version();
-    for (const std::string& name : snap.DatabaseNames()) {
-      RecoveredDatabase rd;
-      rd.name = name;
-      rd.version = snap.DatabaseVersion(name);
-      DV_ASSIGN_OR_RETURN(const Database* db, snap.GetDatabase(name));
-      rd.db = *db;
-      data.databases.push_back(std::move(rd));
-    }
+    SnapshotData data = CaptureSnapshot(snap);
     if (hooks_.blob_provider) data.extras = hooks_.blob_provider();
 
     const std::string file = SnapshotFileName(snap.version());

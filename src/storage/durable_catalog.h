@@ -79,8 +79,7 @@ class DurableCatalog final : public CatalogCommitSink {
   DurableCatalog& operator=(const DurableCatalog&) = delete;
 
   /// CatalogCommitSink (called by the catalog, writer mutex held).
-  Status OnCommit(const CatalogSnapshot& next,
-                  const std::vector<std::string>& touched,
+  Status OnCommit(const CatalogSnapshot& base, const CatalogSnapshot& next,
                   const std::string& tag) override;
 
   /// Durably logs an opaque integration blob, stamped with the current
@@ -103,6 +102,8 @@ class DurableCatalog final : public CatalogCommitSink {
   /// The recovery core (also behind Catalog::Recover): loads the newest
   /// valid snapshot (falling back to older ones with a warning), replays
   /// the WAL truncating a torn tail, and restores the exact head version.
+  /// A checksummed WAL record that cannot be read or applied refuses
+  /// recovery (ParseError naming its offset; the log is left as it was).
   static Status RecoverInto(Catalog* catalog, const std::string& dir,
                             const DurableHooks& hooks, RecoveryReport* report,
                             MetricsRegistry* metrics);

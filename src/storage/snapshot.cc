@@ -47,6 +47,16 @@ Status FsyncDirOf(const std::string& path) {
 
 }  // namespace
 
+SnapshotData CaptureSnapshot(const CatalogSnapshot& snap) {
+  SnapshotData data;
+  data.catalog_version = snap.version();
+  for (const std::string& name : snap.DatabaseNames()) {
+    data.databases.push_back(RecoveredDatabase{
+        name, snap.DatabaseVersion(name), *snap.GetDatabase(name).value()});
+  }
+  return data;
+}
+
 std::string SnapshotFileName(uint64_t version) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "snapshot-%020llu.dvsnap",
@@ -79,6 +89,12 @@ void EncodeSnapshotImage(const SnapshotData& data, std::string* out) {
 }
 
 Status WriteSnapshotFile(const SnapshotData& data, const std::string& path) {
+  for (const RecoveredDatabase& rd : data.databases) {
+    for (const std::string& rel : rd.db.TableNames()) {
+      DV_RETURN_IF_ERROR(
+          CheckStorable(*rd.db.GetTable(rel).value(), rd.name + "::" + rel));
+    }
+  }
   std::string image;
   EncodeSnapshotImage(data, &image);
 

@@ -44,6 +44,10 @@ struct SnapshotData {
   std::vector<std::pair<std::string, std::string>> extras;
 };
 
+/// The databases and versions of `snap`, without extras. Each database is a
+/// copy that shares its tables with `snap`, so capturing copies no rows.
+SnapshotData CaptureSnapshot(const CatalogSnapshot& snap);
+
 /// "snapshot-<version, zero-padded to 20 digits>.dvsnap" — lexicographic
 /// order equals version order.
 std::string SnapshotFileName(uint64_t version);

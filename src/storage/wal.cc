@@ -7,17 +7,20 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <set>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "storage/codec.h"
 
 namespace dynview {
 
 namespace {
 
-constexpr uint8_t kRecordCommit = 1;
+constexpr uint8_t kRecordFullCommit = 1;  // Previous format; refused.
 constexpr uint8_t kRecordBlob = 2;
+constexpr uint8_t kRecordCommit = 3;
 
 std::string Errno(const std::string& op, const std::string& path) {
   return op + " " + path + ": " + std::strerror(errno);
@@ -42,6 +45,123 @@ std::string FrameRecord(const std::string& payload) {
   w.U32(Crc32(payload.data(), payload.size()));
   w.Raw(payload.data(), payload.size());
   return w.Take();
+}
+
+/// Exact value identity: same kind and same payload bits (so -0.0 differs
+/// from 0.0 and INT 1 from DOUBLE 1.0, unlike GroupEquals). Rows a splice
+/// keeps must re-encode to the very same bytes.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  switch (a.kind()) {
+    case TypeKind::kNull:
+      return true;
+    case TypeKind::kBool:
+      return a.as_bool() == b.as_bool();
+    case TypeKind::kInt:
+      return a.as_int() == b.as_int();
+    case TypeKind::kDouble: {
+      double da = a.as_double();
+      double db = b.as_double();
+      return std::memcmp(&da, &db, sizeof(da)) == 0;
+    }
+    case TypeKind::kString:
+      return a.as_string() == b.as_string();
+    case TypeKind::kDate:
+      return a.as_date().days_since_epoch() == b.as_date().days_since_epoch();
+  }
+  return false;
+}
+
+bool SameRow(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameValue(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool SameSchema(const Schema& a, const Schema& b) {
+  if (a.num_columns() != b.num_columns()) return false;
+  for (size_t i = 0; i < a.num_columns(); ++i) {
+    if (a.column(i).name != b.column(i).name ||
+        a.column(i).type != b.column(i).type) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Appends the op that turns `before` (null: absent) into `after`.
+Status EncodeTableChange(const std::string& db, const std::string& rel,
+                         const Table* before, const Table& after,
+                         ByteWriter* w) {
+  const size_t arity = after.schema().num_columns();
+  if (before != nullptr && arity > 0 &&
+      SameSchema(before->schema(), after.schema())) {
+    const std::vector<Row>& old_rows = before->rows();
+    const std::vector<Row>& new_rows = after.rows();
+    const size_t common = std::min(old_rows.size(), new_rows.size());
+    size_t prefix = 0;
+    while (prefix < common && SameRow(old_rows[prefix], new_rows[prefix])) {
+      ++prefix;
+    }
+    size_t suffix = 0;
+    while (suffix < common - prefix &&
+           SameRow(old_rows[old_rows.size() - 1 - suffix],
+                   new_rows[new_rows.size() - 1 - suffix])) {
+      ++suffix;
+    }
+    const size_t inserted = new_rows.size() - prefix - suffix;
+    // A splice that keeps no row is no smaller than a put.
+    if (prefix + suffix > 0 || inserted == 0) {
+      w->U8(static_cast<uint8_t>(TableChange::Op::kSplice));
+      w->Str(rel);
+      w->U64(prefix);
+      w->U64(old_rows.size() - prefix - suffix);
+      w->U32(static_cast<uint32_t>(arity));
+      w->U32(static_cast<uint32_t>(inserted));
+      for (size_t i = prefix; i < prefix + inserted; ++i) {
+        for (const Value& v : new_rows[i]) EncodeCell(v, nullptr, w);
+      }
+      return Status::OK();
+    }
+  }
+  DV_RETURN_IF_ERROR(CheckStorable(after, db + "::" + rel));
+  w->U8(static_cast<uint8_t>(TableChange::Op::kPut));
+  w->Str(rel);
+  EncodeTablePayload(after, nullptr, w);
+  return Status::OK();
+}
+
+/// Appends the table ops that turn `before` (null: nothing) into `after`. A
+/// table `after` shares with `before` is untouched and costs nothing.
+Status EncodeTableChanges(const Database* before, const Database& after,
+                          ByteWriter* w) {
+  ByteWriter ops;
+  uint32_t count = 0;
+  for (const std::string& rel : after.TableNames()) {
+    const Table* table = after.GetTable(rel).value();
+    const Table* prev = nullptr;
+    if (before != nullptr) {
+      Result<const Table*> found = before->GetTable(rel);
+      if (found.ok()) prev = found.value();
+    }
+    if (prev == table) continue;
+    DV_RETURN_IF_ERROR(
+        EncodeTableChange(after.name(), rel, prev, *table, &ops));
+    ++count;
+  }
+  if (before != nullptr) {
+    for (const std::string& rel : before->TableNames()) {
+      if (after.HasTable(rel)) continue;
+      ops.U8(static_cast<uint8_t>(TableChange::Op::kDrop));
+      ops.Str(rel);
+      ++count;
+    }
+  }
+  w->U32(count);
+  w->Raw(ops.buffer().data(), ops.size());
+  return Status::OK();
 }
 
 }  // namespace
@@ -108,30 +228,47 @@ Status WalWriter::AppendRecord(const std::string& payload,
   return Status::OK();
 }
 
-Status WalWriter::OnCommit(const CatalogSnapshot& next,
-                           const std::vector<std::string>& touched,
+Status WalWriter::OnCommit(const CatalogSnapshot& base,
+                           const CatalogSnapshot& next,
                            const std::string& tag) {
+  // Every database whose pointer differs between the versions, sorted by
+  // key: one created and dropped by the same transaction is in neither.
+  std::set<std::string> keys;
+  for (const std::string& name : base.DatabaseNames()) {
+    keys.insert(ToLower(name));
+  }
+  for (const std::string& name : next.DatabaseNames()) {
+    keys.insert(ToLower(name));
+  }
+  ByteWriter entries;
+  uint32_t count = 0;
+  for (const std::string& key : keys) {
+    Result<const Database*> before = base.GetDatabase(key);
+    Result<const Database*> after = next.GetDatabase(key);
+    if (!after.ok()) {
+      entries.U8(static_cast<uint8_t>(DatabaseChange::Op::kDrop));
+      entries.Str(before.value()->name());
+    } else {
+      if (before.ok() && before.value() == after.value()) continue;
+      // A database whose name changed case was dropped and recreated.
+      const Database* from =
+          before.ok() && before.value()->name() == after.value()->name()
+              ? before.value()
+              : nullptr;
+      entries.U8(static_cast<uint8_t>(from != nullptr
+                                          ? DatabaseChange::Op::kUpdate
+                                          : DatabaseChange::Op::kCreate));
+      entries.Str(after.value()->name());
+      DV_RETURN_IF_ERROR(EncodeTableChanges(from, *after.value(), &entries));
+    }
+    ++count;
+  }
   ByteWriter w;
   w.U8(kRecordCommit);
   w.U64(next.version());
   w.Str(tag);
-  std::vector<const Database*> puts;
-  std::vector<std::string> drops;
-  for (const std::string& key : touched) {
-    Result<const Database*> db = next.GetDatabase(key);
-    if (db.ok()) {
-      puts.push_back(db.value());
-    } else {
-      drops.push_back(key);
-    }
-  }
-  w.U32(static_cast<uint32_t>(puts.size()));
-  for (const Database* db : puts) {
-    w.U64(next.DatabaseVersion(db->name()));
-    EncodeDatabasePayload(*db, &w);
-  }
-  w.U32(static_cast<uint32_t>(drops.size()));
-  for (const std::string& key : drops) w.Str(key);
+  w.U32(count);
+  w.Raw(entries.buffer().data(), entries.size());
   return AppendRecord(w.buffer(), tag);
 }
 
@@ -175,26 +312,73 @@ uint64_t WalWriter::bytes_written() const {
 
 namespace {
 
+Status DecodeTableChange(ByteReader* r, TableChange* change) {
+  uint8_t op = 0;
+  DV_RETURN_IF_ERROR(r->U8(&op));
+  DV_RETURN_IF_ERROR(r->Str(&change->rel));
+  change->op = static_cast<TableChange::Op>(op);
+  switch (change->op) {
+    case TableChange::Op::kDrop:
+      return Status::OK();
+    case TableChange::Op::kPut: {
+      DV_ASSIGN_OR_RETURN(change->table, DecodeTablePayload(r, nullptr));
+      return Status::OK();
+    }
+    case TableChange::Op::kSplice: {
+      uint32_t arity = 0;
+      uint32_t count = 0;
+      DV_RETURN_IF_ERROR(r->U64(&change->at));
+      DV_RETURN_IF_ERROR(r->U64(&change->removed));
+      DV_RETURN_IF_ERROR(r->U32(&arity));
+      DV_RETURN_IF_ERROR(r->U32(&count));
+      // Every cell takes at least its tag byte.
+      if (arity == 0 || count > r->remaining() / arity) {
+        return Status::ParseError(
+            "splice of " + change->rel + " claims " + std::to_string(count) +
+            " row(s) of arity " + std::to_string(arity) + " in " +
+            std::to_string(r->remaining()) + " byte(s)");
+      }
+      change->inserted.resize(count);
+      for (Row& row : change->inserted) {
+        row.reserve(arity);
+        for (uint32_t c = 0; c < arity; ++c) {
+          DV_ASSIGN_OR_RETURN(Value v, DecodeCell(r, nullptr));
+          row.push_back(std::move(v));
+        }
+      }
+      return Status::OK();
+    }
+  }
+  return Status::ParseError("unknown table op " + std::to_string(op));
+}
+
 Status DecodeCommitPayload(ByteReader* r, WalCommitRecord* rec) {
   DV_RETURN_IF_ERROR(r->U64(&rec->version));
   DV_RETURN_IF_ERROR(r->Str(&rec->tag));
-  uint32_t nputs = 0;
-  DV_RETURN_IF_ERROR(r->U32(&nputs));
-  rec->puts.reserve(nputs);
-  for (uint32_t i = 0; i < nputs; ++i) {
-    RecoveredDatabase rd;
-    DV_RETURN_IF_ERROR(r->U64(&rd.version));
-    DV_ASSIGN_OR_RETURN(rd.db, DecodeDatabasePayload(r));
-    rd.name = rd.db.name();
-    rec->puts.push_back(std::move(rd));
+  uint32_t count = 0;
+  DV_RETURN_IF_ERROR(r->U32(&count));
+  for (uint32_t i = 0; i < count; ++i) {
+    DatabaseChange change;
+    uint8_t op = 0;
+    DV_RETURN_IF_ERROR(r->U8(&op));
+    DV_RETURN_IF_ERROR(r->Str(&change.name));
+    change.op = static_cast<DatabaseChange::Op>(op);
+    if (change.op == DatabaseChange::Op::kCreate ||
+        change.op == DatabaseChange::Op::kUpdate) {
+      uint32_t tables = 0;
+      DV_RETURN_IF_ERROR(r->U32(&tables));
+      for (uint32_t t = 0; t < tables; ++t) {
+        change.tables.emplace_back();
+        DV_RETURN_IF_ERROR(DecodeTableChange(r, &change.tables.back()));
+      }
+    } else if (change.op != DatabaseChange::Op::kDrop) {
+      return Status::ParseError("unknown database op " + std::to_string(op));
+    }
+    rec->changes.push_back(std::move(change));
   }
-  uint32_t ndrops = 0;
-  DV_RETURN_IF_ERROR(r->U32(&ndrops));
-  rec->drops.reserve(ndrops);
-  for (uint32_t i = 0; i < ndrops; ++i) {
-    std::string key;
-    DV_RETURN_IF_ERROR(r->Str(&key));
-    rec->drops.push_back(std::move(key));
+  if (!r->AtEnd()) {
+    return Status::ParseError(std::to_string(r->remaining()) +
+                              " trailing byte(s) after the commit record");
   }
   return Status::OK();
 }
@@ -244,31 +428,38 @@ Status ReplayWal(const std::string& path, uint64_t snapshot_version,
       torn = true;
       break;
     }
+    // From here on the frame was written whole: failing to read it is not a
+    // crash artifact, so it refuses the replay instead of truncating.
     ByteReader r(payload, len);
     uint8_t type = 0;
+    auto refuse = [&](const Status& why) {
+      return Status(why.code(), "WAL " + path + " offset " +
+                                    std::to_string(pos) + ", record kind " +
+                                    std::to_string(type) + ": " +
+                                    why.message());
+    };
     if (!r.U8(&type).ok()) {
-      torn = true;
-      break;
+      return refuse(Status::ParseError("empty checksummed record"));
     }
     if (type == kRecordCommit) {
       WalCommitRecord rec;
-      if (!DecodeCommitPayload(&r, &rec).ok()) {
-        torn = true;
-        break;
-      }
+      Status decoded = DecodeCommitPayload(&r, &rec);
+      if (!decoded.ok()) return refuse(decoded);
       if (rec.version <= snapshot_version) {
         if (stats != nullptr) ++stats->skipped_records;
       } else {
         if (stats != nullptr) ++stats->commit_records;
-        if (on_commit) DV_RETURN_IF_ERROR(on_commit(std::move(rec)));
+        if (on_commit) {
+          Status applied = on_commit(std::move(rec));
+          if (!applied.ok()) return refuse(applied);
+        }
       }
     } else if (type == kRecordBlob) {
       WalBlobRecord rec;
-      if (!r.U64(&rec.version).ok() || !r.Str(&rec.kind).ok() ||
-          !r.Str(&rec.payload).ok()) {
-        torn = true;
-        break;
-      }
+      Status decoded = r.U64(&rec.version);
+      if (decoded.ok()) decoded = r.Str(&rec.kind);
+      if (decoded.ok()) decoded = r.Str(&rec.payload);
+      if (!decoded.ok()) return refuse(decoded);
       // Blobs use >=, not >: a blob appended right after a checkpoint at
       // version V (no commit in between) is stamped V but is NOT in that
       // snapshot's extras — the checkpoint truncated the WAL before the
@@ -278,11 +469,16 @@ Status ReplayWal(const std::string& path, uint64_t snapshot_version,
         if (stats != nullptr) ++stats->skipped_records;
       } else {
         if (stats != nullptr) ++stats->blob_records;
-        DV_RETURN_IF_ERROR(on_blob(std::move(rec)));
+        Status applied = on_blob(std::move(rec));
+        if (!applied.ok()) return refuse(applied);
       }
+    } else if (type == kRecordFullCommit) {
+      return refuse(Status::ParseError(
+          "full-database commit record of the previous WAL format; this "
+          "version reads only per-table commit records (kind 3) — recover "
+          "the directory with the release that wrote it and checkpoint"));
     } else {
-      torn = true;
-      break;
+      return refuse(Status::ParseError("unknown record kind"));
     }
     pos += 8 + len;
   }

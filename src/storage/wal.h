@@ -16,22 +16,54 @@ namespace dynview {
 /// Write-ahead delta log for the catalog.
 ///
 /// Record framing: u32 payload_len | u32 crc32(payload) | payload, appended
-/// back to back. Payloads (storage/codec.h primitives):
+/// back to back. Payloads (storage/codec.h primitives) start with a u8 kind:
 ///
-///   commit (u8 1): u64 catalog_version | str tag | u32 put_count
-///                  | per put: database payload (codec) prefixed by u64
-///                    database version | u32 drop_count | per drop: str key
+///   commit (u8 3): u64 catalog_version | str tag | u32 database_count
+///     | per database: u8 op | str name
+///       op 1 create: (re)create the database empty, then its table ops
+///       op 2 drop:   remove it (nothing follows)
+///       op 3 update: apply its table ops to the existing database
+///       create/update: u32 table_count | per table: u8 op | str rel
+///         op 1 drop:   remove the table (nothing follows)
+///         op 2 put:    table payload (codec; strings inline)
+///         op 3 splice: u64 at | u64 removed | u32 arity | u32 row_count
+///                      | row-major cells (codec; strings inline)
 ///   blob   (u8 2): u64 catalog_version_at_append | str kind | str payload
 ///
-/// Commit records mirror one CatalogTxn commit (the touched databases in
-/// full — deltas here are per-database, not per-row, matching the catalog's
-/// copy-on-write granularity). Blob records carry opaque integration state
+/// A commit record is the delta of one CatalogTxn commit against the
+/// version it started from, which is always the version before it: every
+/// database whose pointer differs from the base version's (or that only one
+/// of them holds) gets an entry, and its catalog version becomes the
+/// commit's; every table whose pointer differs gets an op. A splice
+/// replaces rows [at, at + removed) with the inserted rows; the writer finds
+/// it as the longest common prefix and suffix of the old and new rows under
+/// exact value identity (same TypeKind, same payload bits), so an append, a
+/// one-row bag-delete and any contiguous edit each cost one splice. A new
+/// table, a schema change, a zero-column table, or an edit that keeps no
+/// row is a put; a zero-column table that holds rows cannot be stored, and
+/// its commit fails (codec CheckStorable). A database whose name changed
+/// case is a create. Replay goes through Catalog::ApplyRecoveredCommit,
+/// which clones only the tables the record names, and only onto the
+/// version just before the record's.
+///
+/// Blob records carry opaque integration state
 /// (view/index registrations) stamped with the catalog version current when
 /// appended; replay applies a blob iff its stamp is at least the snapshot
 /// version being recovered from (a blob cannot ride the WAL past the
 /// checkpoint that would have captured it — Truncate removes it — so a
 /// stamp equal to the snapshot version means "appended just after that
 /// checkpoint, with no commit in between").
+///
+/// Torn versus refused: a frame that is short or fails its CRC is a torn
+/// tail — the crash artifact of an unacknowledged append — and replay
+/// truncates it. A frame whose CRC holds was written whole, so when it
+/// cannot be read replay refuses: it returns an error naming the frame's
+/// offset and kind and leaves the log byte-identical. That covers an
+/// unknown kind, kind 1 (the whole-database commit of the previous
+/// format), a payload that fails to decode (ParseError for all three), a
+/// commit whose version does not follow the recovered head (a gap: say the
+/// newest snapshot was unreadable and recovery fell back to an older one)
+/// and a change that does not fit the recovered head.
 ///
 /// Durability contract: Append fsyncs (when enabled) BEFORE returning OK,
 /// and the catalog publishes the new head only after that — the WAL fsync
@@ -58,9 +90,8 @@ class WalWriter final : public CatalogCommitSink {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// CatalogCommitSink: appends a commit record for the touched databases.
-  Status OnCommit(const CatalogSnapshot& next,
-                  const std::vector<std::string>& touched,
+  /// CatalogCommitSink: appends the commit record of `next` against `base`.
+  Status OnCommit(const CatalogSnapshot& base, const CatalogSnapshot& next,
                   const std::string& tag) override;
 
   Status AppendBlob(const std::string& kind, const std::string& payload,
@@ -91,8 +122,7 @@ class WalWriter final : public CatalogCommitSink {
 struct WalCommitRecord {
   uint64_t version = 0;
   std::string tag;
-  std::vector<RecoveredDatabase> puts;
-  std::vector<std::string> drops;
+  std::vector<DatabaseChange> changes;
 };
 
 struct WalBlobRecord {
@@ -112,10 +142,13 @@ struct WalReplayStats {
 
 /// Replays `path` in append order. Records with version <= snapshot_version
 /// are counted as skipped (the snapshot already covers them). The first
-/// frame that is short, fails its CRC, or fails to decode marks a torn
-/// tail: the file is truncated back to the last good record and replay
-/// stops with OK — a partial tail is an expected crash artifact, never an
-/// error. Errors returned by the callbacks abort the replay and propagate.
+/// frame that is short or fails its CRC marks a torn tail: the file is
+/// truncated back to the last good record and replay stops with OK — a
+/// partial tail is an expected crash artifact, never an error. A frame
+/// that passes its CRC but cannot be read refuses the replay (see above):
+/// ParseError naming the offset and kind, and the file is left untouched.
+/// Errors returned by the callbacks abort the replay and propagate, with
+/// the offset and kind of the frame prefixed to their message.
 Status ReplayWal(const std::string& path, uint64_t snapshot_version,
                  const std::function<Status(WalCommitRecord&&)>& on_commit,
                  const std::function<Status(WalBlobRecord&&)>& on_blob,

@@ -275,5 +275,110 @@ TEST(CatalogTest, TransactionReadsItsOwnWrites) {
   EXPECT_EQ(cat.ResolveTable("db", "t").value()->num_rows(), 2u);
 }
 
+// ---- Per-table structural sharing -----------------------------------------
+
+/// db holds t1..t3 (one row each) and other holds u.
+void InstallSharingFixture(Catalog* cat) {
+  for (const char* rel : {"t1", "t2", "t3"}) {
+    Table t(Schema::FromNames({"a"}));
+    t.AppendRowUnchecked({Value::String(rel)});
+    ASSERT_TRUE(cat->PutTable("db", rel, std::move(t)).ok());
+  }
+  ASSERT_TRUE(cat->PutTable("other", "u", Table(Schema::FromNames({"b"}))).ok());
+}
+
+TEST(CatalogSharingTest, CommitClonesOnlyTheTableItWrites) {
+  Catalog cat;
+  InstallSharingFixture(&cat);
+  std::shared_ptr<const CatalogSnapshot> before = cat.Snapshot();
+  ASSERT_TRUE(cat.Mutate([](CatalogTxn& txn) -> Status {
+                   DV_ASSIGN_OR_RETURN(Database * db,
+                                       txn.GetMutableDatabase("db"));
+                   DV_ASSIGN_OR_RETURN(Table * t1, db->GetMutableTable("t1"));
+                   return t1->AppendRow({Value::String("new")});
+                 })
+                  .ok());
+  std::shared_ptr<const CatalogSnapshot> after = cat.Snapshot();
+
+  // The written table is a new object; every other table of the touched
+  // database, and every table of the untouched one, is the same object.
+  EXPECT_NE(before->ResolveTable("db", "t1").value(),
+            after->ResolveTable("db", "t1").value());
+  for (const char* rel : {"t2", "t3"}) {
+    EXPECT_EQ(before->ResolveTable("db", rel).value(),
+              after->ResolveTable("db", rel).value())
+        << rel;
+  }
+  EXPECT_EQ(before->ResolveTable("other", "u").value(),
+            after->ResolveTable("other", "u").value());
+  EXPECT_EQ(before->GetDatabase("other").value(),
+            after->GetDatabase("other").value());
+
+  // The old snapshot's t1 still reads its old rows.
+  const Table* old_t1 = before->ResolveTable("db", "t1").value();
+  ASSERT_EQ(old_t1->num_rows(), 1u);
+  EXPECT_EQ(old_t1->row(0)[0].as_string(), "t1");
+  EXPECT_EQ(after->ResolveTable("db", "t1").value()->num_rows(), 2u);
+}
+
+TEST(CatalogSharingTest, FailedMutateLeavesHeadAndPointersUnchanged) {
+  Catalog cat;
+  InstallSharingFixture(&cat);
+  std::shared_ptr<const CatalogSnapshot> before = cat.Snapshot();
+  std::vector<const Table*> tables;
+  for (const char* rel : {"t1", "t2", "t3"}) {
+    tables.push_back(before->ResolveTable("db", rel).value());
+  }
+  auto r = cat.Mutate([](CatalogTxn& txn) -> Status {
+    DV_ASSIGN_OR_RETURN(Database * db, txn.GetMutableDatabase("db"));
+    DV_ASSIGN_OR_RETURN(Table * t1, db->GetMutableTable("t1"));
+    t1->Clear();
+    DV_RETURN_IF_ERROR(db->DropTable("t2"));
+    return Status::Internal("abort");
+  });
+  EXPECT_FALSE(r.ok());
+  std::shared_ptr<const CatalogSnapshot> head = cat.Snapshot();
+  EXPECT_EQ(head, before);
+  const char* rels[] = {"t1", "t2", "t3"};
+  for (size_t i = 0; i < tables.size(); ++i) {
+    EXPECT_EQ(head->ResolveTable("db", rels[i]).value(), tables[i]) << rels[i];
+  }
+  EXPECT_EQ(tables[0]->num_rows(), 1u);
+}
+
+TEST(CatalogSharingTest, CopiedDatabaseClonesOnFirstWrite) {
+  Database a("db");
+  Table t(Schema::FromNames({"a"}));
+  t.AppendRowUnchecked({Value::Int(1)});
+  a.PutTable("t", std::move(t));
+  Database b = a;
+  const Table* shared = a.GetTable("t").value();
+  EXPECT_EQ(b.GetTable("t").value(), shared);
+
+  Table* written = b.GetMutableTable("t").value();
+  EXPECT_NE(written, shared);
+  ASSERT_TRUE(written->AppendRow({Value::Int(2)}).ok());
+  EXPECT_EQ(a.GetTable("t").value()->num_rows(), 1u);
+  // The second write finds the table unshared and keeps it.
+  EXPECT_EQ(b.GetMutableTable("t").value(), written);
+  EXPECT_EQ(b.GetTable("t").value()->num_rows(), 2u);
+}
+
+TEST(TableTest, SpliceChecksRangeAndArity) {
+  Table t(Schema::FromNames({"a"}));
+  for (int i = 0; i < 4; ++i) t.AppendRowUnchecked({Value::Int(i)});
+  ASSERT_TRUE(t.Splice(1, 2, {{Value::Int(9)}}).ok());
+  ASSERT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.row(0)[0].as_int(), 0);
+  EXPECT_EQ(t.row(1)[0].as_int(), 9);
+  EXPECT_EQ(t.row(2)[0].as_int(), 3);
+  EXPECT_FALSE(t.Splice(3, 1, {}).ok());
+  EXPECT_FALSE(t.Splice(4, 0, {}).ok());
+  EXPECT_FALSE(t.Splice(0, 0, {{Value::Int(1), Value::Int(2)}}).ok());
+  EXPECT_EQ(t.num_rows(), 3u);
+  ASSERT_TRUE(t.Splice(3, 0, {{Value::Int(4)}}).ok());
+  EXPECT_EQ(t.row(3)[0].as_int(), 4);
+}
+
 }  // namespace
 }  // namespace dynview
