@@ -9,6 +9,7 @@
 #include "common/query_context.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "engine/exec_plan.h"
 #include "engine/expr_compile.h"
 #include "relational/catalog.h"
 #include "sql/ast.h"
@@ -29,6 +30,12 @@ struct ExecContext;
 /// "minimal extension to existing query engines" execution model the paper
 /// proposes: the higher-order machinery reduces to orchestration around a
 /// conventional evaluator.
+///
+/// Build and run: Execute builds an ExecPlan for the pinned snapshot (binds
+/// every branch, enumerates and substitutes the groundings, compiles one
+/// pipeline per slot layout) and then runs it. A caller that keeps the plan
+/// (the integration plan cache, keyed by snapshot version) calls Run again
+/// at the same version and skips the build entirely.
 ///
 /// Snapshot isolation: every execution resolves its tables through one
 /// CatalogSnapshot pinned at entry — the one carried by the QueryContext
@@ -79,9 +86,22 @@ class QueryEngine {
   Result<Table> ExecuteSql(const std::string& sql);
   Result<Table> ExecuteSql(const std::string& sql, QueryContext* qc);
 
-  /// Binds and evaluates a parsed statement (all UNION branches).
+  /// Binds and evaluates a parsed statement (all UNION branches): Build,
+  /// then Run, under one `query.execute` span.
   Result<Table> Execute(SelectStmt* stmt);
   Result<Table> Execute(SelectStmt* stmt, QueryContext* qc);
+
+  /// Builds the executable plan of `stmt` (all UNION branches) against the
+  /// snapshot `qc` pins. Binding annotates `stmt` in place. Never fails:
+  /// bind and resolution errors are kept in the plan and raised by Run
+  /// where evaluation meets them. Compiles through `qc`'s program memo when
+  /// it carries one, else the engine's.
+  std::shared_ptr<const ExecPlan> Build(SelectStmt* stmt, QueryContext* qc);
+
+  /// Runs `plan` under `qc`, whose pinned snapshot must be the version the
+  /// plan was built against. Every relation is resolved by name again, so
+  /// the catalog.resolve failpoint still fires per scan.
+  Result<Table> Run(const ExecPlan& plan, QueryContext* qc);
 
   /// Evaluates an already-bound single branch (no UNION chain following).
   Result<Table> EvaluateBranch(const SelectStmt& stmt, const BoundQuery& bq);
@@ -91,20 +111,27 @@ class QueryEngine {
  private:
   using SnapshotRef = std::shared_ptr<const CatalogSnapshot>;
 
-  Result<Table> ExecuteImpl(SelectStmt* stmt, QueryContext* qc,
-                            const SnapshotRef& snap);
-  Result<Table> EvaluateBranchImpl(const SelectStmt& stmt,
-                                   const BoundQuery& bq, QueryContext* qc,
-                                   const SnapshotRef& snap);
-  Result<Table> EvaluateFirstOrder(const SelectStmt& stmt, QueryContext* qc,
-                                   const SnapshotRef& snap);
+  std::shared_ptr<const ExecPlan> BuildImpl(SelectStmt* stmt,
+                                            QueryContext* qc,
+                                            const SnapshotRef& snap);
+  Result<Table> RunImpl(const ExecPlan& plan, QueryContext* qc,
+                        const SnapshotRef& snap);
 
-  /// Evaluates a higher-order branch whose aggregation / DISTINCT / ORDER BY
-  /// must apply across all groundings: evaluates an aggregate-free inner
-  /// projection per grounding, unions, then applies the outer layer.
-  Result<Table> EvaluateHigherOrderGlobal(const SelectStmt& stmt,
-                                          QueryContext* qc,
-                                          const SnapshotRef& snap);
+  /// Builds one bound branch into `b`. A higher-order branch whose
+  /// aggregation / DISTINCT / ORDER BY must apply across all groundings
+  /// becomes an aggregate-free inner fan-out plus a global pipeline over the
+  /// union.
+  void BuildBranch(const SelectStmt& stmt, const BoundQuery& bq,
+                   const ExecContext& ctx, const CatalogSnapshot& snap,
+                   BranchPlan* b) const;
+  /// Enumerates the groundings of `stmt` and compiles their pipelines.
+  void BuildFanout(const SelectStmt& stmt, const BoundQuery& bq,
+                   const ExecContext& ctx, const CatalogSnapshot& snap,
+                   BranchPlan* b) const;
+  Result<Table> RunBranch(const BranchPlan& b, QueryContext* qc,
+                          const SnapshotRef& snap);
+  Result<Table> RunFanout(const BranchPlan& b, QueryContext* qc,
+                          const SnapshotRef& snap);
 
   /// Operator-level context for one execution under `qc` reading `snap`:
   /// the shared pool, morsel granularity, guard, pinned snapshot, and
@@ -119,15 +146,13 @@ class QueryEngine {
   ExecConfig exec_;
   QueryContext* query_ctx_ = nullptr;  // Borrowed; null = unguarded (legacy).
   /// Lazily created once under pool_mu_ and never replaced; pool_ptr_
-  /// publishes it to lock-free readers. Sub-engines (the higher-order outer
-  /// layer) borrow this engine's pointer so nested evaluation reuses one set
-  /// of workers.
+  /// publishes it to lock-free readers.
   std::mutex pool_mu_;
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<ThreadPool*> pool_ptr_{nullptr};
-  /// Compiled-program memo used when the query carries none of its own
-  /// (ExecContext::programs; thread-safe, bounded). Mutable because program
-  /// compilation is a cache fill, not a semantic change.
+  /// Compiled-program memo plan builds use when the query carries none of
+  /// its own (ExecContext::programs; thread-safe, bounded). Mutable because
+  /// program compilation is a cache fill, not a semantic change.
   mutable ExprProgramCache default_programs_;
 };
 

@@ -422,7 +422,16 @@ struct RunOut {
   std::string canon;  // Sorted rendering (order-insensitive).
   std::vector<std::pair<std::string, std::string>> warns;
   size_t num_warnings = 0;
+  bool cached = false;              // Answered from the plan cache.
+  std::vector<uint64_t> counters;   // kAnswerCounters, per answer.
 };
+
+/// Per-answer counters a plan-cache hit must reproduce exactly: the hit
+/// replays the grounding bookkeeping its cached plan recorded at build.
+constexpr const char* kAnswerCounters[] = {
+    counters::kGroundingsEnumerated, counters::kGroundingsEvaluated,
+    counters::kGroundingsPruned, counters::kRowsScanned,
+    counters::kRowsUnioned};
 
 RunOut RunDirect(QueryEngine* engine, const std::string& sql,
                  std::shared_ptr<const CatalogSnapshot> snap) {
@@ -468,6 +477,12 @@ RunOut RunAnswer(IntegrationSystem* sys, const std::string& sql, bool multiset,
     out.canon = Canon(r.value().table);
     out.warns = WarnKeys(r.value().warnings);
     out.num_warnings = r.value().warnings.size();
+    out.cached = r.value().plan_cached;
+    if (r.value().observer != nullptr) {
+      for (const char* name : kAnswerCounters) {
+        out.counters.push_back(r.value().observer->metrics.Value(name));
+      }
+    }
   } else {
     out.st = r.status();
   }
@@ -580,6 +595,39 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
     return std::string("answer/t8-repeat: cached plan diverges");
   }
 
+  // Warm vs cold on each system: with the plan cache emptied, the first
+  // answer builds its executable plan and the second runs the cached one.
+  // They must agree in bytes and row order, warnings and the per-answer
+  // grounding and row counters.
+  for (const auto& [name, sys] : answers) {
+    sys->ClearPlanCache();
+    RunOut cold = RunAnswer(sys, sql, multiset, snap);
+    RunOut warm = RunAnswer(sys, sql, multiset, snap);
+    count();
+    if (rep != nullptr) ++rep->warm_cold_checks;
+    const std::string arm = std::string(name) + "/warm-vs-cold: ";
+    if (cold.ok != warm.ok || (!cold.ok && cold.st.code() != warm.st.code())) {
+      return arm + Describe(warm) + " vs cold " + Describe(cold);
+    }
+    if (!cold.ok) continue;
+    // The second answer is a hit unless the first dropped its entry (a
+    // rewriting whose materialization vanished falls back to the direct
+    // plan uncached); either way the answers must agree.
+    if (cold.cached) return arm + "expected a miss after clearing the cache";
+    if (warm.raw != cold.raw) return arm + "bytes or row order diverge";
+    if (warm.warns != cold.warns) return arm + "warnings diverge";
+    if (warm.counters != cold.counters) {
+      std::string detail;
+      for (size_t i = 0; i < warm.counters.size() && i < cold.counters.size();
+           ++i) {
+        detail += std::string(" ") + kAnswerCounters[i] + "=" +
+                  std::to_string(cold.counters[i]) + "/" +
+                  std::to_string(warm.counters[i]);
+      }
+      return arm + "counters diverge (cold/warm):" + detail;
+    }
+  }
+
   if (outs[0].warns != outs[1].warns) {
     auto render = [](const RunOut& o) {
       std::string s;
@@ -681,6 +729,7 @@ std::string FuzzReport::Summary() const {
      << " remats=" << remats << " left_stale=" << left_stale
      << " warnings=" << warnings_seen << " optimizer=" << optimizer_checks
      << " optimizer_refusals=" << optimizer_refusals
+     << " warm_cold=" << warm_cold_checks
      << " crashes=" << crashes_replayed
      << " mismatches=" << mismatches << " kinds=[";
   bool first = true;

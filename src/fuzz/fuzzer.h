@@ -58,6 +58,7 @@ struct FuzzReport {
   int warnings_seen = 0;
   int optimizer_checks = 0;    // Sec. 6 optimizer plans compared.
   int optimizer_refusals = 0;  // Queries it declined (kUnsupported).
+  int warm_cold_checks = 0;    // Cold answers compared with their hit.
   int crashes_replayed = 0;
   int mismatches = 0;  // Oracle violations — any nonzero run is a failure.
   std::set<std::string> kinds_applied;  // DdlKindName of every applied op.
@@ -83,7 +84,10 @@ struct FuzzReport {
 /// counts, canonically identical (sorted) optimizer and rewriting results
 /// vs the direct reference, identical status codes on errors, and
 /// identical (source, code) warning sequences across the rewriting
-/// systems. Queries the optimizer declines to plan
+/// systems. A warm-vs-cold arm then empties each rewriting system's plan
+/// cache and answers twice: the cold answer and the hit must agree in
+/// bytes and row order, warnings, and the per-answer grounding and row
+/// counters. Queries the optimizer declines to plan
 /// (kUnsupported: higher-order or multi-block) are counted as refusals. In
 /// durable mode every scenario additionally crashes mid-stream and must
 /// replay to the exact pre-crash head and answers.

@@ -653,16 +653,15 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     observer = std::make_shared<QueryObserver>();
     qc->set_observer(observer.get());
   }
-  // The observer AND the plan's compiled-program memo are borrowed by qc for
-  // this call only; detach both on every exit path, so a caller-owned
-  // context keeps neither alive. The engine itself takes qc per call, so
-  // concurrent answers on one system never share mutable engine state.
+  // The observer is borrowed by qc for this call only; detach it on every
+  // exit path, so a caller-owned context does not keep it alive. The engine
+  // itself takes qc per call, so concurrent answers on one system never
+  // share mutable engine state.
   struct Detach {
     QueryContext* qc;
     bool owns_observer;
     ~Detach() {
       if (owns_observer) qc->set_observer(nullptr);
-      qc->set_expr_programs(nullptr);
     }
   } detach{qc, observer != nullptr};
   MetricsRegistry& sink = qc->observer()->metrics;
@@ -700,35 +699,49 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     }
   };
 
-  // Cold path: Alg. 5.1 against the pinned snapshot. The programs compiled
-  // during this execution (every grounding of the fan-out included) ride
-  // along in the entry for future hits.
+  // Cold path: Alg. 5.1 against the pinned snapshot.
   Status no_source;
   if (!plan_cached) {
     plan = std::make_shared<CachedPlan>();
-    plan->programs = std::make_shared<ExprProgramCache>();
     Result<TranslationResult> rewritten = RewriteOver(
         *query.stmt, options.multiset, *snap, &plan->stale, &plan->chosen);
     if (rewritten.ok()) {
       plan->rewritten =
           std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
-      // Cached before execution: a rewriting is valid for this version even
-      // if this particular execution trips a guard.
-      remember();
     } else {
       no_source = rewritten.status();
     }
   }
 
+  // Build the executable plan unless the entry carries one for this
+  // version: a hit then runs it without binding, grounding or compiling.
   // Stale-source fences surface in registration order, before any
-  // degradation warnings execution adds — a deterministic prefix. Cached
-  // statements are immutable templates, so execution works on a clone.
-  qc->set_expr_programs(plan->programs);
+  // degradation warnings execution adds — a deterministic prefix.
   std::vector<SourceWarning> stale = plan->stale;
   const ViewDefinition* chosen = plan->chosen;
-  const SelectStmt& tmpl =
-      plan->rewritten != nullptr ? *plan->rewritten : *query.stmt;
-  Result<Table> answered = engine_.Execute(tmpl.Clone().get(), qc);
+  std::shared_ptr<const ExecPlan> exec = plan->exec;
+  if (exec == nullptr) {
+    const SelectStmt& tmpl =
+        plan->rewritten != nullptr ? *plan->rewritten : *query.stmt;
+    exec = engine_.Build(tmpl.Clone().get(), qc);
+    if (exec->cacheable) {
+      if (plan_cached) {
+        // A hit whose entry has no executable plan re-inserts a copy that
+        // has one; the shared entry itself is never mutated.
+        plan = std::make_shared<CachedPlan>(*plan);
+        plan->exec = exec;
+        remember();
+      } else {
+        plan->exec = exec;
+      }
+    }
+  }
+  if (!plan_cached && plan->rewritten != nullptr) {
+    // Cached before execution: a rewriting is valid for this version even
+    // if this particular execution trips a guard.
+    remember();
+  }
+  Result<Table> answered = engine_.Run(*exec, qc);
   if (plan->rewritten != nullptr && !answered.ok() &&
       answered.status().code() == StatusCode::kNotFound) {
     // The rewriting references a materialization relation that DDL has

@@ -343,16 +343,18 @@ class IntegrationSystem {
 
  private:
   /// One plan-cache entry: everything a repeat of the same normalized query
-  /// at the same catalog version needs to skip parse → rewrite (Alg. 5.1).
-  /// Statements are immutable templates — execution clones them, because
-  /// the binder annotates the AST in place. `programs` is the plan's own
-  /// compiled-expression memo: every execution (and every grounding of its
-  /// fan-out) shares the programs compiled the first time.
+  /// at the same catalog version needs to skip parse → rewrite (Alg. 5.1)
+  /// → build. Statements are immutable templates — a build clones them,
+  /// because the binder annotates the AST in place. `exec` is the rewriting
+  /// built for the entry's version (groundings enumerated, pipelines
+  /// compiled), so a hit only runs it; null when the build ran with a
+  /// failpoint armed, and then every hit builds afresh. Entries are shared
+  /// by concurrent answers and never mutated after insertion.
   struct CachedPlan {
     std::shared_ptr<const SelectStmt> rewritten;  // Null = direct plan on I.
     const ViewDefinition* chosen = nullptr;
     std::vector<SourceWarning> stale;
-    std::shared_ptr<ExprProgramCache> programs;
+    std::shared_ptr<const ExecPlan> exec;
   };
 
   /// A parsed query ready for the answer body: the immutable statement (the

@@ -73,7 +73,12 @@ Status Table::AppendTable(Table&& other) {
   if (rows_.empty()) {
     rows_ = std::move(other.rows_);
   } else {
-    rows_.reserve(rows_.size() + other.rows_.size());
+    // Geometric growth: an exact reserve per call would reallocate on every
+    // append, moving the accumulated rows quadratically over a long chain.
+    const size_t need = rows_.size() + other.rows_.size();
+    if (need > rows_.capacity()) {
+      rows_.reserve(std::max(need, 2 * rows_.capacity()));
+    }
     for (Row& r : other.rows_) rows_.push_back(std::move(r));
   }
   other.rows_.clear();

@@ -42,24 +42,6 @@ TriBool TriNot(TriBool a) {
   return TriBool::kUnknown;
 }
 
-TypeKind Value::kind() const {
-  switch (data_.index()) {
-    case 0:
-      return TypeKind::kNull;
-    case 1:
-      return TypeKind::kBool;
-    case 2:
-      return TypeKind::kInt;
-    case 3:
-      return TypeKind::kDouble;
-    case 4:
-      return TypeKind::kString;
-    case 5:
-      return TypeKind::kDate;
-  }
-  return TypeKind::kNull;
-}
-
 double Value::NumericAsDouble() const {
   if (kind() == TypeKind::kInt) return static_cast<double>(as_int());
   return as_double();

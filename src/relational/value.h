@@ -49,7 +49,13 @@ class Value {
   static Value String(std::string s) { return Value(Storage(std::move(s))); }
   static Value MakeDate(Date d) { return Value(Storage(d)); }
 
-  TypeKind kind() const;
+  /// Inline: every comparison and operator asks. Storage lists its
+  /// alternatives in TypeKind order.
+  TypeKind kind() const {
+    const size_t i = data_.index();
+    return i <= static_cast<size_t>(TypeKind::kDate) ? static_cast<TypeKind>(i)
+                                                     : TypeKind::kNull;
+  }
   bool is_null() const { return kind() == TypeKind::kNull; }
 
   /// Typed accessors; must match `kind()`.

@@ -70,6 +70,26 @@ std::string TupleDbLabel(const FromItem& f, const Grounding& g,
 
 }  // namespace
 
+void GroundTupleRef(const Grounding& grounding, FromItem* f) {
+  // A reference through a relation variable inherits that variable's
+  // database (e.g. `s2 -> R, R T` must scan relations *of s2*).
+  if (f->db.empty() && f->rel.is_variable) {
+    auto it = grounding.relvar_db.find(ToLower(f->rel.text));
+    if (it != grounding.relvar_db.end()) {
+      f->db = NameTerm(it->second);
+    }
+  }
+  GroundNameTerm(&f->db, grounding.labels);
+  GroundNameTerm(&f->rel, grounding.labels);
+}
+
+std::unique_ptr<Expr> SubstituteLabels(const Expr& e, const BoundQuery& bq,
+                                       const Grounding& grounding) {
+  std::unique_ptr<Expr> out = e.Clone();
+  SubstituteExpr(out.get(), bq, grounding.labels);
+  return out;
+}
+
 std::unique_ptr<SelectStmt> SubstituteLabels(const SelectStmt& stmt,
                                              const BoundQuery& bq,
                                              const Grounding& grounding) {
@@ -96,20 +116,10 @@ std::unique_ptr<SelectStmt> SubstituteLabels(const SelectStmt& stmt,
         if (labels.count(ToLower(f.var)) > 0) continue;  // Grounded away.
         kept.push_back(std::move(f));
         break;
-      case FromItemKind::kTupleVar: {
-        // A reference through a relation variable inherits that variable's
-        // database (e.g. `s2 -> R, R T` must scan relations *of s2*).
-        if (f.db.empty() && f.rel.is_variable) {
-          auto it = grounding.relvar_db.find(ToLower(f.rel.text));
-          if (it != grounding.relvar_db.end()) {
-            f.db = NameTerm(it->second);
-          }
-        }
-        GroundNameTerm(&f.db, labels);
-        GroundNameTerm(&f.rel, labels);
+      case FromItemKind::kTupleVar:
+        GroundTupleRef(grounding, &f);
         kept.push_back(std::move(f));
         break;
-      }
       case FromItemKind::kDomainVar:
         GroundNameTerm(&f.attr, labels);
         kept.push_back(std::move(f));
@@ -134,9 +144,9 @@ std::unique_ptr<SelectStmt> SubstituteLabels(const SelectStmt& stmt,
   return out;
 }
 
-Result<std::vector<InstantiatedQuery>> InstantiateSchemaVars(
-    const SelectStmt& stmt, const BoundQuery& bq, const CatalogReader& catalog,
-    const std::string& default_db, MetricsRegistry* metrics) {
+GroundingSet EnumerateGroundings(const SelectStmt& stmt,
+                                 const CatalogReader& catalog,
+                                 const std::string& default_db) {
   std::vector<Grounding> groundings;
   groundings.emplace_back();
   for (const FromItem& f : stmt.from_items) {
@@ -188,16 +198,11 @@ Result<std::vector<InstantiatedQuery>> InstantiateSchemaVars(
     groundings = std::move(next);
   }
 
-  if (metrics != nullptr) {
-    metrics->Add(counters::kGroundingsEnumerated, groundings.size());
-  }
-
+  GroundingSet out;
+  out.enumerated = groundings.size();
   // Discard groundings under which a *variable-derived* tuple reference does
   // not exist (the variable "ranges over" valid labels only). Constant
   // references are left to the evaluator, which reports NotFound.
-  uint64_t pruned = 0;
-  std::vector<InstantiatedQuery> out;
-  out.reserve(groundings.size());
   for (Grounding& g : groundings) {
     bool feasible = true;
     for (const FromItem& f : stmt.from_items) {
@@ -217,16 +222,29 @@ Result<std::vector<InstantiatedQuery>> InstantiateSchemaVars(
       }
     }
     if (!feasible) {
-      ++pruned;
+      ++out.pruned;
       continue;
     }
+    out.groundings.push_back(std::move(g));
+  }
+  return out;
+}
+
+Result<std::vector<InstantiatedQuery>> InstantiateSchemaVars(
+    const SelectStmt& stmt, const BoundQuery& bq, const CatalogReader& catalog,
+    const std::string& default_db, MetricsRegistry* metrics) {
+  GroundingSet set = EnumerateGroundings(stmt, catalog, default_db);
+  if (metrics != nullptr) {
+    metrics->Add(counters::kGroundingsEnumerated, set.enumerated);
+    if (set.pruned > 0) metrics->Add(counters::kGroundingsPruned, set.pruned);
+  }
+  std::vector<InstantiatedQuery> out;
+  out.reserve(set.groundings.size());
+  for (Grounding& g : set.groundings) {
     InstantiatedQuery iq;
     iq.query = SubstituteLabels(stmt, bq, g);
     iq.labels = std::move(g.labels);
     out.push_back(std::move(iq));
-  }
-  if (metrics != nullptr && pruned > 0) {
-    metrics->Add(counters::kGroundingsPruned, pruned);
   }
   return out;
 }

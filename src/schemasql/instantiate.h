@@ -32,6 +32,19 @@ struct Grounding {
   std::map<std::string, std::string> relvar_db;  // lowercased var → db name.
 };
 
+/// The groundings of a bound single-branch query's schema variables that
+/// survive the feasibility filter (see InstantiateSchemaVars), in
+/// enumeration order, with the counts behind `groundings.enumerated` and
+/// `groundings.pruned_notfound`.
+struct GroundingSet {
+  std::vector<Grounding> groundings;
+  uint64_t enumerated = 0;
+  uint64_t pruned = 0;
+};
+GroundingSet EnumerateGroundings(const SelectStmt& stmt,
+                                 const CatalogReader& catalog,
+                                 const std::string& default_db);
+
 /// Grounds the schema variables of a bound single-branch query `stmt`
 /// against `catalog`, in FROM-clause declaration order:
 ///   * a database variable ranges over all database names,
@@ -61,6 +74,17 @@ Result<std::vector<InstantiatedQuery>> InstantiateSchemaVars(
 std::unique_ptr<SelectStmt> SubstituteLabels(const SelectStmt& stmt,
                                              const BoundQuery& bq,
                                              const Grounding& grounding);
+
+/// The grounding SubstituteLabels applies to one tuple reference, in place:
+/// a reference through a relation variable takes that variable's database,
+/// and label positions become the chosen labels.
+void GroundTupleRef(const Grounding& grounding, FromItem* f);
+
+/// The grounding SubstituteLabels applies to one expression, on a clone:
+/// value references to schema variables become string literals and
+/// attribute-variable column references name the chosen attribute.
+std::unique_ptr<Expr> SubstituteLabels(const Expr& e, const BoundQuery& bq,
+                                       const Grounding& grounding);
 
 }  // namespace dynview
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <random>
 #include <string>
@@ -251,6 +252,67 @@ TEST(ExprDifferentialTest, GroupedAggregatesReadTheirSlots) {
     }
   }
   EXPECT_GT(with_aggs, 100);
+}
+
+/// The two fast forms a program takes without its stack loop — a bare slot,
+/// and a comparison of slot or literal operands — over every kind pair and
+/// every comparison operator: the same values, the same NULLs and the same
+/// TypeError text as the reference walk.
+TEST(ExprDifferentialTest, CompareAndSlotFastFormsMatchReference) {
+  const Date d1 = Date::FromYmd(1998, 1, 2).value();
+  const Date d2 = Date::FromYmd(1999, 6, 30).value();
+  // Two values per kind (equal, smaller and larger pairs all occur).
+  const std::vector<std::vector<Value>> kinds = {
+      {Value::Null(), Value::Null()},
+      {Value::Bool(false), Value::Bool(true)},
+      {Value::Int(3), Value::Int(-7)},
+      {Value::Double(2.5), Value::Double(std::nan(""))},
+      {Value::MakeDate(d1), Value::MakeDate(d2)},
+      {Value::String("ab"), Value::String("b")},
+  };
+  const BinaryOp ops[] = {BinaryOp::kEq,      BinaryOp::kNotEq,
+                          BinaryOp::kLess,    BinaryOp::kLessEq,
+                          BinaryOp::kGreater, BinaryOp::kGreaterEq};
+  ColumnBindings b;
+  b.AddQualified("T", "l", 0);
+  b.AddQualified("T", "r", 1);
+  auto slot = [](const char* col) {
+    return Expr::MakeColumnRef("T", NameTerm(col));
+  };
+  int checks = 0;
+  int errors = 0;
+  for (const auto& lk : kinds) {
+    for (const auto& rk : kinds) {
+      for (const Value& l : lk) {
+        for (const Value& r : rk) {
+          const Row row = {l, r};
+          for (BinaryOp op : ops) {
+            // slot op slot, slot op literal, literal op slot.
+            std::unique_ptr<Expr> shapes[] = {
+                Expr::MakeCompare(op, slot("l"), slot("r")),
+                Expr::MakeCompare(op, slot("l"), Expr::MakeLiteral(r)),
+                Expr::MakeCompare(op, Expr::MakeLiteral(l), slot("r")),
+            };
+            for (const auto& e : shapes) {
+              EXPECT_EQ(CompiledExpr::Compile(*e, b, true)->num_ops(), 3u);
+              errors += ExpectAgree(*e, b, row);
+              checks += 2;
+            }
+          }
+          // A bare slot is the row's value, whatever its kind.
+          auto bare = slot("r");
+          auto prog = CompiledExpr::Compile(*bare, b, /*as_predicate=*/false);
+          EXPECT_EQ(prog->bare_slot(), 1);
+          errors += ExpectAgree(*bare, b, row);
+          checks += 2;
+        }
+      }
+    }
+  }
+  // Mismatched kinds raise TypeErrors and same-kind pairs compare: both
+  // outcomes are well represented.
+  EXPECT_GT(errors, checks / 10);
+  EXPECT_LT(errors, checks - checks / 10);
 }
 
 /// Targeted shapes: each one names the deferred error (or its absence) a

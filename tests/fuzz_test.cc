@@ -74,6 +74,9 @@ TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   // higher-order ones.
   EXPECT_GT(report.optimizer_checks, 0) << report.Summary();
   EXPECT_GT(report.optimizer_refusals, 0) << report.Summary();
+  // Every triple compared a cold answer with its plan-cache hit on the
+  // 1- and 8-thread systems (the warm-vs-cold arm).
+  EXPECT_GE(report.warm_cold_checks, report.triples) << report.Summary();
   EXPECT_GT(report.ddl_applied, 0);
   for (const char* kind :
        {"add-attribute", "drop-attribute", "rename-attribute",
