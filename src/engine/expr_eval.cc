@@ -103,6 +103,10 @@ Result<TriBool> EvalCompareOp(BinaryOp op, const Value& l, const Value& r) {
   int cmp = 0;
   DV_ASSIGN_OR_RETURN(TriBool known, Value::Compare(l, r, &cmp));
   if (known == TriBool::kUnknown) return TriBool::kUnknown;
+  return CompareVerdict(op, cmp);
+}
+
+Result<TriBool> CompareVerdict(BinaryOp op, int cmp) {
   bool result = false;
   switch (op) {
     case BinaryOp::kEq: result = cmp == 0; break;

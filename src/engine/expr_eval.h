@@ -51,6 +51,10 @@ class ColumnBindings {
 /// (order, short-circuit, name resolution), not duplicated arithmetic.
 Result<Value> EvalArithOp(BinaryOp op, const Value& l, const Value& r);
 Result<TriBool> EvalCompareOp(BinaryOp op, const Value& l, const Value& r);
+/// The verdict of comparison `op` on the three-way result `cmp` of two
+/// comparable, non-NULL operands: EvalCompareOp's second half, shared with
+/// the compiled evaluator's typed compare.
+Result<TriBool> CompareVerdict(BinaryOp op, int cmp);
 Result<TriBool> EvalLikeOp(const Value& l, const Value& r);
 Result<TriBool> EvalContainsOp(const Value& l, const Value& r);
 Result<TriBool> EvalHasWordOp(const Value& l, const Value& r);

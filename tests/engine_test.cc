@@ -241,6 +241,21 @@ TEST_F(EngineTest, EmptyGroundingYieldsEmptyTable) {
   EXPECT_EQ(t.schema().num_columns(), 2u);
 }
 
+TEST_F(EngineTest, GroundingsWithLookAlikeSchemasKeepTheirOwnPipelines) {
+  // Labels are data, so a column name may contain any text: one column
+  // named "x:NULL,y" must not pass for the two columns x and y.
+  Table one(Schema::FromNames({"x:NULL,y"}));
+  one.AppendRowUnchecked({Value::Int(1)});
+  Table two(Schema::FromNames({"x", "y"}));
+  two.AppendRowUnchecked({Value::Int(2), Value::Int(3)});
+  ASSERT_TRUE(catalog_.PutTable("odd", "r1", std::move(one)).ok());
+  ASSERT_TRUE(catalog_.PutTable("odd", "r2", std::move(two)).ok());
+  Table t = Run("select R from odd -> R, R T");
+  ASSERT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t.row(0)[0].as_string(), "r1");
+  EXPECT_EQ(t.row(1)[0].as_string(), "r2");
+}
+
 // ---- Error handling --------------------------------------------------------
 
 TEST_F(EngineTest, MissingTableReported) {
