@@ -47,9 +47,7 @@ void PrintCounterDump() {
   QueryObserver obs;
   QueryContext qc;
   qc.set_observer(&obs);
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOutSql);
-  engine.set_query_context(nullptr);
+  auto r = engine.ExecuteSql(kFanOutSql, &qc);
   std::printf("=== fan-out query counters (48 sources x 200 rows) ===\n%s",
               obs.metrics.ToFlatText().c_str());
   std::printf("trace spans: %zu\n\n", obs.trace.size());
@@ -62,15 +60,13 @@ void RunFanOut(benchmark::State& state, bool attach_observer) {
   QueryObserver obs;
   QueryContext qc;
   if (attach_observer) qc.set_observer(&obs);
-  engine.set_query_context(&qc);
   size_t rows = 0;
   for (auto _ : state) {
     obs.trace.Clear();
-    auto r = engine.ExecuteSql(kFanOutSql);
+    auto r = engine.ExecuteSql(kFanOutSql, &qc);
     benchmark::DoNotOptimize(r);
     if (r.ok()) rows = r.value().num_rows();
   }
-  engine.set_query_context(nullptr);
   state.counters["rows"] = static_cast<double>(rows);
   if (attach_observer) {
     state.counters["groundings"] = static_cast<double>(
@@ -94,13 +90,11 @@ void RunJoin(benchmark::State& state, bool attach_observer) {
   QueryObserver obs;
   QueryContext qc;
   if (attach_observer) qc.set_observer(&obs);
-  engine.set_query_context(&qc);
   for (auto _ : state) {
     obs.trace.Clear();
-    auto r = engine.ExecuteSql(kJoinSql);
+    auto r = engine.ExecuteSql(kJoinSql, &qc);
     benchmark::DoNotOptimize(r);
   }
-  engine.set_query_context(nullptr);
 }
 
 void BM_JoinNoObserver(benchmark::State& state) {

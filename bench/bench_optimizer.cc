@@ -51,8 +51,7 @@ struct Setup {
     Optimizer opt(&catalog, "db0");
     if (with_resources) {
       opt.RegisterView(view);
-      opt.RegisterIndex(index, TableRef{"db0", "stock"}, "company",
-                        {"company", "date", "price", "exch"});
+      opt.RegisterIndex(index);
     }
     return opt;
   }

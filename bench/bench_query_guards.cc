@@ -56,13 +56,9 @@ struct Setup {
 
 void RunQuery(QueryEngine* engine, const char* sql, bool guarded) {
   std::unique_ptr<QueryContext> qc;
-  if (guarded) {
-    qc = std::make_unique<QueryContext>(GenerousGuards());
-    engine->set_query_context(qc.get());
-  }
-  auto r = engine->ExecuteSql(sql);
+  if (guarded) qc = std::make_unique<QueryContext>(GenerousGuards());
+  auto r = engine->ExecuteSql(sql, qc.get());
   benchmark::DoNotOptimize(r);
-  engine->set_query_context(nullptr);
 }
 
 void PrintOverheadPreamble() {

@@ -12,6 +12,7 @@
 
 #include "index/view_index.h"
 #include "integration/integration.h"
+#include "optimizer/optimizer.h"
 #include "workload/tickets_data.h"
 
 using namespace dynview;
@@ -73,11 +74,16 @@ int main() {
           "select T.infr, T.state, T.tnum, T.lic from I::tickets T")
       .value();
 
+  // The Sec. 6 optimizer, offered every registered source and index.
+  Optimizer optimizer(system.catalog(), system.integration_db());
+  for (const auto& source : system.sources()) optimizer.RegisterView(source);
+  for (const auto& index : system.indexes()) optimizer.RegisterIndex(index);
+
   const std::string q =
       "select S, N, L from I::tickets T, T.state S, T.tnum N, T.lic L, "
       "T.infr F where F = 'dui'";
-  auto with = system.optimizer()->Plan(q);
-  auto without = system.optimizer()->PlanBaseline(q);
+  auto with = optimizer.Plan(q);
+  auto without = optimizer.PlanBaseline(q);
   if (!with.ok() || !without.ok()) {
     std::fprintf(stderr, "planning failed\n");
     return 1;
@@ -87,8 +93,8 @@ int main() {
               with.value().Describe().c_str());
   std::printf("estimated cost %0.0f -> %0.0f\n\n", without.value().est_cost,
               with.value().est_cost);
-  auto a = system.optimizer()->Execute(with.value());
-  auto b = system.optimizer()->Execute(without.value());
+  auto a = optimizer.Execute(with.value());
+  auto b = optimizer.Execute(without.value());
   std::printf("both plans agree?  %s  (%zu rows)\n",
               a.value().BagEquals(b.value()) ? "yes" : "NO",
               a.value().num_rows());

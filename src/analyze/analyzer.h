@@ -76,8 +76,9 @@ class Analyzer {
                                                 const CatalogSnapshot& snap,
                                                 const AnalyzeOptions& opts = {}) const;
 
-  /// The DV004 fact for one (view, query) pair, shared with
-  /// Optimizer::Explain's "why was this access path skipped" annotations.
+ private:
+  /// The DV004 fact for one (view, query) pair under both semantics, behind
+  /// the view-definition and query-side DV004 checks.
   struct UsabilityFact {
     bool set_usable = false;
     bool multiset_usable = false;
@@ -87,7 +88,6 @@ class Analyzer {
   UsabilityFact ProbeUsability(const ViewDefinition& view,
                                const std::string& query_sql) const;
 
- private:
   std::vector<Diagnostic> AnalyzeViewStmt(const std::string& sql,
                                           const CreateViewStmt& parsed,
                                           const AnalyzeOptions& opts) const;

@@ -16,13 +16,8 @@ namespace dynview {
 
 namespace {
 
-std::string ViewDisplayName(const ViewDefinition& view) {
-  const NameTerm& db = view.db_term();
-  return (db.empty() ? std::string() : db.text + "::") + view.rel_term().text;
-}
-
 std::string ViewLabel(size_t index, const ViewDefinition& view) {
-  return "view[" + std::to_string(index) + "] " + ViewDisplayName(view);
+  return "view[" + std::to_string(index) + "] " + view.DisplayName();
 }
 
 Diagnostic MakeAudit(const char* code, Severity severity, std::string message,
@@ -168,13 +163,8 @@ std::vector<AuditIndexInfo> WorkloadAuditor::DescribeIndexes(
   std::vector<AuditIndexInfo> out;
   out.reserve(indexes.size());
   for (const auto& index : indexes) {
-    AuditIndexInfo info;
+    AuditIndexInfo info = DescribeIndexSql(index->definition(), integration_db);
     info.name = index->name();
-    Result<std::unique_ptr<CreateIndexStmt>> parsed =
-        Parser::ParseCreateIndex(index->definition());
-    if (parsed.ok() && parsed.value()->query != nullptr) {
-      CollectIndexTables(*parsed.value()->query, integration_db, &info.tables);
-    }
     out.push_back(std::move(info));
   }
   return out;
@@ -249,8 +239,8 @@ AuditReport WorkloadAuditor::Audit() const {
             ViewLabel(i, a) + " is contained in " + ViewLabel(j, b) +
                 " — every row the narrower view supplies is already in the "
                 "wider one",
-            "merge: answer " + ViewDisplayName(a) + "'s queries from " +
-                ViewDisplayName(b) + " (add the defining predicate) and "
+            "merge: answer " + a.DisplayName() + "'s queries from " +
+                b.DisplayName() + " (add the defining predicate) and "
                 "retire the narrower materialization",
             static_cast<int>(i)));
       } else if (b_in_a) {
@@ -260,8 +250,8 @@ AuditReport WorkloadAuditor::Audit() const {
             ViewLabel(j, b) + " is contained in " + ViewLabel(i, a) +
                 " — every row the narrower view supplies is already in the "
                 "wider one",
-            "merge: answer " + ViewDisplayName(b) + "'s queries from " +
-                ViewDisplayName(a) + " (add the defining predicate) and "
+            "merge: answer " + b.DisplayName() + "'s queries from " +
+                a.DisplayName() + " (add the defining predicate) and "
                 "retire the narrower materialization",
             static_cast<int>(j)));
       }
@@ -366,7 +356,7 @@ WhatIfReport WorkloadAuditor::WhatIf(const DdlOp& op) const {
     ++report.sources_affected;
     WhatIfSourceImpact impact;
     impact.index = i;
-    impact.name = ViewDisplayName(view);
+    impact.name = view.DisplayName();
     std::vector<Diagnostic> diags = analyzer.AnalyzeRegisteredView(view, *post);
     for (Diagnostic& d : diags) {
       d.statement = static_cast<int>(i);

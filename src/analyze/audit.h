@@ -95,8 +95,8 @@ struct WhatIfReport {
 Result<DdlOp> ParseDdlOp(const std::string& text);
 
 /// The workload auditor (purely static; never executes a query). Built from
-/// raw ingredients so IntegrationSystem, the optimizer's EXPLAIN section and
-/// tests can all drive it against whatever snapshot they have pinned.
+/// raw ingredients so IntegrationSystem and tests can drive it against
+/// whatever snapshot they have pinned.
 class WorkloadAuditor {
  public:
   /// `metrics`, when given, receives the analyze.audit.* counter family.
@@ -132,7 +132,7 @@ class WorkloadAuditor {
   MetricsRegistry* metrics_;
 };
 
-/// Renderings. Text is the human/EXPLAIN form; JSON is the CI envelope
+/// Renderings. Text is the human form; JSON is the CI envelope
 /// (embeds RenderDiagnosticsJson for the findings array). Both end with a
 /// newline and are byte-stable for a fixed report.
 std::string RenderAuditText(const AuditReport& report);

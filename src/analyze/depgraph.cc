@@ -13,10 +13,7 @@ namespace {
 std::string TableNode(const TableRef& t) { return "table " + t.ToString(); }
 
 std::string ViewNode(size_t index, const ViewDefinition& view) {
-  const NameTerm& db = view.db_term();
-  std::string name =
-      (db.empty() ? std::string() : db.text + "::") + view.rel_term().text;
-  return "view[" + std::to_string(index) + "] " + name;
+  return "view[" + std::to_string(index) + "] " + view.DisplayName();
 }
 
 std::string IndexNode(const AuditIndexInfo& info) {

@@ -22,19 +22,6 @@ void RenameRefs(Expr* e, const std::map<std::string, std::string>& renames) {
   RenameRefs(e->right.get(), renames);
 }
 
-std::unique_ptr<Expr> AndChain(std::vector<std::unique_ptr<Expr>> conds) {
-  std::unique_ptr<Expr> acc;
-  for (auto& c : conds) {
-    if (!acc) {
-      acc = std::move(c);
-    } else {
-      acc = Expr::MakeBinary(ExprKind::kLogic, BinaryOp::kAnd, std::move(acc),
-                             std::move(c));
-    }
-  }
-  return acc;
-}
-
 bool ExprUsesVar(const Expr& e, const std::string& var_lower) {
   if (e.kind == ExprKind::kVarRef) return ToLower(e.var_name) == var_lower;
   if (e.left && ExprUsesVar(*e.left, var_lower)) return true;

@@ -8,16 +8,6 @@
 
 namespace dynview {
 
-void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kLogic && e->op == BinaryOp::kAnd) {
-    CollectConjuncts(e->left.get(), out);
-    CollectConjuncts(e->right.get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
 Result<ViewDefinition> ViewDefinition::FromSql(
     const std::string& create_view_sql, const CatalogReader& catalog,
     const std::string& default_db) {

@@ -106,6 +106,11 @@ class ViewDefinition {
   const NameTerm& rel_term() const { return stmt_->name; }
   const std::vector<NameTerm>& att_terms() const { return stmt_->attrs; }
 
+  /// "db::rel" (or bare "rel"), as warnings, plans and EXPLAIN name it.
+  std::string DisplayName() const {
+    return (db_term().empty() ? "" : db_term().text + "::") + rel_term().text;
+  }
+
   /// Dom(att position i): body variable supplying values for that column.
   const std::string& dom_of(size_t i) const { return dom_[i]; }
 
@@ -199,10 +204,6 @@ class ViewDefinition {
   bool fenced_ = false;
   VersionCell materialized_version_;
 };
-
-/// Splits a WHERE tree into conjuncts (exposed for reuse by the usability
-/// and translation machinery).
-void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out);
 
 }  // namespace dynview
 

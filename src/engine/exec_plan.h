@@ -56,6 +56,8 @@ struct Pipeline {
     /// both empty means a cross product. Unused on the first scan.
     std::vector<PreparedValue> lkeys, rkeys;
     std::vector<Program> post;  // Conjuncts evaluable after the join.
+    /// `pushed`, the join keys (`left = right`) and `post` as SQL.
+    std::vector<std::string> pushed_sql, key_sql, post_sql;
   };
 
   /// A projected output column.
@@ -154,6 +156,12 @@ struct ExecPlan {
   /// would not, so the plan must not outlive its answer.
   bool cacheable = true;
 };
+
+/// Renders `plan` for EXPLAIN: per branch, first-order or fan-out with its
+/// grounding counts; per pipeline, each scan's relation in every grounding,
+/// pushed conjuncts, join keys or cross product, then the output steps; then
+/// the global layer. An error the run would raise is a `deferred:` line.
+std::string Describe(const ExecPlan& plan);
 
 }  // namespace dynview
 

@@ -23,16 +23,6 @@ namespace {
 
 using Program = Pipeline::Program;
 
-void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kLogic && e->op == BinaryOp::kAnd) {
-    SplitConjuncts(e->left.get(), out);
-    SplitConjuncts(e->right.get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
 std::string OutputName(const SelectItem& item, size_t index) {
   if (!item.alias.empty()) return item.alias;
   if (item.expr != nullptr) {
@@ -320,7 +310,7 @@ Pipeline BuildPipeline(const SelectStmt& stmt,
   p.distinct = stmt.distinct;
   p.limit = stmt.limit;
   std::vector<const Expr*> conjuncts;
-  SplitConjuncts(stmt.where.get(), &conjuncts);
+  CollectConjuncts(stmt.where.get(), &conjuncts);
   // Constant conjuncts are evaluated per run (EvalConstants).
   std::vector<bool> applied(conjuncts.size(), false);
   {
@@ -383,6 +373,7 @@ Pipeline BuildPipeline(const SelectStmt& stmt,
       if (!CanEvaluate(*conjuncts[i], sb)) continue;
       scan.pushed.push_back(
           PrepareProgram(*conjuncts[i], sb, /*as_predicate=*/true, ctx));
+      scan.pushed_sql.push_back(conjuncts[i]->ToString());
       applied[i] = true;
     }
     if (first) {
@@ -410,6 +401,7 @@ Pipeline BuildPipeline(const SelectStmt& stmt,
       }
       scan.lkeys.push_back(PrepareValue(*lkey, wb, ctx));
       scan.rkeys.push_back(PrepareValue(*rkey, sb, ctx));
+      scan.key_sql.push_back(lkey->ToString() + " = " + rkey->ToString());
       applied[i] = true;
     }
     wb.MergeShifted(sb, static_cast<int>(wcols.size()));
@@ -421,6 +413,7 @@ Pipeline BuildPipeline(const SelectStmt& stmt,
       if (!CanEvaluate(*conjuncts[i], wb)) continue;
       scan.post.push_back(
           PrepareProgram(*conjuncts[i], wb, /*as_predicate=*/true, ctx));
+      scan.post_sql.push_back(conjuncts[i]->ToString());
       applied[i] = true;
     }
   }
@@ -803,10 +796,6 @@ const PipelineRun& NoGrounding() {
 
 }  // namespace
 
-Result<Table> QueryEngine::ExecuteSql(const std::string& sql) {
-  return ExecuteSql(sql, query_ctx_);
-}
-
 Result<Table> QueryEngine::ExecuteSql(const std::string& sql,
                                       QueryContext* qc) {
   DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
@@ -824,10 +813,6 @@ std::shared_ptr<const CatalogSnapshot> QueryEngine::PinnedSnapshot(
     return qc->snapshot();
   }
   return catalog_->Snapshot();
-}
-
-Result<Table> QueryEngine::Execute(SelectStmt* stmt) {
-  return Execute(stmt, query_ctx_);
 }
 
 Result<Table> QueryEngine::Execute(SelectStmt* stmt, QueryContext* qc) {
@@ -951,21 +936,6 @@ ExecContext QueryEngine::Ctx(QueryContext* qc, const SnapshotRef& snap) const {
   return ctx;
 }
 
-Result<Table> QueryEngine::EvaluateBranch(const SelectStmt& stmt,
-                                          const BoundQuery& bq) {
-  return EvaluateBranch(stmt, bq, query_ctx_);
-}
-
-Result<Table> QueryEngine::EvaluateBranch(const SelectStmt& stmt,
-                                          const BoundQuery& bq,
-                                          QueryContext* qc) {
-  const SnapshotRef snap = PinnedSnapshot(qc);
-  BranchPlan b;
-  BuildBranch(stmt, bq, Ctx(qc, snap), *snap, &b);
-  DV_RETURN_IF_ERROR(b.deferred);
-  return RunBranch(b, qc, snap);
-}
-
 void QueryEngine::BuildBranch(const SelectStmt& stmt, const BoundQuery& bq,
                               const ExecContext& ctx,
                               const CatalogSnapshot& snap,
@@ -984,7 +954,7 @@ void QueryEngine::BuildBranch(const SelectStmt& stmt, const BoundQuery& bq,
       run.relations.emplace_back(DatabaseOf(f, default_db_), f.rel.text);
     }
     std::vector<const Expr*> conjuncts;
-    SplitConjuncts(stmt.where.get(), &conjuncts);
+    CollectConjuncts(stmt.where.get(), &conjuncts);
     EvalConstants(conjuncts, &run);
     // Workers are spun up lazily, and only when a scan is large enough for
     // the morsel-driven operators to engage.
@@ -1111,7 +1081,7 @@ void QueryEngine::BuildFanout(const SelectStmt& stmt, const BoundQuery& bq,
   // Label projections and constant-conjunct outcomes are per-run state, so
   // only the first grounding of each layout is substituted in full.
   std::vector<const Expr*> conjuncts;
-  SplitConjuncts(stmt.where.get(), &conjuncts);
+  CollectConjuncts(stmt.where.get(), &conjuncts);
   std::vector<const Expr*> constants;
   std::set<std::string> shape_vars;
   for (const Expr* c : conjuncts) {

@@ -43,11 +43,10 @@ struct ExecContext;
 /// so a query's answer always equals its serial answer against a single
 /// catalog version, even with writers committing concurrently.
 ///
-/// Concurrency: the explicit-QueryContext overloads are safe to call from
-/// several threads on one engine (each call carries its own guard state and
-/// pin; the worker pool is created thread-safely and shared). The legacy
-/// `set_query_context` member remains for single-driver callers and must not
-/// be raced.
+/// Concurrency: every entry point is safe to call from several threads on
+/// one engine. Guards, the snapshot pin and the observer travel on the
+/// QueryContext a call passes; the engine holds none of them, and the worker
+/// pool is created thread-safely and shared.
 class QueryEngine {
  public:
   /// `catalog` must outlive the engine. `default_db` resolves unqualified
@@ -68,13 +67,6 @@ class QueryEngine {
   /// cooperating components (e.g. ViewMaterializer) can share the pool.
   ThreadPool* EnsurePool();
 
-  /// Attaches (or detaches, with nullptr) the guard state enforced by every
-  /// subsequent *legacy* (no-QueryContext) execution. Borrowed — `qc` must
-  /// outlive the executions it guards. Single-driver only: concurrent
-  /// callers use the explicit-QueryContext overloads instead.
-  void set_query_context(QueryContext* qc) { query_ctx_ = qc; }
-  QueryContext* query_context() const { return query_ctx_; }
-
   /// The snapshot an execution under `qc` reads: the pin `qc` carries when
   /// it belongs to this engine's catalog, else the catalog's current
   /// version. Components wrapping the engine (materializer, plan execution)
@@ -82,14 +74,15 @@ class QueryEngine {
   std::shared_ptr<const CatalogSnapshot> PinnedSnapshot(
       QueryContext* qc) const;
 
-  /// Parses, binds and evaluates a SELECT statement.
-  Result<Table> ExecuteSql(const std::string& sql);
-  Result<Table> ExecuteSql(const std::string& sql, QueryContext* qc);
+  /// Parses, binds and evaluates a SELECT statement under `qc`'s guards,
+  /// pin and observer; without a context it runs unguarded on the current
+  /// catalog version.
+  Result<Table> ExecuteSql(const std::string& sql, QueryContext* qc = nullptr);
 
   /// Binds and evaluates a parsed statement (all UNION branches): Build,
-  /// then Run, under one `query.execute` span.
-  Result<Table> Execute(SelectStmt* stmt);
-  Result<Table> Execute(SelectStmt* stmt, QueryContext* qc);
+  /// then Run, under one `query.execute` span. Without a context it runs
+  /// unguarded.
+  Result<Table> Execute(SelectStmt* stmt, QueryContext* qc = nullptr);
 
   /// Builds the executable plan of `stmt` (all UNION branches) against the
   /// snapshot `qc` pins. Binding annotates `stmt` in place. Never fails:
@@ -102,11 +95,6 @@ class QueryEngine {
   /// plan was built against. Every relation is resolved by name again, so
   /// the catalog.resolve failpoint still fires per scan.
   Result<Table> Run(const ExecPlan& plan, QueryContext* qc);
-
-  /// Evaluates an already-bound single branch (no UNION chain following).
-  Result<Table> EvaluateBranch(const SelectStmt& stmt, const BoundQuery& bq);
-  Result<Table> EvaluateBranch(const SelectStmt& stmt, const BoundQuery& bq,
-                               QueryContext* qc);
 
  private:
   using SnapshotRef = std::shared_ptr<const CatalogSnapshot>;
@@ -144,7 +132,6 @@ class QueryEngine {
   const Catalog* catalog_;
   std::string default_db_;
   ExecConfig exec_;
-  QueryContext* query_ctx_ = nullptr;  // Borrowed; null = unguarded (legacy).
   /// Lazily created once under pool_mu_ and never replaced; pool_ptr_
   /// publishes it to lock-free readers.
   std::mutex pool_mu_;

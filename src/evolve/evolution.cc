@@ -141,11 +141,6 @@ Status RequireName(const std::string& value, const char* what) {
   return Status::OK();
 }
 
-std::string SourceDisplayName(const ViewDefinition& view) {
-  const NameTerm& db = view.db_term();
-  return (db.empty() ? std::string() : db.text + "::") + view.rel_term().text;
-}
-
 /// True when `view` reads from or materializes into `db_key` (lowercased).
 /// Database granularity matches the staleness fence exactly.
 bool TouchesDatabase(const ViewDefinition& view, const std::string& db_key) {
@@ -456,7 +451,7 @@ Status SchemaEvolver::Propagate(const DdlOp& op, const EvolveOptions& options,
     if (!options.rematerialize || definition_broken) {
       ++out->left_stale;
       out->warnings.push_back(SourceWarning{
-          SourceDisplayName(*view),
+          view->DisplayName(),
           Status::Unavailable(
               "left fenced (stale) by " + op.ToString() +
               (definition_broken ? ": definition no longer lints clean"
@@ -475,7 +470,7 @@ Status SchemaEvolver::Propagate(const DdlOp& op, const EvolveOptions& options,
     if (!built.ok()) {
       ++out->left_stale;
       out->warnings.push_back(SourceWarning{
-          SourceDisplayName(*view),
+          view->DisplayName(),
           Status::Unavailable("left fenced (stale) by " + op.ToString() +
                               ": re-materialization failed: " +
                               built.status().message())});
@@ -512,7 +507,7 @@ Status SchemaEvolver::Propagate(const DdlOp& op, const EvolveOptions& options,
     if (!committed.ok()) {
       ++out->left_stale;
       out->warnings.push_back(SourceWarning{
-          SourceDisplayName(*view),
+          view->DisplayName(),
           Status::Unavailable("left fenced (stale) by " + op.ToString() +
                               ": re-materialization commit failed: " +
                               committed.status().message())});

@@ -17,6 +17,7 @@
 #include "common/str_util.h"
 #include "evolve/evolution.h"
 #include "integration/integration.h"
+#include "optimizer/optimizer.h"
 #include "relational/catalog.h"
 #include "relational/table.h"
 
@@ -528,18 +529,21 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
     }
   }
 
-  // The Sec. 6 optimizer over the same sources: its cost-based plan must
-  // reproduce the reference rows (sorted — join order is its choice).
+  // The Sec. 6 optimizer over the same sources and indexes: its cost-based
+  // plan must reproduce the reference rows (sorted — join order is its
+  // choice).
   {
-    Optimizer* opt = rt.a8->optimizer();
-    Result<OptimizedPlan> plan = opt->Plan(sql);
+    Optimizer opt(rt.catalog.get(), rt.a8->integration_db());
+    for (const auto& source : rt.a8->sources()) opt.RegisterView(source);
+    for (const auto& index : rt.a8->indexes()) opt.RegisterIndex(index);
+    Result<OptimizedPlan> plan = opt.Plan(sql);
     if (!plan.ok() && plan.status().code() == StatusCode::kUnsupported) {
       if (rep != nullptr) ++rep->optimizer_refusals;
     } else {
       count();
       if (rep != nullptr) ++rep->optimizer_checks;
       Result<Table> r =
-          plan.ok() ? opt->Execute(plan.value()) : Result<Table>(plan.status());
+          plan.ok() ? opt.Execute(plan.value()) : Result<Table>(plan.status());
       RunOut o;
       o.ok = r.ok();
       if (r.ok()) {

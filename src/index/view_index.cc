@@ -2,9 +2,40 @@
 
 #include <algorithm>
 
+#include "common/str_util.h"
 #include "sql/parser.h"
 
 namespace dynview {
+
+std::optional<IndexAccessPath> DeriveAccessPath(const CreateIndexStmt& stmt,
+                                                const std::string& default_db) {
+  if (stmt.query == nullptr || stmt.given.size() != 1 ||
+      stmt.given[0]->kind != ExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  const SelectStmt& body = *stmt.query;
+  const FromItem* scan = nullptr;
+  for (const FromItem& f : body.from_items) {
+    if (f.kind != FromItemKind::kTupleVar) continue;
+    if (scan != nullptr) return std::nullopt;  // More than one table.
+    scan = &f;
+  }
+  if (scan == nullptr || scan->rel.is_variable || scan->db.is_variable) {
+    return std::nullopt;
+  }
+  IndexAccessPath path;
+  path.source = TableRef{ToLower(scan->db.empty() ? default_db : scan->db.text),
+                         ToLower(scan->rel.text)};
+  path.key_attr = ToLower(stmt.given[0]->column.text);
+  for (const SelectItem& item : body.select_list) {
+    if (item.expr->kind != ExprKind::kColumnRef ||
+        item.expr->column.is_variable) {
+      return std::nullopt;
+    }
+    path.payload_attrs.push_back(ToLower(item.expr->column.text));
+  }
+  return path;
+}
 
 Result<ViewIndex> ViewIndex::BuildSql(const std::string& create_index_sql,
                                       QueryEngine* engine) {
@@ -22,6 +53,7 @@ Result<ViewIndex> ViewIndex::Build(const CreateIndexStmt& stmt,
   index.name_ = stmt.name;
   index.method_ = stmt.method;
   index.definition_ = stmt.ToString();
+  index.access_path_ = DeriveAccessPath(stmt, engine->default_db());
   // Captured before evaluating: a racing commit can only make the index
   // look conservatively stale, never newer than the data it indexed.
   index.build_version_ = engine->catalog().version();
@@ -32,47 +64,45 @@ Result<ViewIndex> ViewIndex::Build(const CreateIndexStmt& stmt,
   auto body = std::move(clone->query);
   SelectItem key_item(std::move(clone->given[0]), "xx_key");
   body->select_list.insert(body->select_list.begin(), std::move(key_item));
-  DV_ASSIGN_OR_RETURN(index.contents_, engine->Execute(body.get()));
-
-  if (stmt.method == IndexMethod::kBtree) {
-    DV_ASSIGN_OR_RETURN(BTreeIndex bt,
-                        BTreeIndex::Build(index.contents_, "xx_key"));
-    index.btree_ = std::make_unique<BTreeIndex>(std::move(bt));
-  } else {
-    DV_ASSIGN_OR_RETURN(
-        InvertedIndex inv,
-        InvertedIndex::BuildKeyed(index.contents_, "xx_key", "xx_key"));
-    index.inverted_ = std::make_unique<InvertedIndex>(std::move(inv));
-  }
+  DV_ASSIGN_OR_RETURN(Table contents, engine->Execute(body.get()));
+  DV_RETURN_IF_ERROR(index.Load(std::move(contents)));
   return index;
 }
 
 Result<ViewIndex> ViewIndex::Restore(const std::string& name,
                                      IndexMethod method,
                                      const std::string& definition,
+                                     const std::string& default_db,
                                      uint64_t build_version, Table contents) {
   if (contents.schema().num_columns() == 0 ||
       contents.schema().columns()[0].name != "xx_key") {
     return Status::InvalidArgument(
         "restored index contents must carry the key as column 0 (xx_key)");
   }
+  DV_ASSIGN_OR_RETURN(std::unique_ptr<CreateIndexStmt> stmt,
+                      Parser::ParseCreateIndex(definition));
   ViewIndex index;
   index.name_ = name;
   index.method_ = method;
   index.definition_ = definition;
+  index.access_path_ = DeriveAccessPath(*stmt, default_db);
   index.build_version_ = build_version;
-  index.contents_ = std::move(contents);
-  if (method == IndexMethod::kBtree) {
-    DV_ASSIGN_OR_RETURN(BTreeIndex bt,
-                        BTreeIndex::Build(index.contents_, "xx_key"));
-    index.btree_ = std::make_unique<BTreeIndex>(std::move(bt));
+  DV_RETURN_IF_ERROR(index.Load(std::move(contents)));
+  return index;
+}
+
+Status ViewIndex::Load(Table contents) {
+  contents_ = std::move(contents);
+  if (method_ == IndexMethod::kBtree) {
+    DV_ASSIGN_OR_RETURN(BTreeIndex bt, BTreeIndex::Build(contents_, "xx_key"));
+    btree_ = std::make_unique<BTreeIndex>(std::move(bt));
   } else {
     DV_ASSIGN_OR_RETURN(
         InvertedIndex inv,
-        InvertedIndex::BuildKeyed(index.contents_, "xx_key", "xx_key"));
-    index.inverted_ = std::make_unique<InvertedIndex>(std::move(inv));
+        InvertedIndex::BuildKeyed(contents_, "xx_key", "xx_key"));
+    inverted_ = std::make_unique<InvertedIndex>(std::move(inv));
   }
-  return index;
+  return Status::OK();
 }
 
 Table ViewIndex::RowsFor(const std::vector<int64_t>& row_ids) const {

@@ -2,9 +2,12 @@
 #define DYNVIEW_INDEX_VIEW_INDEX_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
+#include "core/view_definition.h"
 #include "engine/query_engine.h"
 #include "index/btree.h"
 #include "index/inverted_index.h"
@@ -12,6 +15,21 @@
 #include "sql/ast.h"
 
 namespace dynview {
+
+/// The single-table access path of an index defined as `... by given T.key
+/// select T.a1, ..., T.ak from [db::]rel T`: a key lookup on `source`
+/// returning the payload attributes. Names are lowercased.
+struct IndexAccessPath {
+  TableRef source;
+  std::string key_attr;
+  std::vector<std::string> payload_attrs;
+};
+
+/// The access path of `stmt`, or nullopt for any other defining-query shape
+/// (such an index is only probed directly). Unqualified relations resolve
+/// to `default_db`.
+std::optional<IndexAccessPath> DeriveAccessPath(const CreateIndexStmt& stmt,
+                                                const std::string& default_db);
 
 /// An index whose contents are described by a (possibly higher-order) view —
 /// the paper's Sec. 1.1.3 physical-data-independence mechanism, in the
@@ -41,9 +59,12 @@ class ViewIndex {
   /// materialized `contents` (key prepended as column 0, as Build left
   /// them) plus the recorded `build_version`. The physical structure is
   /// rebuilt from the rows — only the logical payload is stored on disk.
+  /// `definition` must re-parse; its access path resolves against
+  /// `default_db`.
   static Result<ViewIndex> Restore(const std::string& name,
                                    IndexMethod method,
                                    const std::string& definition,
+                                   const std::string& default_db,
                                    uint64_t build_version, Table contents);
 
   const std::string& name() const { return name_; }
@@ -67,21 +88,31 @@ class ViewIndex {
   /// The SchemaSQL definition text (for catalogs and EXPLAIN output).
   std::string definition() const { return definition_; }
 
+  /// DeriveAccessPath of the definition.
+  const std::optional<IndexAccessPath>& access_path() const {
+    return access_path_;
+  }
+
   /// The catalog version the defining query was evaluated against, captured
   /// before the build's evaluation — so a commit racing the build can only
   /// make the index look *older* (conservatively stale), never newer than
-  /// its data. The optimizer fences probes once any source database has
-  /// committed past this version.
+  /// its data. The optimizer and KeywordSearch fence the index once its
+  /// source database has committed past this version.
   uint64_t build_version() const { return build_version_; }
 
  private:
   ViewIndex() = default;
+
+  /// Installs `contents` (key in column 0) and builds the physical
+  /// structure over it.
+  Status Load(Table contents);
 
   Table RowsFor(const std::vector<int64_t>& row_ids) const;
 
   std::string name_;
   IndexMethod method_ = IndexMethod::kBtree;
   std::string definition_;
+  std::optional<IndexAccessPath> access_path_;
   uint64_t build_version_ = 0;
   Table contents_;
   std::unique_ptr<BTreeIndex> btree_;

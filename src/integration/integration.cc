@@ -1,6 +1,7 @@
 #include "integration/integration.h"
 
 #include <cstdlib>
+#include <optional>
 
 #include "analyze/audit.h"
 #include "common/failpoint.h"
@@ -28,8 +29,7 @@ IntegrationSystem::IntegrationSystem(Catalog* catalog,
                                      const IntegrationOptions& options)
     : catalog_(catalog),
       integration_db_(std::move(integration_db)),
-      engine_(catalog, integration_db_, options.exec),
-      optimizer_(catalog, integration_db_) {}
+      engine_(catalog, integration_db_, options.exec) {}
 
 void IntegrationSystem::ClearPlanCache() {
   plan_cache_.Clear();
@@ -172,7 +172,6 @@ Result<const ViewDefinition*> IntegrationSystem::RegisterSourceInternal(
       ViewDefinition::FromSql(create_view_sql, *catalog_, integration_db_));
   auto holder = std::make_shared<ViewDefinition>(std::move(view));
   sources_.push_back(holder);
-  optimizer_.RegisterView(holder);
   // The source universe changed: cached rewritings chose among the old
   // sources. (The raw-SQL memo survives — fingerprints are a pure function
   // of the text.)
@@ -182,70 +181,24 @@ Result<const ViewDefinition*> IntegrationSystem::RegisterSourceInternal(
 
 Result<const ViewIndex*> IntegrationSystem::RegisterIndex(
     const std::string& create_index_sql) {
-  DV_ASSIGN_OR_RETURN(std::unique_ptr<CreateIndexStmt> stmt,
-                      Parser::ParseCreateIndex(create_index_sql));
-  DV_ASSIGN_OR_RETURN(ViewIndex index, ViewIndex::Build(*stmt, &engine_));
-  auto holder = std::make_shared<ViewIndex>(std::move(index));
-  const ViewIndex* installed = InstallIndex(holder, *stmt);
-  DV_RETURN_IF_ERROR(AppendIndexRecord(*installed));
-  return installed;
-}
-
-const ViewIndex* IntegrationSystem::InstallIndex(
-    std::shared_ptr<ViewIndex> holder, const CreateIndexStmt& stmt) {
-  indexes_.push_back(holder);
-  plan_cache_.Clear();
-  // Derive optimizer registration metadata when the defining query has the
-  // restricted single-table shape `... by given T.key select T.a1,... from
-  // [db::]rel T [...]`; richer indexes remain probe-able directly.
-  const SelectStmt& body = *stmt.query;
-  size_t tuple_count = 0;
-  const FromItem* scan = nullptr;
-  for (const FromItem& f : body.from_items) {
-    if (f.kind == FromItemKind::kTupleVar) {
-      ++tuple_count;
-      scan = &f;
-    }
-  }
-  if (tuple_count == 1 && scan != nullptr && !scan->rel.is_variable &&
-      !scan->db.is_variable && stmt.given.size() == 1 &&
-      stmt.given[0]->kind == ExprKind::kColumnRef) {
-    std::vector<std::string> payload;
-    bool simple = true;
-    for (const SelectItem& item : body.select_list) {
-      if (item.expr->kind == ExprKind::kColumnRef &&
-          !item.expr->column.is_variable) {
-        payload.push_back(item.expr->column.text);
-      } else {
-        simple = false;
-      }
-    }
-    if (simple) {
-      std::string db = scan->db.empty() ? integration_db_ : scan->db.text;
-      optimizer_.RegisterIndex(holder,
-                               TableRef{ToLower(db), ToLower(scan->rel.text)},
-                               stmt.given[0]->column.text, payload);
-    }
-  }
-  return holder.get();
+  DV_ASSIGN_OR_RETURN(ViewIndex index,
+                      ViewIndex::BuildSql(create_index_sql, &engine_));
+  indexes_.push_back(std::make_shared<ViewIndex>(std::move(index)));
+  plan_cache_.Clear();  // The index universe changed.
+  DV_RETURN_IF_ERROR(AppendIndexRecord(*indexes_.back()));
+  return indexes_.back().get();
 }
 
 namespace {
 constexpr char kMaintainerTagPrefix[] = "maintainer.delta#";
 constexpr char kEvolveRematTagPrefix[] = "evolve.remat#";
 
-/// "db::name" (or bare "name") display form of a source, for warnings.
-std::string SourceDisplayName(const ViewDefinition& view) {
-  const NameTerm& db = view.db_term();
-  return (db.empty() ? std::string() : db.text + "::") + view.rel_term().text;
-}
-
 /// The deterministic degrade warning for a rewriting whose materialization
 /// relation vanished under DDL (dropped or renamed without a fence to trip).
 SourceWarning VanishedMaterializationWarning(const ViewDefinition& view,
                                              const Status& exec_status) {
   return SourceWarning{
-      SourceDisplayName(view),
+      view.DisplayName(),
       Status::Unavailable("stale materialization: " + exec_status.message() +
                           "; answered from the direct plan on I")};
 }
@@ -498,13 +451,12 @@ Status IntegrationSystem::RestoreIndexRecord(const std::string& payload) {
   // The definition text is the statement's own rendering, so it re-parses;
   // the physical structure rebuilds from the persisted contents, not from
   // re-running the defining query (whose inputs may have moved since).
-  DV_ASSIGN_OR_RETURN(std::unique_ptr<CreateIndexStmt> stmt,
-                      Parser::ParseCreateIndex(definition));
   DV_ASSIGN_OR_RETURN(
       ViewIndex index,
       ViewIndex::Restore(name, static_cast<IndexMethod>(method), definition,
-                         build_version, std::move(contents)));
-  InstallIndex(std::make_shared<ViewIndex>(std::move(index)), *stmt);
+                         integration_db_, build_version, std::move(contents)));
+  indexes_.push_back(std::make_shared<ViewIndex>(std::move(index)));
+  plan_cache_.Clear();
   return Status::OK();
 }
 
@@ -545,38 +497,42 @@ Result<TranslationResult> IntegrationSystem::Rewrite(const std::string& sql,
                                                      bool multiset) {
   DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
                       Parser::ParseSelect(sql));
-  return Rewrite(*stmt, multiset);
-}
-
-Result<TranslationResult> IntegrationSystem::Rewrite(const SelectStmt& query,
-                                                     bool multiset) {
   // One consistent version for the whole rewrite (the translators read view
   // bodies and I's schema through it). Held alive for the call.
   std::shared_ptr<const CatalogSnapshot> snap = catalog_->Snapshot();
-  return RewriteOver(query, multiset, *snap, /*stale=*/nullptr);
+  return RewriteOver(*stmt, multiset, *snap, /*plan=*/nullptr);
 }
 
 Result<TranslationResult> IntegrationSystem::RewriteOver(
     const SelectStmt& query, bool multiset, const CatalogSnapshot& snap,
-    std::vector<SourceWarning>* stale, const ViewDefinition** chosen) {
+    CachedPlan* plan) {
+  CachedPlan scratch;
+  if (plan == nullptr) plan = &scratch;
   QueryTranslator translator(&snap, integration_db_);
   AggregateViewRewriter agg_rewriter(&snap, integration_db_);
+  std::optional<TranslationResult> chosen;
   std::string last_reason;
   for (const auto& source : sources_) {
+    std::string name = source->DisplayName();
+    if (chosen.has_value()) {
+      plan->verdicts.push_back("source " + name +
+                               " not probed: an earlier source answers");
+      continue;
+    }
     if (source->IsStaleAgainst(snap)) {
       // The materialization predates a commit that touched a base database
       // the view reads: answering from it would not match any single catalog
       // version. Fall back past it (stale fencing).
-      std::string name = SourceDisplayName(*source);
       last_reason = "source " + name + " is stale";
-      if (stale != nullptr) {
-        stale->push_back(SourceWarning{
-            name, Status::Unavailable(
-                      "stale materialization: built at catalog version " +
-                      std::to_string(source->materialized_version()) +
-                      ", snapshot is version " +
-                      std::to_string(snap.version()))});
-      }
+      plan->stale.push_back(SourceWarning{
+          name, Status::Unavailable(
+                    "stale materialization: built at catalog version " +
+                    std::to_string(source->materialized_version()) +
+                    ", snapshot is version " +
+                    std::to_string(snap.version()))});
+      plan->verdicts.push_back("warning DV007 [Sec. 6]: source " + name +
+                               " fenced off: stale materialization predates "
+                               "the pinned snapshot");
       continue;
     }
     // Sec. 5.2 / Ex. 5.3: aggregate-defined sources answer aggregate queries
@@ -588,11 +544,19 @@ Result<TranslationResult> IntegrationSystem::RewriteOver(
                                    /*allow_avg_reaggregation=*/!multiset)
             : translator.TranslateAll(*source, query, multiset);
     if (t.ok()) {
-      if (chosen != nullptr) *chosen = source.get();
-      return t;
+      chosen = std::move(t).value();
+      plan->chosen = source.get();
+      plan->verdicts.push_back("source " + name + " chosen");
+      for (const std::string& w : AnalysisWarnings(source.get())) {
+        plan->verdicts.push_back("warning " + w);
+      }
+    } else {
+      last_reason = t.status().message();
+      plan->verdicts.push_back("note DV004 [Thm. 5.2/5.4]: source " + name +
+                               " not usable: " + last_reason);
     }
-    last_reason = t.status().message();
   }
+  if (chosen.has_value()) return std::move(*chosen);
   return Status::NotFound("no registered source can answer the query" +
                           (last_reason.empty() ? "" : ": " + last_reason));
 }
@@ -602,35 +566,114 @@ IntegrationSystem::ParsedQuery IntegrationSystem::KeyStatement(
   QueryFingerprint fp = FingerprintStatement(*stmt, FingerprintMode::kExact);
   // Key on the full normalized text, not the 64-bit hash: a hash collision
   // between distinct queries must miss, never serve the other query's plan.
-  // The hex hash stays display-only (EXPLAIN, AnswerResult, failpoints).
+  // The hex hash stays display-only (AnswerResult, failpoints).
   return ParsedQuery{std::shared_ptr<const SelectStmt>(std::move(stmt)),
                      (multiset ? "m|" : "s|") + fp.normalized, fp.Hex()};
 }
 
-Result<AnswerResult> IntegrationSystem::AnswerGuarded(
-    const std::string& sql, const AnswerOptions& options, QueryContext* ctx) {
+Result<IntegrationSystem::ParsedQuery> IntegrationSystem::ParseMemoized(
+    const std::string& sql, bool multiset) {
   // First cache level: exact raw text. Repeats of the same string skip
   // parsing and fingerprinting entirely.
-  const std::string memo_key = (options.multiset ? "m|" : "s|") + sql;
-  ParsedQuery query;
+  const std::string memo_key = (multiset ? "m|" : "s|") + sql;
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
     auto it = raw_memo_.find(memo_key);
-    if (it != raw_memo_.end()) query = it->second;
+    if (it != raw_memo_.end()) return it->second;
   }
-  if (query.stmt == nullptr) {
-    // Second level: parse once, fingerprint the normalized statement. Text
-    // I's grammar rejects fails here with the parser's positioned error.
-    DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
-                        Parser::ParseSelect(sql));
-    query = KeyStatement(std::move(stmt), options.multiset);
-    // A full memo is swapped out under the lock and freed outside it.
-    std::unordered_map<std::string, ParsedQuery> dropped;
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    if (raw_memo_.size() >= kRawMemoCapacity) dropped.swap(raw_memo_);
-    raw_memo_.emplace(memo_key, query);
-  }
+  // Second level: parse once, fingerprint the normalized statement. Text
+  // I's grammar rejects fails here with the parser's positioned error.
+  DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
+                      Parser::ParseSelect(sql));
+  ParsedQuery query = KeyStatement(std::move(stmt), multiset);
+  // A full memo is swapped out under the lock and freed outside it.
+  std::unordered_map<std::string, ParsedQuery> dropped;
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (raw_memo_.size() >= kRawMemoCapacity) dropped.swap(raw_memo_);
+  raw_memo_.emplace(memo_key, query);
+  return query;
+}
+
+Result<AnswerResult> IntegrationSystem::AnswerGuarded(
+    const std::string& sql, const AnswerOptions& options, QueryContext* ctx) {
+  DV_ASSIGN_OR_RETURN(ParsedQuery query, ParseMemoized(sql, options.multiset));
   return AnswerParsed(query, options, ctx);
+}
+
+void IntegrationSystem::CountPlanCache(const char* name, uint64_t n,
+                                       MetricsRegistry* sink) {
+  metrics_.Add(name, n);
+  if (sink != nullptr) sink->Add(name, n);
+}
+
+void IntegrationSystem::Remember(const ParsedQuery& query, uint64_t version,
+                                 std::shared_ptr<CachedPlan> plan,
+                                 MetricsRegistry* sink) {
+  size_t evicted =
+      plan_cache_.Insert(query.cache_key, version, std::move(plan));
+  if (evicted > 0) {
+    CountPlanCache(counters::kPlanCacheEvictions,
+                   static_cast<uint64_t>(evicted), sink);
+  }
+}
+
+IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
+    const ParsedQuery& query, bool multiset, QueryContext* qc,
+    MetricsRegistry* sink) {
+  const uint64_t version = qc->snapshot()->version();
+  PlannedQuery out;
+  CacheLookupOutcome outcome = CacheLookupOutcome::kMiss;
+  std::shared_ptr<CachedPlan> plan =
+      plan_cache_.Lookup(query.cache_key, version, &outcome);
+  out.cached = plan != nullptr;
+  // Cache outcomes count cumulatively on the system registry and per answer
+  // on the observer.
+  CountPlanCache(
+      out.cached ? counters::kPlanCacheHits : counters::kPlanCacheMisses, 1,
+      sink);
+  if (outcome == CacheLookupOutcome::kStaleMiss) {
+    CountPlanCache(counters::kPlanCacheInvalidations, 1, sink);
+  }
+
+  // Cold path: Alg. 5.1 against the pinned snapshot.
+  if (!out.cached) {
+    plan = std::make_shared<CachedPlan>();
+    Result<TranslationResult> rewritten =
+        RewriteOver(*query.stmt, multiset, *qc->snapshot(), plan.get());
+    if (rewritten.ok()) {
+      plan->rewritten =
+          std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
+    } else {
+      out.no_source = rewritten.status();
+    }
+  }
+
+  // Build the executable plan unless the entry carries one for this
+  // version: a hit then runs it without binding, grounding or compiling.
+  out.exec = plan->exec;
+  if (out.exec == nullptr) {
+    const SelectStmt& tmpl =
+        plan->rewritten != nullptr ? *plan->rewritten : *query.stmt;
+    out.exec = engine_.Build(tmpl.Clone().get(), qc);
+    if (out.exec->cacheable) {
+      if (out.cached) {
+        // A hit whose entry has no executable plan re-inserts a copy that
+        // has one; the shared entry itself is never mutated.
+        plan = std::make_shared<CachedPlan>(*plan);
+        plan->exec = out.exec;
+        Remember(query, version, plan, sink);
+      } else {
+        plan->exec = out.exec;
+      }
+    }
+  }
+  if (!out.cached && plan->rewritten != nullptr) {
+    // Cached before execution: a rewriting is valid for this version even
+    // if this particular execution trips a guard.
+    Remember(query, version, plan, sink);
+  }
+  out.plan = std::move(plan);
+  return out;
 }
 
 Result<AnswerResult> IntegrationSystem::AnswerParsed(
@@ -677,72 +720,14 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     }
   }
 
-  CacheLookupOutcome outcome = CacheLookupOutcome::kMiss;
-  std::shared_ptr<CachedPlan> plan =
-      plan_cache_.Lookup(query.cache_key, snap->version(), &outcome);
-  const bool plan_cached = plan != nullptr;
-  // Cache outcomes count cumulatively on the system registry and per answer
-  // on the observer.
-  auto count = [&](const char* name, uint64_t n) {
-    metrics_.Add(name, n);
-    sink.Add(name, n);
-  };
-  count(plan_cached ? counters::kPlanCacheHits : counters::kPlanCacheMisses,
-        1);
-  if (outcome == CacheLookupOutcome::kStaleMiss) {
-    count(counters::kPlanCacheInvalidations, 1);
-  }
-  auto remember = [&] {
-    size_t evicted = plan_cache_.Insert(query.cache_key, snap->version(), plan);
-    if (evicted > 0) {
-      count(counters::kPlanCacheEvictions, static_cast<uint64_t>(evicted));
-    }
-  };
-
-  // Cold path: Alg. 5.1 against the pinned snapshot.
-  Status no_source;
-  if (!plan_cached) {
-    plan = std::make_shared<CachedPlan>();
-    Result<TranslationResult> rewritten = RewriteOver(
-        *query.stmt, options.multiset, *snap, &plan->stale, &plan->chosen);
-    if (rewritten.ok()) {
-      plan->rewritten =
-          std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
-    } else {
-      no_source = rewritten.status();
-    }
-  }
-
-  // Build the executable plan unless the entry carries one for this
-  // version: a hit then runs it without binding, grounding or compiling.
+  PlannedQuery planned = PlanParsed(query, options.multiset, qc, &sink);
+  const CachedPlan& plan = *planned.plan;
   // Stale-source fences surface in registration order, before any
   // degradation warnings execution adds — a deterministic prefix.
-  std::vector<SourceWarning> stale = plan->stale;
-  const ViewDefinition* chosen = plan->chosen;
-  std::shared_ptr<const ExecPlan> exec = plan->exec;
-  if (exec == nullptr) {
-    const SelectStmt& tmpl =
-        plan->rewritten != nullptr ? *plan->rewritten : *query.stmt;
-    exec = engine_.Build(tmpl.Clone().get(), qc);
-    if (exec->cacheable) {
-      if (plan_cached) {
-        // A hit whose entry has no executable plan re-inserts a copy that
-        // has one; the shared entry itself is never mutated.
-        plan = std::make_shared<CachedPlan>(*plan);
-        plan->exec = exec;
-        remember();
-      } else {
-        plan->exec = exec;
-      }
-    }
-  }
-  if (!plan_cached && plan->rewritten != nullptr) {
-    // Cached before execution: a rewriting is valid for this version even
-    // if this particular execution trips a guard.
-    remember();
-  }
-  Result<Table> answered = engine_.Run(*exec, qc);
-  if (plan->rewritten != nullptr && !answered.ok() &&
+  std::vector<SourceWarning> stale = plan.stale;
+  const ViewDefinition* chosen = plan.chosen;
+  Result<Table> answered = engine_.Run(*planned.exec, qc);
+  if (plan.rewritten != nullptr && !answered.ok() &&
       answered.status().code() == StatusCode::kNotFound) {
     // The rewriting references a materialization relation that DDL has
     // since dropped or renamed (an unfenced source has no staleness fence to
@@ -753,16 +738,16 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     stale.push_back(VanishedMaterializationWarning(*chosen, answered.status()));
     chosen = nullptr;
     answered = engine_.Execute(query.stmt->Clone().get(), qc);
-  } else if (!plan_cached && plan->rewritten == nullptr) {
+  } else if (!planned.cached && plan.rewritten == nullptr) {
     // The direct plan is cached only on success. A direct NotFound yields to
     // the rewrite's (which names the fenced sources), unless a guard tripped;
     // any other direct error (a TypeError after DDL retyped a column, say)
     // is the query's real outcome and surfaces as is.
     if (answered.ok()) {
-      remember();
+      Remember(query, snap->version(), planned.plan, &sink);
     } else if (answered.status().code() == StatusCode::kNotFound &&
                qc->CheckGuards().ok()) {
-      answered = no_source;
+      answered = planned.no_source;
     }
   }
 
@@ -779,15 +764,9 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
   // Analysis warnings DefineView attached to the chosen source travel with
   // every answer it serves (the Sec. 4.3 hazards are per-result facts).
   if (chosen != nullptr) {
-    auto it = source_diags_.find(chosen);
-    if (it != source_diags_.end()) {
-      std::string name = SourceDisplayName(*chosen);
-      for (const Diagnostic& d : it->second) {
-        if (d.severity != Severity::kWarning) continue;
-        warnings.push_back(SourceWarning{
-            name, Status::InvalidArgument(d.code + " [" + d.anchor +
-                                          "]: " + d.message)});
-      }
+    for (std::string& w : AnalysisWarnings(chosen)) {
+      warnings.push_back(
+          SourceWarning{chosen->DisplayName(), Status::InvalidArgument(w)});
     }
   }
   for (SourceWarning& w : qc->warnings()) warnings.push_back(std::move(w));
@@ -799,7 +778,19 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
   DedupSourceWarnings(&warnings);
   return AnswerResult{std::move(answered).value(), std::move(warnings),
                       std::move(observer), snap->version(), std::move(snap),
-                      plan_cached, query.fp_hex};
+                      planned.cached, query.fp_hex};
+}
+
+std::vector<std::string> IntegrationSystem::AnalysisWarnings(
+    const ViewDefinition* source) const {
+  std::vector<std::string> out;
+  auto it = source_diags_.find(source);
+  if (it == source_diags_.end()) return out;
+  for (const Diagnostic& d : it->second) {
+    if (d.severity != Severity::kWarning) continue;
+    out.push_back(d.code + " [" + d.anchor + "]: " + d.message);
+  }
+  return out;
 }
 
 Result<std::shared_ptr<PreparedQuery>> IntegrationSystem::Prepare(
@@ -833,23 +824,55 @@ Result<AnswerResult> IntegrationSystem::ExecutePrepared(
 }
 
 Result<std::string> IntegrationSystem::ExplainOptimized(
-    const std::string& sql) {
-  return optimizer_.Explain(sql);
+    const std::string& sql, const AnswerOptions& options) {
+  DV_ASSIGN_OR_RETURN(ParsedQuery query, ParseMemoized(sql, options.multiset));
+  // The same planning step an answer takes, against one pinned version and
+  // without an observer: nothing runs.
+  QueryContext qc;
+  qc.PinSnapshot(catalog_->Snapshot());
+  PlannedQuery planned = PlanParsed(query, options.multiset, &qc, nullptr);
+  const CachedPlan& plan = *planned.plan;
+
+  std::string out = "== answer ==\n";
+  if (plan.chosen != nullptr) {
+    out += "source: " + plan.chosen->DisplayName() + "\n";
+    out += "rewriting: " + plan.rewritten->ToString() + "\n";
+  } else {
+    out += "direct plan on " + integration_db_ + "\n";
+  }
+  out += "== analysis ==\n";
+  for (const std::string& verdict : plan.verdicts) out += verdict + "\n";
+  out += "== plan ==\n";
+  out += Describe(*planned.exec);
+  return out;
 }
 
 Result<Table> IntegrationSystem::KeywordSearch(
     const std::string& interface_table, const std::string& keyword) {
-  // Prefer a registered inverted index whose payload matches.
+  // An inverted index answers only when its access path reads this very
+  // table and no commit to the table's database postdates its build (the
+  // optimizer's stale fence); otherwise the scan does.
+  const TableRef table{ToLower(integration_db_), ToLower(interface_table)};
+  std::shared_ptr<const CatalogSnapshot> snap = catalog_->Snapshot();
   for (const auto& idx : indexes_) {
-    if (idx->method() != IndexMethod::kInverted) continue;
+    if (idx->method() != IndexMethod::kInverted ||
+        !idx->access_path().has_value() ||
+        !(idx->access_path()->source == table) ||
+        snap->DatabaseVersion(table.db) > idx->build_version()) {
+      continue;
+    }
     Result<Table> hits = idx->ProbeKeyword(ToLower(keyword));
     if (hits.ok()) return hits;
   }
   // Scan fallback: any attribute whose value contains the keyword. Render
   // the keyword through Value::ToString so embedded quotes stay literal.
+  QueryContext qc;
+  qc.PinSnapshot(std::move(snap));
   return engine_.ExecuteSql("select * from " + integration_db_ +
-                            "::" + interface_table + " T where contains(T.value, " +
-                            Value::String(keyword).ToString() + ")");
+                                "::" + interface_table +
+                                " T where contains(T.value, " +
+                                Value::String(keyword).ToString() + ")",
+                            &qc);
 }
 
 }  // namespace dynview

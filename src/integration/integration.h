@@ -18,7 +18,6 @@
 #include "core/view_definition.h"
 #include "engine/query_engine.h"
 #include "index/view_index.h"
-#include "optimizer/optimizer.h"
 #include "plan_cache/fingerprint.h"
 #include "plan_cache/plan_cache.h"
 #include "relational/catalog.h"
@@ -140,8 +139,8 @@ bool ParseEvolveRematTag(const std::string& tag, size_t* index,
 /// (legacy schema, interface schema, or index) is registered as an SQL or
 /// dynamic view *over* I whose materialization carries the actual data.
 /// Queries are posed against I and answered by rewriting them onto the
-/// registered sources (local-as-view query answering); the Sec. 6 optimizer
-/// explains the cost-based view of the same choice.
+/// registered sources (local-as-view query answering). The Sec. 6
+/// optimizer is a library callers build over sources() and indexes().
 class IntegrationSystem {
  public:
   /// `integration_db` names the database inside `catalog` holding I's
@@ -305,26 +304,26 @@ class IntegrationSystem {
   /// Cumulative plan-cache counters since construction, read from metrics().
   PlanCacheStats plan_cache_stats() const;
 
-  /// The rewriting AnswerGuarded would choose for the parsed, unbound
-  /// `query`, without executing it (against the current catalog snapshot).
-  /// Aggregate queries are additionally offered to aggregate-defined
-  /// sources via the Sec. 5.2 re-aggregation machinery (Ex. 5.3).
-  Result<TranslationResult> Rewrite(const SelectStmt& query, bool multiset);
-
-  /// Parse-then-call form of Rewrite.
+  /// The rewriting AnswerGuarded would choose for `sql`, without executing
+  /// it (against the current catalog snapshot). Aggregate queries are
+  /// additionally offered to aggregate-defined sources via the Sec. 5.2
+  /// re-aggregation machinery (Ex. 5.3).
   Result<TranslationResult> Rewrite(const std::string& sql, bool multiset);
 
-  /// EXPLAIN through the Sec. 6 optimizer (all registered sources and
-  /// indexes offered as access paths): the chosen plan, the view/index
-  /// access paths it uses, and the cost comparison against the baseline
-  /// plan — without executing anything. A pure function of `sql` and the
-  /// catalog.
-  Result<std::string> ExplainOptimized(const std::string& sql);
+  /// EXPLAIN: the plan AnswerGuarded(sql, options) runs, not run. It takes
+  /// the answer's own planning step (a hit plans nothing; a miss caches
+  /// what the next answer runs) and renders the answering source and its
+  /// rewriting, each source's verdict, and Describe of the executable plan
+  /// — never the snapshot version or the cache state. Parse errors are
+  /// AnswerGuarded's.
+  Result<std::string> ExplainOptimized(const std::string& sql,
+                                       const AnswerOptions& options = {});
 
   /// Keyword search over I (Sec. 1.1.2): rows of `interface_table` (an
   /// unpivoted (id, attribute, value) interface schema) whose value contains
-  /// `keyword`, answered via a registered inverted index when one matches,
-  /// else by scan.
+  /// `keyword`. A registered inverted index answers when its access path
+  /// reads that table and its database has not committed since the build;
+  /// otherwise a scan does.
   Result<Table> KeywordSearch(const std::string& interface_table,
                               const std::string& keyword);
 
@@ -337,7 +336,6 @@ class IntegrationSystem {
   }
 
   QueryEngine* engine() { return &engine_; }
-  Optimizer* optimizer() { return &optimizer_; }
   Catalog* catalog() const { return catalog_; }
   const std::string& integration_db() const { return integration_db_; }
 
@@ -354,7 +352,19 @@ class IntegrationSystem {
     std::shared_ptr<const SelectStmt> rewritten;  // Null = direct plan on I.
     const ViewDefinition* chosen = nullptr;
     std::vector<SourceWarning> stale;
+    /// EXPLAIN's analysis lines, per source in registration order: stale
+    /// (DV007), not usable (DV004 + reason), chosen (+ warnings), not probed.
+    std::vector<std::string> verdicts;
     std::shared_ptr<const ExecPlan> exec;
+  };
+
+  /// PlanParsed's entry, the plan to run, whether it was a hit, and the
+  /// rewrite's NotFound when a miss found no source.
+  struct PlannedQuery {
+    std::shared_ptr<CachedPlan> plan;  // Never mutated once cached.
+    std::shared_ptr<const ExecPlan> exec;
+    bool cached = false;
+    Status no_source;
   };
 
   /// A parsed query ready for the answer body: the immutable statement (the
@@ -369,22 +379,40 @@ class IntegrationSystem {
   static ParsedQuery KeyStatement(std::unique_ptr<SelectStmt> stmt,
                                   bool multiset);
 
+  /// `sql` parsed and keyed through the raw-SQL memo.
+  Result<ParsedQuery> ParseMemoized(const std::string& sql, bool multiset);
+
   /// Rewrite against one pinned catalog version: translators resolve view
   /// bodies and I's schema through `snap`, and fenced sources whose
-  /// materialization is stale against `snap` are skipped. Each skip appends
-  /// a deterministic (registration-order) warning to `stale`, when given.
-  /// On success `*chosen` (when given) names the source the rewriting uses.
+  /// materialization is stale against `snap` are skipped. When `plan` is
+  /// given, each skip appends a deterministic (registration-order) warning
+  /// to plan->stale, each source a verdict, and plan->chosen names the
+  /// source the rewriting uses.
   Result<TranslationResult> RewriteOver(const SelectStmt& query, bool multiset,
                                         const CatalogSnapshot& snap,
-                                        std::vector<SourceWarning>* stale,
-                                        const ViewDefinition** chosen = nullptr);
+                                        CachedPlan* plan);
+
+  /// The planning step of an answer, shared with EXPLAIN: plan-cache
+  /// lookup at the version `qc` pins, rewrite on a miss, and a build unless
+  /// the entry carries an executable plan. A rewriting is cached here,
+  /// before it runs; a direct plan is left to the caller. Cache outcomes
+  /// count on metrics() and on `sink` when given.
+  PlannedQuery PlanParsed(const ParsedQuery& query, bool multiset,
+                          QueryContext* qc, MetricsRegistry* sink);
+  void Remember(const ParsedQuery& query, uint64_t version,
+                std::shared_ptr<CachedPlan> plan, MetricsRegistry* sink);
+  void CountPlanCache(const char* name, uint64_t n, MetricsRegistry* sink);
 
   /// The one answer body behind AnswerGuarded and ExecutePrepared: pins the
-  /// snapshot, attaches the observer, looks up the plan cache, rewrites on
-  /// a miss, falls back to the direct plan on I, and assembles warnings.
+  /// snapshot, attaches the observer, plans (PlanParsed), runs, falls back
+  /// to the direct plan on I, and assembles warnings.
   Result<AnswerResult> AnswerParsed(const ParsedQuery& query,
                                     const AnswerOptions& options,
                                     QueryContext* ctx);
+
+  /// The warning diagnostics DefineView attached to `source`, rendered
+  /// "CODE [anchor]: message".
+  std::vector<std::string> AnalysisWarnings(const ViewDefinition* source) const;
 
   /// Registration cores without the durability echo (the restore path uses
   /// them so replaying a WAL never re-appends to it).
@@ -392,10 +420,6 @@ class IntegrationSystem {
       const std::string& create_view_sql);
   Result<const ViewDefinition*> RegisterAndMaterializeInternal(
       const std::string& create_view_sql);
-  /// Shared index installation: indexes_ push, plan-cache clear, optimizer
-  /// metadata derivation from the (parsed) defining statement.
-  const ViewIndex* InstallIndex(std::shared_ptr<ViewIndex> holder,
-                                const CreateIndexStmt& stmt);
 
   /// Durably logs a registration ("source"/"index" WAL blob). No-ops when
   /// durability is closed; called by the public registration paths only.
@@ -413,7 +437,6 @@ class IntegrationSystem {
   Catalog* catalog_;
   std::string integration_db_;
   QueryEngine engine_;
-  Optimizer optimizer_;
   std::vector<std::shared_ptr<ViewDefinition>> sources_;
   std::vector<std::shared_ptr<ViewIndex>> indexes_;
   /// Warning/note diagnostics DefineView attached to each admitted source,

@@ -7,8 +7,6 @@
 #include <map>
 #include <set>
 
-#include "analyze/analyzer.h"
-#include "analyze/audit.h"
 #include "common/str_util.h"
 #include "core/normalize.h"
 #include "optimizer/stats.h"
@@ -56,19 +54,6 @@ double EstimateSelectivity(const Expr& e) {
   return kSelOther;
 }
 
-std::unique_ptr<Expr> AndChain(std::vector<std::unique_ptr<Expr>> conds) {
-  std::unique_ptr<Expr> acc;
-  for (auto& c : conds) {
-    if (!acc) {
-      acc = std::move(c);
-    } else {
-      acc = Expr::MakeBinary(ExprKind::kLogic, BinaryOp::kAnd, std::move(acc),
-                             std::move(c));
-    }
-  }
-  return acc;
-}
-
 struct DpEntry {
   bool valid = false;
   double cost = 0;
@@ -97,15 +82,10 @@ void Optimizer::RegisterView(std::shared_ptr<ViewDefinition> view) {
   views_.push_back(std::move(view));
 }
 
-void Optimizer::RegisterIndex(std::shared_ptr<ViewIndex> index,
-                              TableRef source, std::string key_attr,
-                              std::vector<std::string> payload_attrs) {
-  IndexEntry entry;
-  entry.index = std::move(index);
-  entry.source = std::move(source);
-  entry.key_attr = ToLower(key_attr);
-  for (std::string& a : payload_attrs) entry.payload_attrs.push_back(ToLower(a));
-  indexes_.push_back(std::move(entry));
+bool Optimizer::RegisterIndex(std::shared_ptr<ViewIndex> index) {
+  if (!index->access_path().has_value()) return false;
+  indexes_.push_back(std::move(index));
+  return true;
 }
 
 Result<OptimizedPlan> Optimizer::Plan(const std::string& sql) const {
@@ -165,83 +145,6 @@ Result<std::string> Optimizer::Explain(const std::string& sql) const {
     for (const std::string& p : paths) {
       out += p;
       out += '\n';
-    }
-  }
-  // Static-analysis facts: why each registered view is NOT an access path
-  // of the chosen plan. Stale fences (DV007) come from planning itself;
-  // usability verdicts (DV004) re-run the analyzer's probe against the same
-  // snapshot the plan was costed on.
-  out += "== analysis ==\n";
-  std::vector<std::string> facts;
-  for (const std::string& p : chosen.stale_paths) {
-    facts.push_back("warning DV007 [Sec. 6]: " + p +
-                    " fenced off: stale materialization predates the pinned "
-                    "snapshot");
-  }
-  if (chosen.snapshot != nullptr) {
-    Analyzer analyzer(chosen.snapshot.get(), default_db_);
-    for (const auto& view : views_) {
-      const std::string name =
-          (view->db_term().empty() ? std::string()
-                                   : view->db_term().text + "::") +
-          view->rel_term().text;
-      bool reported_stale = false;
-      for (const std::string& p : chosen.stale_paths) {
-        if (p == "view " + name) reported_stale = true;
-      }
-      if (reported_stale) continue;
-      bool used = false;
-      for (const std::string& p : paths) {
-        if (p.rfind("view " + name + " ", 0) == 0) used = true;
-      }
-      if (used) continue;
-      if (view->IsAggregateView()) {
-        facts.push_back("note: view " + name +
-                        " is aggregate-defined; offered via Sec. 5.2 "
-                        "re-aggregation, not as a scan path");
-        continue;
-      }
-      Analyzer::UsabilityFact fact = analyzer.ProbeUsability(*view, sql);
-      if (!fact.set_usable) {
-        facts.push_back("note DV004 [Thm. 5.2/5.4]: view " + name +
-                        " not usable for this query: " + fact.set_reason);
-      } else {
-        facts.push_back("note: view " + name +
-                        " is usable but not chosen (cost-based decision)");
-      }
-    }
-  }
-  if (facts.empty()) {
-    out += "no analysis facts\n";
-  } else {
-    for (const std::string& f : facts) {
-      out += f;
-      out += '\n';
-    }
-  }
-  // Workload-level audit over the same snapshot the plan was costed on:
-  // dependency-graph shape plus any cross-view redundancy findings
-  // (DV100..DV103). Compact on purpose — the full report (edges, what-if) is
-  // the `audit` server verb / dynview_audit CLI.
-  out += "== audit ==\n";
-  {
-    std::vector<std::shared_ptr<ViewIndex>> audit_indexes;
-    audit_indexes.reserve(indexes_.size());
-    for (const IndexEntry& e : indexes_) audit_indexes.push_back(e.index);
-    WorkloadAuditor auditor(
-        chosen.snapshot != nullptr ? chosen.snapshot : catalog_->Snapshot(),
-        default_db_, views_,
-        WorkloadAuditor::DescribeIndexes(audit_indexes, default_db_));
-    AuditReport audit = auditor.Audit();
-    out += "nodes: " + std::to_string(audit.graph_stats.tables) +
-           " table(s), " + std::to_string(audit.graph_stats.views) +
-           " view(s), " + std::to_string(audit.graph_stats.indexes) +
-           " index(es); edges: " + std::to_string(audit.graph_stats.edges) +
-           "; cycles: " + std::to_string(audit.graph_stats.cycles) + "\n";
-    if (audit.diagnostics.empty()) {
-      out += "no workload findings\n";
-    } else {
-      out += RenderDiagnosticsText(audit.diagnostics);
     }
   }
   out += "== baseline (no view/index access paths) ==\n";
@@ -461,21 +364,21 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
 
   // ---- Seeds: index probes. ------------------------------------------------
   if (allow_resources) {
-    for (const IndexEntry& entry : indexes_) {
+    for (const std::shared_ptr<ViewIndex>& index : indexes_) {
+      const IndexAccessPath& path = *index->access_path();
       // Stale fence: the index was built before the source database's last
       // commit — probing it could answer from vanished rows. Fall back to
       // base-table paths and report the exclusion.
-      if (snap->DatabaseVersion(entry.source.db) >
-          entry.index->build_version()) {
-        stale_paths.push_back("index " + entry.index->name());
+      if (snap->DatabaseVersion(path.source.db) > index->build_version()) {
+        stale_paths.push_back("index " + index->name());
         continue;
       }
       for (size_t i = 0; i < n; ++i) {
-        if (!(info.tables[i] == entry.source)) continue;
+        if (!(info.tables[i] == path.source)) continue;
         uint32_t mask = 1u << i;
         auto dit = info.domain_of.find(ToLower(info.tuple_vars[i]));
         if (dit == info.domain_of.end()) continue;
-        auto kit = dit->second.find(entry.key_attr);
+        auto kit = dit->second.find(path.key_attr);
         if (kit == dit->second.end()) continue;
         const std::string key_var = ToLower(kit->second);
         // Find the probing conjunct: equality with a constant for B+-trees,
@@ -487,7 +390,7 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
         for (const ConjunctInfo& ci : conjuncts) {
           if (!internal_to(mask, ci)) continue;
           const Expr* c = ci.expr;
-          if (entry.index->method() == IndexMethod::kInverted) {
+          if (index->method() == IndexMethod::kInverted) {
             // Only HASWORD has the word semantics of the inverted index;
             // substring CONTAINS could match inside longer words and the
             // probe would miss rows.
@@ -525,9 +428,10 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
         // computable from the payload.
         auto node = std::make_unique<PlanNode>();
         std::set<std::string> available;  // Variable names payload supplies.
+        const std::vector<std::string>& payload = path.payload_attrs;
         for (const auto& [attr, var] : declared[i]) {
-          if (std::find(entry.payload_attrs.begin(), entry.payload_attrs.end(),
-                        attr) == entry.payload_attrs.end()) {
+          if (std::find(payload.begin(), payload.end(), attr) ==
+              payload.end()) {
             continue;
           }
           node->outputs.emplace_back(attr, var);
@@ -551,7 +455,7 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
         }
         if (!feasible) continue;
         node->kind = PlanNode::Kind::kIndexProbe;
-        node->index = entry.index.get();
+        node->index = index.get();
         node->probe_key = std::move(probe_key);
         node->probe_keyword = std::move(probe_keyword);
         rows = std::max(rows, 1.0);
@@ -578,11 +482,7 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
       // against no single catalog version, so the plan falls back to base
       // tables until the maintainer (or a re-materialization) catches up.
       if (view->IsStaleAgainst(*snap)) {
-        stale_paths.push_back(
-            "view " +
-            (view->db_term().empty() ? std::string()
-                                     : view->db_term().text + "::") +
-            view->rel_term().text);
+        stale_paths.push_back("view " + view->DisplayName());
         continue;
       }
       // Enumerate cover sets: choose a query table for each view table.
@@ -732,10 +632,7 @@ Result<OptimizedPlan> Optimizer::PlanInternal(const std::string& sql,
 
         auto node = std::make_unique<PlanNode>();
         node->kind = PlanNode::Kind::kViewScan;
-        node->view_name = (view->db_term().empty()
-                               ? std::string()
-                               : view->db_term().text + "::") +
-                          view->rel_term().text;
+        node->view_name = view->DisplayName();
         node->rewritten = std::move(current);
         node->covered_vars = covered_names;
         node->absorbed_conjuncts = absorbed;

@@ -61,12 +61,10 @@ class Optimizer {
   /// one scan per referenced table at first planning.
   void EnableStatistics(bool on = true) { use_stats_ = on; }
 
-  /// Registers a view-described index over `source` keyed on `key_attr`.
-  /// The index payload columns must be attributes of `source` (the
-  /// restricted defining-query shape `select T.a1,..,T.ak from source T`).
-  void RegisterIndex(std::shared_ptr<ViewIndex> index, TableRef source,
-                     std::string key_attr,
-                     std::vector<std::string> payload_attrs);
+  /// Registers a view-described index as a candidate access path over the
+  /// table its definition reads (ViewIndex::access_path). An index without
+  /// the single-table shape offers no access path; returns false for it.
+  bool RegisterIndex(std::shared_ptr<ViewIndex> index);
 
   /// Plans an SPJ(+aggregation) query. Aggregation/DISTINCT/ORDER BY are
   /// applied above the join plan.
@@ -80,21 +78,14 @@ class Optimizer {
   /// projection/aggregation/ordering over its output.
   Result<Table> Execute(const OptimizedPlan& plan) const;
 
-  /// EXPLAIN: plans `sql` twice — with and without view/index access paths —
-  /// and renders the chosen physical tree, the Sec. 6 access paths it uses
-  /// (which view/index answers which tuple variables, how many predicates
-  /// each absorbed), and the estimated cost vs the baseline plan. Pure
-  /// planning: nothing is executed.
+  /// EXPLAIN of the Sec. 6 plan: plans `sql` twice — with and without
+  /// view/index access paths — and renders the chosen physical tree, the
+  /// access paths it uses (which view/index answers which tuple variables,
+  /// how many predicates each absorbed), and the estimated cost vs the
+  /// baseline plan. Pure planning: nothing is executed.
   Result<std::string> Explain(const std::string& sql) const;
 
  private:
-  struct IndexEntry {
-    std::shared_ptr<ViewIndex> index;
-    TableRef source;
-    std::string key_attr;  // Lowercased.
-    std::vector<std::string> payload_attrs;
-  };
-
   Result<OptimizedPlan> PlanInternal(const std::string& sql,
                                      bool allow_resources) const;
 
@@ -102,7 +93,7 @@ class Optimizer {
   std::string default_db_;
   bool use_stats_ = false;
   std::vector<std::shared_ptr<ViewDefinition>> views_;
-  std::vector<IndexEntry> indexes_;
+  std::vector<std::shared_ptr<ViewIndex>> indexes_;  // With access paths.
 };
 
 }  // namespace dynview

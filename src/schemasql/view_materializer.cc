@@ -55,7 +55,6 @@ ViewMaterializer::Materialize(const CreateViewStmt& view, QueryEngine* engine,
 Result<std::vector<MaterializedPartition>> ViewMaterializer::Build(
     const CreateViewStmt& view, QueryEngine* engine,
     const std::string& default_target_db, QueryContext* qc) {
-  if (qc == nullptr) qc = engine->query_context();
   // Bind a private copy (annotates NameTerms and classifies labels).
   std::unique_ptr<CreateViewStmt> v = view.Clone();
   DV_ASSIGN_OR_RETURN(BoundView bv, Binder::BindView(v.get()));

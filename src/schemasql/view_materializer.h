@@ -41,9 +41,9 @@ class ViewMaterializer {
   /// lands in `default_target_db`. Returns the (database, relation) pairs
   /// created, in deterministic order.
   ///
-  /// The body is evaluated against the snapshot pinned on `qc` (when it
-  /// belongs to the engine's catalog; `qc` defaults to the engine's legacy
-  /// query context), and all partitions install in ONE catalog commit —
+  /// The body is evaluated under `qc` (unguarded when null), against the
+  /// snapshot it pins when that belongs to the engine's catalog, and all
+  /// partitions install in ONE catalog commit —
   /// concurrent readers see the whole materialization or none of it. On a
   /// guard trip or injected failure nothing installs.
   ///

@@ -24,7 +24,7 @@ enum class Verb {
   kHello,
   kQuery,    // heavy: AnswerGuarded over sql
   kExecute,  // heavy: ExecutePrepared over a prepared id + params
-  kExplain,  // cheap: ExplainOptimized
+  kExplain,  // cheap: ExplainOptimized, the plan `query` runs (not run)
   kLint,     // cheap: LintSources
   kAudit,    // cheap: workload audit / DDL what-if (analyze/audit.h)
   kPrepare,  // cheap: Prepare (parse + fingerprint once)

@@ -441,9 +441,7 @@ void QueryServer::SendFrames(const std::shared_ptr<Connection>& conn,
 
 void QueryServer::SendError(const std::shared_ptr<Connection>& conn,
                             const ErrorReply& error) {
-  std::vector<std::string> frames;
-  frames.push_back(EncodeError(error));
-  SendFrames(conn, std::move(frames));
+  SendFrames(conn, {EncodeError(error)});
 }
 
 void QueryServer::HandleFrame(const std::shared_ptr<Connection>& conn,
@@ -672,6 +670,11 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
     err.status = s;
     SendError(conn, err);
   };
+  // The reply of a cheap verb: one `done` frame.
+  auto finish_done = [&] {
+    done.exec_ms = MsBetween(started, Clock::now());
+    SendFrames(conn, {EncodeDone(done)});
+  };
 
   switch (req.verb) {
     case Verb::kQuery:
@@ -716,25 +719,22 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
       return;
     }
     case Verb::kExplain: {
-      Result<std::string> r = system_->ExplainOptimized(req.sql);
+      // The plan a `query` of the same SQL and semantics runs.
+      AnswerOptions options;
+      options.multiset = req.multiset;
+      Result<std::string> r = system_->ExplainOptimized(req.sql, options);
       if (!r.ok()) {
         finish_error(r.status());
         return;
       }
       done.text = r.value();
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
+      finish_done();
       return;
     }
     case Verb::kLint: {
       std::vector<Diagnostic> diags = system_->LintSources();
       done.text = RenderDiagnosticsJson(diags);
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
+      finish_done();
       return;
     }
     case Verb::kAudit: {
@@ -753,10 +753,7 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
         done.text = json ? RenderAuditJson(report) : RenderAuditText(report);
         done.snapshot_version = report.catalog_version;
       }
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
+      finish_done();
       return;
     }
     case Verb::kPrepare: {
@@ -775,10 +772,7 @@ void QueryServer::RunRequest(const std::shared_ptr<Connection>& conn,
       done.prepared = pid;
       done.prepared_params = r.value()->num_params();
       done.fingerprint = r.value()->fingerprint();
-      done.exec_ms = MsBetween(started, Clock::now());
-      std::vector<std::string> frames;
-      frames.push_back(EncodeDone(done));
-      SendFrames(conn, std::move(frames));
+      finish_done();
       return;
     }
     default:

@@ -295,6 +295,29 @@ void ForEachExpr(SelectStmt* stmt, const std::function<void(Expr*)>& fn) {
 
 }  // namespace
 
+void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kLogic && e->op == BinaryOp::kAnd) {
+    CollectConjuncts(e->left.get(), out);
+    CollectConjuncts(e->right.get(), out);
+    return;
+  }
+  out->push_back(e);
+}
+
+std::unique_ptr<Expr> AndChain(std::vector<std::unique_ptr<Expr>> conds) {
+  std::unique_ptr<Expr> acc;
+  for (auto& c : conds) {
+    if (!acc) {
+      acc = std::move(c);
+    } else {
+      acc = Expr::MakeBinary(ExprKind::kLogic, BinaryOp::kAnd, std::move(acc),
+                             std::move(c));
+    }
+  }
+  return acc;
+}
+
 int CountParameters(const SelectStmt& stmt) {
   int max_index = -1;
   ForEachExpr(const_cast<SelectStmt*>(&stmt), [&](Expr* e) {

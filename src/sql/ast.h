@@ -199,6 +199,12 @@ struct SelectStmt {
   bool IsHigherOrder() const;
 };
 
+/// Splits a WHERE tree into its AND-ed conjuncts, left to right.
+void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out);
+
+/// AND-chains `conds` left-deep; null when empty.
+std::unique_ptr<Expr> AndChain(std::vector<std::unique_ptr<Expr>> conds);
+
 /// Number of positional parameters a statement declares: one plus the
 /// largest Expr::param_index found anywhere in the statement (all UNION
 /// branches), 0 when parameter-free.

@@ -271,6 +271,21 @@ TEST_F(AnalyzeTest, DefineViewWarningsSurfaceOnAnswerWarnings) {
   EXPECT_EQ(dv003_entries, 1u);
 }
 
+TEST_F(AnalyzeTest, ExplainCarriesTheChosenSourcesWarnings) {
+  IntegrationSystem system(&catalog_, "db0");
+  DefineViewOptions opts;
+  opts.materialize = true;
+  ASSERT_TRUE(system.DefineView(kPivotViewSql, opts).ok());
+  auto explained = system.ExplainOptimized(
+      "select D, max(P) from db0::stock T, T.date D, T.price P, T.exch E "
+      "where E = 'nyse' group by D");
+  ASSERT_TRUE(explained.ok()) << explained.status().message();
+  const std::string& text = explained.value();
+  const size_t chosen = text.find("source db2::nyse chosen\n");
+  ASSERT_NE(chosen, std::string::npos) << text;
+  EXPECT_NE(text.find("warning DV003 [", chosen), std::string::npos) << text;
+}
+
 TEST_F(AnalyzeTest, DedupSourceWarningsMergesWithCounts) {
   std::vector<SourceWarning> w;
   w.push_back({"s1", Status::Unavailable("down"), 1});

@@ -51,9 +51,7 @@ RunResult RunAt(Catalog* catalog, const std::string& db,
   QueryObserver obs;
   QueryContext qc;
   qc.set_observer(&obs);
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(sql);
-  engine.set_query_context(nullptr);
+  auto r = engine.ExecuteSql(sql, &qc);
   EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
   RunResult out;
   if (r.ok()) out.table = r.value().ToString();

@@ -139,8 +139,7 @@ TEST_P(DifferentialTest, EngineVsOptimizerVsResources) {
     Optimizer rich(&catalog_, "db0");
     rich.EnableStatistics();
     rich.RegisterView(view_);
-    rich.RegisterIndex(index_, TableRef{"db0", "stock"}, "company",
-                       {"company", "date", "price", "exch"});
+    EXPECT_TRUE(rich.RegisterIndex(index_));
     auto plan_rich = rich.Plan(sql);
     ASSERT_TRUE(plan_rich.ok()) << plan_rich.status().ToString();
     auto p1 = rich.Execute(plan_rich.value());

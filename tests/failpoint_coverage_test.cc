@@ -42,9 +42,7 @@ class FailpointCoverageTest : public ::testing::Test {
     exec.morsel_rows = 4;
     QueryEngine engine(&catalog_, "s2", exec);
     qc->set_observer(obs);
-    engine.set_query_context(qc);
-    auto r = engine.ExecuteSql(kFanOut);
-    engine.set_query_context(nullptr);
+    auto r = engine.ExecuteSql(kFanOut, qc);
     qc->set_observer(nullptr);
     return r;
   }

@@ -7,6 +7,7 @@
 #include "integration/integration.h"
 #include "engine/operators.h"
 #include "evolve/evolution.h"
+#include "optimizer/optimizer.h"
 #include "schemasql/view_materializer.h"
 #include "workload/hotel_data.h"
 #include "workload/stock_data.h"
@@ -313,6 +314,180 @@ TEST_F(StockIntegrationTest, DirectErrorBeatsFencedRewriteNotFound) {
       << missing.status().ToString();
 }
 
+// ---- EXPLAIN renders the plan an answer runs --------------------------------
+
+/// A virtual integration schema: I::stock is empty, and its data lives only
+/// in s2's per-company relations. Six decoy sources that cannot answer a
+/// price query are registered before s2::C, so Alg. 5.1 probes them first.
+class VirtualExplainTest : public ::testing::Test {
+ protected:
+  static constexpr int kCompanies = 8;
+
+  void SetUp() override {
+    ASSERT_TRUE(catalog_
+                    .PutTable("I", "stock",
+                              Table(Schema({{"company", TypeKind::kString},
+                                            {"date", TypeKind::kDate},
+                                            {"price", TypeKind::kInt}})))
+                    .ok());
+    for (int c = 0; c < kCompanies; ++c) {
+      Table t(Schema({{"date", TypeKind::kDate}, {"price", TypeKind::kInt}}));
+      for (int d = 0; d < 5; ++d) {
+        t.AppendRowUnchecked(
+            {Value::MakeDate(Date::FromYmd(1998, 1, 1 + d).value()),
+             Value::Int(100 + 10 * c + d)});
+      }
+      ASSERT_TRUE(
+          catalog_.PutTable("s2", "co00" + std::to_string(c), std::move(t))
+              .ok());
+    }
+    for (int i = 0; i < 6; ++i) {
+      const std::string db = "d" + std::to_string(i);
+      ASSERT_TRUE(catalog_
+                      .PutTable(db, "dates",
+                                Table(Schema({{"company", TypeKind::kString},
+                                              {"date", TypeKind::kDate}})))
+                      .ok());
+      decoys_.push_back("create view " + db +
+                        "::dates(date) as select D from I::stock T, "
+                        "T.company C, T.date D");
+    }
+    system_ = Build();
+  }
+
+  std::unique_ptr<IntegrationSystem> Build() {
+    auto system = std::make_unique<IntegrationSystem>(&catalog_, "I");
+    for (const std::string& decoy : decoys_) {
+      EXPECT_TRUE(system->RegisterSource(decoy).ok()) << decoy;
+    }
+    EXPECT_TRUE(system
+                    ->RegisterSource(
+                        "create view s2::C(date, price) as select D, P "
+                        "from I::stock T, T.company C, T.date D, T.price P")
+                    .ok());
+    return system;
+  }
+
+  static std::string Query(const std::string& literal) {
+    return "select C, D, P from I::stock T, T.company C, T.date D, "
+           "T.price P where P > 120 and P < " +
+           literal;
+  }
+
+  Catalog catalog_;
+  std::vector<std::string> decoys_;
+  std::unique_ptr<IntegrationSystem> system_;
+};
+
+TEST_F(VirtualExplainTest, ExplainNamesTheSourceTheAnswerReads) {
+  const std::string q = Query("1000");
+  auto explained = system_->ExplainOptimized(q);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  const std::string& text = explained.value();
+  EXPECT_NE(text.find("source: s2::C\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("8 grounding(s) enumerated, 0 pruned, 8 run"),
+            std::string::npos)
+      << text;
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_NE(text.find("DV004 [Thm. 5.2/5.4]: source d" + std::to_string(i) +
+                        "::dates not usable"),
+              std::string::npos)
+        << text;
+  }
+  EXPECT_NE(text.find("source s2::C chosen"), std::string::npos) << text;
+  // The plan scans s2's relations, never the empty I::stock.
+  const size_t plan = text.find("== plan ==");
+  ASSERT_NE(plan, std::string::npos) << text;
+  EXPECT_EQ(text.find("stock", plan), std::string::npos) << text;
+  EXPECT_NE(text.find("s2::co007", plan), std::string::npos) << text;
+
+  auto answer = system_->AnswerGuarded(q, AnswerOptions{});
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer.value().plan_cached);
+  EXPECT_GT(answer.value().table.num_rows(), 0u);
+}
+
+TEST_F(VirtualExplainTest, ExplainThenAnswerRunsTheCachedPlan) {
+  const std::string q = Query("1000");
+  const AnswerOptions bag = Semantics(/*multiset=*/true);
+  ASSERT_TRUE(system_->ExplainOptimized(q, bag).ok());
+  auto answer = system_->AnswerGuarded(q, bag);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer.value().plan_cached);
+  EXPECT_EQ(system_->plan_cache_stats().misses, 1u);
+  EXPECT_EQ(system_->plan_cache_stats().hits, 1u);
+}
+
+TEST_F(VirtualExplainTest, AnswerThenExplainAddsNoMiss) {
+  const std::string q = Query("1000");
+  auto answer = system_->AnswerGuarded(q, AnswerOptions{});
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const PlanCacheStats before = system_->plan_cache_stats();
+  ASSERT_TRUE(system_->ExplainOptimized(q).ok());
+  EXPECT_EQ(system_->plan_cache_stats().misses, before.misses);
+  EXPECT_EQ(system_->plan_cache_stats().hits, before.hits + 1);
+}
+
+TEST_F(VirtualExplainTest, ExplainTextIsTheSameOnMissHitAndFreshSystem) {
+  const std::string q = Query("1000");
+  auto miss = system_->ExplainOptimized(q);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  auto hit = system_->ExplainOptimized(q);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(system_->plan_cache_stats().hits, 1u);
+  EXPECT_EQ(hit.value(), miss.value());
+  // After a commit elsewhere in the catalog: a stale miss, the same text.
+  ASSERT_TRUE(
+      catalog_.PutTable("other", "t", Table(Schema({{"x", TypeKind::kInt}})))
+          .ok());
+  auto replanned = system_->ExplainOptimized(q);
+  ASSERT_TRUE(replanned.ok());
+  EXPECT_EQ(replanned.value(), miss.value());
+  auto fresh = Build()->ExplainOptimized(q);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh.value(), miss.value());
+}
+
+TEST_F(VirtualExplainTest, TwoLiteralsGiveTheSameMaskedText) {
+  auto mask = [](std::string text, const std::string& literal) {
+    for (size_t pos = text.find(literal); pos != std::string::npos;
+         pos = text.find(literal, pos + 1)) {
+      text.replace(pos, literal.size(), "#");
+    }
+    return text;
+  };
+  auto a = system_->ExplainOptimized(Query("1000001"));
+  auto b = system_->ExplainOptimized(Query("2000002"));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_NE(a.value(), b.value());
+  EXPECT_EQ(mask(a.value(), "1000001"), mask(b.value(), "2000002"));
+}
+
+TEST_F(VirtualExplainTest, ExplainKeepsTheAnswersParseErrorAndDirectPlan) {
+  const std::string bad = "select C from I::stock T, T.company C where";
+  auto explained = system_->ExplainOptimized(bad);
+  auto answered = system_->AnswerGuarded(bad, AnswerOptions{});
+  ASSERT_EQ(explained.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(explained.status().ToString(), answered.status().ToString());
+
+  // A higher-order query over s2 no source answers: the direct plan fans
+  // out over s2, and only the answer caches it.
+  const std::string fanout = "select R, T.date from s2 -> R, R T";
+  auto direct = system_->ExplainOptimized(fanout);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_NE(direct.value().find("direct plan on I\n"), std::string::npos)
+      << direct.value();
+  EXPECT_NE(direct.value().find("fan-out, 8 grounding(s)"), std::string::npos)
+      << direct.value();
+  auto first = system_->AnswerGuarded(fanout, AnswerOptions{});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first.value().plan_cached);
+  ASSERT_TRUE(system_->ExplainOptimized(fanout).ok());
+  EXPECT_TRUE(system_->AnswerGuarded(fanout, AnswerOptions{})
+                  .value()
+                  .plan_cached);
+}
+
 // ---- Database publishing (Fig. 7 / Fig. 9) ---------------------------------
 
 class HotelPublishingTest : public ::testing::Test {
@@ -414,6 +589,75 @@ TEST_F(HotelPublishingTest, StructuredPlusUnstructuredQueryFig9) {
   EXPECT_GT(q.value().num_rows(), 0u);
 }
 
+/// An (id, attribute, value) interface table holding `rows`.
+Table WordsTable(const std::vector<std::pair<int, std::string>>& rows) {
+  Table t(Schema({{"hid", TypeKind::kInt},
+                  {"attribute", TypeKind::kString},
+                  {"value", TypeKind::kString}}));
+  for (const auto& [id, value] : rows) {
+    t.AppendRowUnchecked(
+        {Value::Int(id), Value::String("name"), Value::String(value)});
+  }
+  return t;
+}
+
+TEST(KeywordSearchTest, IndexAnswersOnlyForItsOwnTable) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .PutTable("I", "hotelwords",
+                            WordsTable({{1, "Sofitel Athens"}, {2, "Ritz"}}))
+                  .ok());
+  ASSERT_TRUE(
+      catalog.PutTable("I", "carwords", WordsTable({{7, "Hilton shuttle"}}))
+          .ok());
+  IntegrationSystem system(&catalog, "I");
+  ASSERT_TRUE(system
+                  .RegisterIndex("create index words as inverted by given "
+                                 "T.value select T.hid, T.attribute "
+                                 "from I::hotelwords T")
+                  .ok());
+  // carwords has no index: the scan answers, not hotelwords' index.
+  auto cars = system.KeywordSearch("carwords", "Hilton");
+  ASSERT_TRUE(cars.ok()) << cars.status().ToString();
+  ASSERT_EQ(cars.value().num_rows(), 1u);
+  EXPECT_EQ(cars.value().row(0)[0].as_int(), 7);
+  EXPECT_EQ(system.KeywordSearch("carwords", "Sofitel").value().num_rows(),
+            0u);
+  // hotelwords has one.
+  auto hotels = system.KeywordSearch("hotelwords", "Sofitel");
+  ASSERT_TRUE(hotels.ok());
+  ASSERT_EQ(hotels.value().num_rows(), 1u);
+  EXPECT_EQ(hotels.value().row(0)[0].as_int(), 1);
+}
+
+TEST(KeywordSearchTest, StaleIndexFallsBackToTheScan) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .PutTable("I", "hotelwords",
+                            WordsTable({{1, "Sofitel Athens"}, {2, "Ritz"}}))
+                  .ok());
+  IntegrationSystem system(&catalog, "I");
+  ASSERT_TRUE(system
+                  .RegisterIndex("create index words as inverted by given "
+                                 "T.value select T.hid, T.attribute "
+                                 "from I::hotelwords T")
+                  .ok());
+  EXPECT_EQ(system.KeywordSearch("hotelwords", "Hilton").value().num_rows(),
+            0u);
+  // A commit adds a Hilton row after the build: the index no longer covers
+  // the table, so the scan answers.
+  ASSERT_TRUE(catalog
+                  .PutTable("I", "hotelwords",
+                            WordsTable({{1, "Sofitel Athens"},
+                                        {2, "Ritz"},
+                                        {3, "Hilton Park"}}))
+                  .ok());
+  auto hits = system.KeywordSearch("hotelwords", "Hilton");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_EQ(hits.value().num_rows(), 1u);
+  EXPECT_EQ(hits.value().row(0)[0].as_int(), 3);
+}
+
 // ---- Physical data independence (Fig. 8) ------------------------------------
 
 class TicketSystemTest : public ::testing::Test {
@@ -459,10 +703,14 @@ TEST_F(TicketSystemTest, IndexRegistrationFeedsOptimizer) {
   const std::string q =
       "select S, N from I::tickets T, T.state S, T.tnum N, T.infr F "
       "where F = 'dui'";
-  auto plan = system_->optimizer()->Plan(q);
+  Optimizer optimizer(system_->catalog(), system_->integration_db());
+  for (const auto& index : system_->indexes()) {
+    EXPECT_TRUE(optimizer.RegisterIndex(index)) << index->definition();
+  }
+  auto plan = optimizer.Plan(q);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan.value().uses_indexes) << plan.value().Describe();
-  auto result = system_->optimizer()->Execute(plan.value());
+  auto result = optimizer.Execute(plan.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   QueryEngine direct(&catalog_, "I");
   auto expected = direct.ExecuteSql(q);

@@ -93,9 +93,8 @@ TEST_F(NormalizeTest, NormalizedQueryStillEvaluates) {
       "select company, price from s1::stock T where price > 100");
   auto s = Normalize(
       "select company, price from s1::stock T where price > 100");
-  auto bq = Binder::BindBranch(s.get());
-  ASSERT_TRUE(bq.ok());
-  auto normalized = engine.EvaluateBranch(*s, bq.value());
+  ASSERT_TRUE(Binder::BindBranch(s.get()).ok());
+  auto normalized = engine.Execute(s.get());
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(normalized.ok()) << normalized.status().ToString();
   EXPECT_TRUE(plain.value().BagEquals(normalized.value()));

@@ -199,9 +199,7 @@ TEST_F(ObserveEngineTest, FanOutPopulatesCountersAndTrace) {
   QueryObserver obs;
   QueryContext qc;
   qc.set_observer(&obs);
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOut);
-  engine.set_query_context(nullptr);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 15u);
 

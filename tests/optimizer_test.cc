@@ -47,8 +47,7 @@ class OptimizerTest : public ::testing::Test {
     Optimizer opt(&catalog_, "db0");
     if (with_resources) {
       opt.RegisterView(rel_view_);
-      opt.RegisterIndex(company_index_, TableRef{"db0", "stock"}, "company",
-                        {"company", "date", "price", "exch"});
+      EXPECT_TRUE(opt.RegisterIndex(company_index_));
     }
     return opt;
   }
@@ -249,9 +248,8 @@ TEST_F(OptimizerTest, InvertedIndexAccessPathForKeywordPredicate) {
       &engine);
   ASSERT_TRUE(idx.ok()) << idx.status().ToString();
   Optimizer opt(&cat, "hoteldb");
-  opt.RegisterIndex(std::make_shared<ViewIndex>(std::move(idx).value()),
-                    TableRef{"hoteldb", "hotelwords"}, "value",
-                    {"value", "hid", "attribute"});
+  EXPECT_TRUE(
+      opt.RegisterIndex(std::make_shared<ViewIndex>(std::move(idx).value())));
   const std::string q =
       "select H, A from hoteldb::hotelwords T, T.hid H, T.attribute A, "
       "T.value V where hasword(V, 'sofitel')";
@@ -284,9 +282,8 @@ TEST_F(OptimizerTest, Fig9CombinedStructuredAndUnstructuredPlan) {
       &engine);
   ASSERT_TRUE(idx.ok());
   Optimizer opt(&cat, "hoteldb");
-  opt.RegisterIndex(std::make_shared<ViewIndex>(std::move(idx).value()),
-                    TableRef{"hoteldb", "hotelwords"}, "value",
-                    {"value", "hid", "attribute"});
+  EXPECT_TRUE(
+      opt.RegisterIndex(std::make_shared<ViewIndex>(std::move(idx).value())));
   const std::string q =
       "select H1 from hoteldb::hotelwords T1, hoteldb::hotelwords T2, "
       "T1.hid H1, T1.value V1, T2.hid H2, T2.attribute A2, T2.value V2 "
@@ -320,9 +317,8 @@ TEST_F(OptimizerTest, TicketFusionScenarioFig4) {
       &engine);
   ASSERT_TRUE(idx.ok());
   Optimizer opt(&cat, "integration");
-  opt.RegisterIndex(std::make_shared<ViewIndex>(std::move(idx).value()),
-                    TableRef{"integration", "tickets"}, "infr",
-                    {"infr", "state", "tnum", "lic"});
+  EXPECT_TRUE(
+      opt.RegisterIndex(std::make_shared<ViewIndex>(std::move(idx).value())));
   const std::string q =
       "select L1, I2 from integration::tickets T1, integration::tickets T2, "
       "T1.lic L1, T1.infr I1, T1.tnum N1, T2.lic L2, T2.infr I2, T2.tnum N2 "

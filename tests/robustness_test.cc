@@ -471,8 +471,7 @@ TEST_F(GuardTest, ZeroDeadlineCancelsParallelQuery) {
   g.deadline_ms = 0;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -487,8 +486,7 @@ TEST_F(GuardTest, DeadlineExpiresMidQuery) {
   g.deadline_ms = 10;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -499,12 +497,11 @@ TEST_F(GuardTest, ConcurrentCancelStopsParallelGrounding) {
   FailPoints::Arm("engine.grounding", slow);
   QueryContext qc;
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
   std::thread canceller([&qc] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     qc.Cancel();
   });
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   canceller.join();
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -516,8 +513,7 @@ TEST_F(GuardTest, RowBudgetStopsCrossProduct) {
   g.row_budget = 100;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "db0", Threads(1));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql("select 1 from db0::stock T, db0::stock S");
+  auto r = engine.ExecuteSql("select 1 from db0::stock T, db0::stock S", &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_LE(qc.rows_charged(), 200u);  // Stopped well short of 225 + scans.
 }
@@ -531,8 +527,7 @@ TEST_F(GuardTest, RetryPolicySucceedsUnderErrorOnce) {
   g.source_policy = SourcePolicy::kRetry;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(4));
-  engine.set_query_context(&qc);
-  auto r = engine.ExecuteSql(kFanOut);
+  auto r = engine.ExecuteSql(kFanOut, &qc);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 15u);  // Retried grounding contributed.
   EXPECT_TRUE(qc.warnings().empty());
@@ -548,8 +543,7 @@ TEST_F(GuardTest, RetryPolicyGivesUpOnPersistentFault) {
   g.max_retries = 1;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(1));
-  engine.set_query_context(&qc);
-  EXPECT_EQ(engine.ExecuteSql(kFanOut).status().code(),
+  EXPECT_EQ(engine.ExecuteSql(kFanOut, &qc).status().code(),
             StatusCode::kUnavailable);
 }
 
@@ -569,8 +563,7 @@ TEST_F(GuardTest, SkipAndReportIsDeterministicAcrossThreadCounts) {
     g.source_policy = SourcePolicy::kSkipAndReport;
     QueryContext qc(g);
     QueryEngine engine(&catalog_, "s2", Threads(thread_counts[i]));
-    engine.set_query_context(&qc);
-    auto r = engine.ExecuteSql(kFanOut);
+    auto r = engine.ExecuteSql(kFanOut, &qc);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     rows[i] = r.value().num_rows();
     for (const SourceWarning& w : qc.warnings()) {
@@ -597,8 +590,8 @@ TEST_F(GuardTest, NonTransientErrorsNeverSkip) {
   g.source_policy = SourcePolicy::kSkipAndReport;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "s2", Threads(1));
-  engine.set_query_context(&qc);
-  EXPECT_EQ(engine.ExecuteSql(kFanOut).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(engine.ExecuteSql(kFanOut, &qc).status().code(),
+            StatusCode::kInternal);
   EXPECT_TRUE(qc.warnings().empty());
 }
 
@@ -684,12 +677,11 @@ TEST_F(GuardTest, ViewMaterializerObservesGuards) {
   g.deadline_ms = 0;
   QueryContext qc(g);
   QueryEngine engine(&catalog_, "db0", Threads(1));
-  engine.set_query_context(&qc);
   Catalog target;
   auto r = ViewMaterializer::MaterializeSql(
       "create view out::C(date, price) as select D, P from db0::stock T, "
       "T.company C, T.date D, T.price P",
-      &engine, &target, "out");
+      &engine, &target, "out", &qc);
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(target.num_databases(), 0u);  // Nothing partially installed.
 }

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,8 +47,7 @@ uint64_t Counter(const QueryServer& server, const char* name) {
   return it == snapshot.end() ? 0 : it->second;
 }
 
-// First-order companion (Explain's optimizer path only takes queries on the
-// integration schema).
+// First-order companion: a query on the integration schema.
 constexpr char kFirstOrder[] =
     "select T.date, T.price from I::stock T where T.company = 'coA'";
 
@@ -202,6 +202,125 @@ TEST_F(ServerTest, ConcurrentSessionsMatchInProcessAnswersByteForByte) {
   server.Stop();
 }
 
+TEST_F(ServerTest, ExplainAndQueryShareThePlanCacheUnderCommits) {
+  // Sessions interleave `explain` and `query` of the same SQL — a rewriting
+  // onto s2 and a direct fan-out over s2 — while a writer commits to s2.
+  // Explain plans on the cheap lane into the plan cache the queries read.
+  IntegrationSystem system(&catalog_, "I");
+  const std::string source =
+      "create view s2::C(date, price) as select D, P "
+      "from I::stock T, T.company C, T.date D, T.price P";
+  ASSERT_TRUE(system.RegisterSource(source).ok());
+  QueryServer server(&system);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::vector<std::string> sqls = {
+      "select C, D, P from I::stock T, T.company C, T.date D, T.price P "
+      "where P > 100",
+      kFanOut};
+  // Row changes leave every relation and schema in place, so the plan text
+  // is the same at every version.
+  std::vector<std::string> explains;
+  for (const std::string& sql : sqls) {
+    auto text = system.ExplainOptimized(sql);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    explains.push_back(text.value());
+  }
+
+  std::mutex mu;
+  std::map<uint64_t, std::shared_ptr<const CatalogSnapshot>> snapshots;
+  auto record = [&] {
+    auto snap = catalog_.Snapshot();
+    std::lock_guard<std::mutex> lock(mu);
+    snapshots[snap->version()] = snap;
+  };
+  record();
+  std::atomic<int> failures{0};
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    Table coa = *catalog_.ResolveTable("s2", "coA").value();
+    const int price = coa.schema().IndexOf("price");
+    for (int i = 0; i < 20; ++i) {
+      Row row = coa.row(0);
+      row[price] = Value::Int(1000 + i);
+      coa.AppendRowUnchecked(std::move(row));
+      if (!catalog_.PutTable("s2", "coA", coa).ok()) {
+        failures.fetch_add(1);
+        break;
+      }
+      record();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    writing = false;
+  });
+
+  struct Answer {
+    size_t sql = 0;
+    uint64_t version = 0;
+    std::string csv;
+  };
+  constexpr int kSessions = 3;
+  std::vector<std::vector<Answer>> answers(kSessions);
+  std::atomic<int> explain_mismatches{0};
+  std::vector<std::thread> sessions;
+  for (int t = 0; t < kSessions; ++t) {
+    sessions.emplace_back([&, t] {
+      auto client = ServerClient::Connect("127.0.0.1", server.port());
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      ClientQueryOptions bag;
+      bag.multiset = true;
+      for (int round = 0; round < 8 || writing; ++round) {
+        const size_t q = static_cast<size_t>(round + t) % sqls.size();
+        auto explained = client.value()->Explain(sqls[q]);
+        if (!explained.ok() || !explained.value().status.ok()) {
+          failures.fetch_add(1);
+        } else if (explained.value().text != explains[q]) {
+          explain_mismatches.fetch_add(1);
+        }
+        auto reply = client.value()->Query(sqls[q], bag);
+        if (!reply.ok() || !reply.value().status.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        answers[t].push_back(
+            {q, reply.value().snapshot_version, reply.value().csv});
+      }
+    });
+  }
+  writer.join();
+  for (auto& th : sessions) th.join();
+  server.Stop();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(explain_mismatches.load(), 0);
+
+  // Every answer equals a serial answer at its snapshot version.
+  ExecConfig serial;
+  serial.num_threads = 1;
+  IntegrationSystem twin(&catalog_, "I", IntegrationOptions{serial});
+  ASSERT_TRUE(twin.RegisterSource(source).ok());
+  AnswerOptions bag;
+  bag.multiset = true;
+  size_t checked = 0;
+  for (const std::vector<Answer>& list : answers) {
+    for (const Answer& a : list) {
+      auto it = snapshots.find(a.version);
+      ASSERT_NE(it, snapshots.end()) << "unrecorded version " << a.version;
+      QueryContext qc(bag.guards);
+      qc.PinSnapshot(it->second);
+      auto expected = twin.AnswerGuarded(sqls[a.sql], bag, &qc);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_EQ(expected.value().snapshot_version, a.version);
+      EXPECT_EQ(TableToCsvTyped(expected.value().table), a.csv)
+          << sqls[a.sql] << " at version " << a.version;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, static_cast<size_t>(kSessions * 8));
+}
+
 TEST_F(ServerTest, ExplainLintPrepareExecuteAndStatsOverTheWire) {
   IntegrationSystem system(&catalog_, "s2");
   QueryServer server(&system);
@@ -220,10 +339,18 @@ TEST_F(ServerTest, ExplainLintPrepareExecuteAndStatsOverTheWire) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(explain.value().text, direct.value());
 
-  // A higher-order query is a request-level error, not a dropped session.
-  auto unsupported = c.Explain(kFanOut);
-  ASSERT_TRUE(unsupported.ok());
-  EXPECT_EQ(unsupported.value().status.code(), StatusCode::kUnsupported);
+  // A higher-order query explains too: the fan-out `query` runs, with one
+  // scanned relation per grounding.
+  auto fanout = c.Explain(kFanOut);
+  ASSERT_TRUE(fanout.ok());
+  ASSERT_TRUE(fanout.value().status.ok()) << fanout.value().status.ToString();
+  const std::string& plan = fanout.value().text;
+  EXPECT_NE(plan.find("fan-out, 3 grounding(s) enumerated, 0 pruned, 3 run"),
+            std::string::npos)
+      << plan;
+  for (const char* relation : {"s2::coA", "s2::coB", "s2::coC"}) {
+    EXPECT_NE(plan.find(relation), std::string::npos) << relation << plan;
+  }
 
   // Lint matches RenderDiagnosticsJson of LintSources.
   auto lint = c.Lint();
