@@ -161,7 +161,7 @@ Result<TranslationResult> AggregateViewRewriter::Rewrite(
   DV_ASSIGN_OR_RETURN(BoundQuery cbq, Binder::BindBranch(qcore.get()));
 
   // --- Containment: φ from the stripped view core into Q°. -------------------
-  UsabilityChecker checker(catalog_, default_db_);
+  UsabilityChecker checker(catalog_, default_db_, guard_);
   DV_ASSIGN_OR_RETURN(UsabilityResult usable,
                       checker.CheckSetUsable(core, *qcore, cbq));
   if (!usable.usable) {

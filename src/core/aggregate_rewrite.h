@@ -33,8 +33,11 @@ namespace dynview {
 ///     enabled via `allow_avg_reaggregation`.
 class AggregateViewRewriter {
  public:
-  AggregateViewRewriter(const CatalogReader* catalog, std::string default_db)
-      : catalog_(catalog), default_db_(std::move(default_db)) {}
+  /// `guard` (optional) records the containment check's literal-dependent
+  /// implication answers (see LiteralGuard).
+  AggregateViewRewriter(const CatalogReader* catalog, std::string default_db,
+                        LiteralGuard* guard = nullptr)
+      : catalog_(catalog), default_db_(std::move(default_db)), guard_(guard) {}
 
   /// Rewrites the parsed, unbound aggregate `query` onto aggregate `view`.
   /// On success the result's query is the re-aggregating SQL/SchemaSQL
@@ -52,6 +55,7 @@ class AggregateViewRewriter {
  private:
   const CatalogReader* catalog_;
   std::string default_db_;
+  LiteralGuard* guard_;
 };
 
 /// Strips aggregation from a CREATE VIEW statement: aggregate select items

@@ -26,7 +26,108 @@ std::string FlipRendering(const Expr& e) {
          e.left->ToString();
 }
 
+/// Appends the literal_slot of every literal in `e`, pre-order ("-" when
+/// unset); true if any is set.
+bool AppendSlots(const Expr& e, std::string* out) {
+  bool any = false;
+  if (e.kind == ExprKind::kLiteral) {
+    any = e.literal_slot >= 0;
+    *out += any ? std::to_string(e.literal_slot) : "-";
+    *out += ',';
+  }
+  if (e.left != nullptr && AppendSlots(*e.left, out)) any = true;
+  if (e.right != nullptr && AppendSlots(*e.right, out)) any = true;
+  return any;
+}
+
+/// Bounds a guard's recording: a probe backtracking through many variable
+/// mappings is not worth replaying.
+constexpr size_t kMaxGuardQuestions = 256;
+
 }  // namespace
+
+int LiteralGuard::AnalyzerFor(const std::string& key,
+                              const std::vector<const Expr*>& conjuncts) {
+  for (size_t i = 0; i < analyzers_.size(); ++i) {
+    if (analyzers_[i].key == key) return static_cast<int>(i);
+  }
+  if (overflow_) return -1;
+  Analyzer& a = analyzers_.emplace_back();
+  a.key = key;
+  for (const Expr* c : conjuncts) a.conjuncts.push_back(c->Clone());
+  return static_cast<int>(analyzers_.size() - 1);
+}
+
+void LiteralGuard::Record(int index, Question question) {
+  std::vector<Question>& questions = analyzers_[index].questions;
+  for (const Question& q : questions) {
+    if (q.key == question.key) return;  // Same question, same answer.
+  }
+  if (++num_questions_ > kMaxGuardQuestions) {
+    overflow_ = true;
+    return;
+  }
+  questions.push_back(std::move(question));
+}
+
+bool LiteralGuard::Holds(const std::vector<Value>& values) const {
+  for (const Analyzer& a : analyzers_) {
+    std::vector<std::unique_ptr<Expr>> owned;
+    std::vector<const Expr*> conjuncts;
+    for (const auto& c : a.conjuncts) {
+      owned.push_back(c->Clone());
+      SubstituteLiteralSlots(owned.back().get(), values);
+      conjuncts.push_back(owned.back().get());
+    }
+    const ConditionAnalyzer replay(conjuncts);
+    for (const Question& q : a.questions) {
+      bool same = true;
+      switch (q.ask) {
+        case Ask::kImplies: {
+          std::unique_ptr<Expr> pred = q.pred->Clone();
+          SubstituteLiteralSlots(pred.get(), values);
+          same = replay.Implies(*pred) == q.answer;
+          break;
+        }
+        case Ask::kImpliesEquality:
+          same = replay.ImpliesEquality(q.var_a, q.var_b) == q.answer;
+          break;
+        case Ask::kEqualVariables:
+          same = replay.EqualVariables(q.var_a) == q.equal;
+          break;
+        case Ask::kUnsat:
+          same = replay.unsatisfiable() == q.answer;
+          break;
+      }
+      if (!same) return false;
+    }
+  }
+  return true;
+}
+
+void ConditionAnalyzer::Note(LiteralGuard::Question question,
+                             const Expr* pred) const {
+  std::string slots;
+  const bool pred_slots = pred != nullptr && AppendSlots(*pred, &slots);
+  if (!has_slots_ && !pred_slots) return;  // The answer reads no literal.
+  if (recorded_ < 0) {
+    std::string key;
+    for (size_t i = 0; i < conjuncts_.size(); ++i) {
+      key += syntactic_[2 * i] + "|";
+      AppendSlots(*conjuncts_[i], &key);
+      key += ";";
+    }
+    recorded_ = guard_->AnalyzerFor(key, conjuncts_);
+    if (recorded_ < 0) return;
+  }
+  question.key = std::to_string(static_cast<int>(question.ask)) + ":" +
+                 question.var_a + "=" + question.var_b;
+  if (pred != nullptr) {
+    question.key += pred->ToString() + "|" + slots;
+    question.pred = pred->Clone();
+  }
+  guard_->Record(recorded_, std::move(question));
+}
 
 bool ConditionAnalyzer::Decompose(const Expr& e, Term* lhs, BinaryOp* op,
                                   Term* rhs) {
@@ -90,7 +191,14 @@ void ConditionAnalyzer::AddEdge(int from, int to, bool strict) {
   edges_[from].emplace_back(to, strict);
 }
 
-ConditionAnalyzer::ConditionAnalyzer(const std::vector<const Expr*>& conjuncts) {
+ConditionAnalyzer::ConditionAnalyzer(const std::vector<const Expr*>& conjuncts,
+                                     LiteralGuard* guard)
+    : guard_(guard) {
+  if (guard_ != nullptr) {
+    conjuncts_ = conjuncts;
+    std::string slots;
+    for (const Expr* c : conjuncts) has_slots_ |= AppendSlots(*c, &slots);
+  }
   std::vector<std::pair<int, int>> disequalities;
   for (const Expr* c : conjuncts) {
     syntactic_.push_back(c->ToString());
@@ -265,6 +373,27 @@ std::optional<int> ConditionAnalyzer::TermNode(const Term& t) const {
 }
 
 bool ConditionAnalyzer::Implies(const Expr& pred) const {
+  const bool implied = Decide(pred);
+  if (guard_ != nullptr) {
+    LiteralGuard::Question q;
+    q.ask = LiteralGuard::Ask::kImplies;
+    q.answer = implied;
+    Note(std::move(q), &pred);
+  }
+  return implied;
+}
+
+bool ConditionAnalyzer::unsatisfiable() const {
+  if (guard_ != nullptr) {
+    LiteralGuard::Question q;
+    q.ask = LiteralGuard::Ask::kUnsat;
+    q.answer = unsat_;
+    Note(std::move(q), nullptr);
+  }
+  return unsat_;
+}
+
+bool ConditionAnalyzer::Decide(const Expr& pred) const {
   if (unsat_) return true;
   // Syntactic match (covers predicates outside the comparison theory).
   std::string rendering = pred.ToString();
@@ -362,13 +491,22 @@ bool ConditionAnalyzer::Implies(const Expr& pred) const {
 
 bool ConditionAnalyzer::ImpliesEquality(const std::string& var_a,
                                         const std::string& var_b) const {
-  if (unsat_) return true;
-  std::string a = ToLower(var_a), b = ToLower(var_b);
-  if (a == b) return true;
+  const std::string a = ToLower(var_a), b = ToLower(var_b);
   auto ia = var_node_.find(a);
   auto ib = var_node_.find(b);
-  if (ia == var_node_.end() || ib == var_node_.end()) return false;
-  return Find(ia->second) == Find(ib->second);
+  const bool implied =
+      unsat_ || a == b ||
+      (ia != var_node_.end() && ib != var_node_.end() &&
+       Find(ia->second) == Find(ib->second));
+  if (guard_ != nullptr) {
+    LiteralGuard::Question q;
+    q.ask = LiteralGuard::Ask::kImpliesEquality;
+    q.var_a = a;
+    q.var_b = b;
+    q.answer = implied;
+    Note(std::move(q), nullptr);
+  }
+  return implied;
 }
 
 std::vector<std::string> ConditionAnalyzer::EqualVariables(
@@ -378,11 +516,18 @@ std::vector<std::string> ConditionAnalyzer::EqualVariables(
   auto it = var_node_.find(key);
   if (it == var_node_.end()) {
     out.push_back(key);
-    return out;
+  } else {
+    int rep = Find(it->second);
+    for (const auto& [name, id] : var_node_) {
+      if (Find(id) == rep) out.push_back(name);
+    }
   }
-  int rep = Find(it->second);
-  for (const auto& [name, id] : var_node_) {
-    if (Find(id) == rep) out.push_back(name);
+  if (guard_ != nullptr) {
+    LiteralGuard::Question q;
+    q.ask = LiteralGuard::Ask::kEqualVariables;
+    q.var_a = key;
+    q.equal = out;
+    Note(std::move(q), nullptr);
   }
   return out;
 }

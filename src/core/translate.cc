@@ -53,7 +53,7 @@ Result<TranslationResult> QueryTranslator::TranslateSql(
                       Parser::ParseSelect(query_sql));
   DV_ASSIGN_OR_RETURN(BoundQuery bq,
                       NormalizeQuery(stmt.get(), *catalog_, default_db_));
-  UsabilityChecker checker(catalog_, default_db_);
+  UsabilityChecker checker(catalog_, default_db_, guard_);
   Result<UsabilityResult> usable =
       multiset ? checker.CheckMultisetUsable(view, *stmt, bq)
                : checker.CheckSetUsable(view, *stmt, bq);
@@ -78,7 +78,7 @@ Result<TranslationResult> QueryTranslator::TranslateAll(
   std::unique_ptr<SelectStmt> stmt = query.Clone();
   DV_ASSIGN_OR_RETURN(BoundQuery bq,
                       NormalizeQuery(stmt.get(), *catalog_, default_db_));
-  UsabilityChecker checker(catalog_, default_db_);
+  UsabilityChecker checker(catalog_, default_db_, guard_);
   TranslationResult aggregate;
   size_t applications = 0;
   while (true) {

@@ -32,8 +32,11 @@ struct TranslationResult {
 /// schema I into an SQL/SchemaSQL query on a materialized view.
 class QueryTranslator {
  public:
-  QueryTranslator(const CatalogReader* catalog, std::string default_db)
-      : catalog_(catalog), default_db_(std::move(default_db)) {}
+  /// `guard` (optional) records the usability checks' literal-dependent
+  /// implication answers (see LiteralGuard).
+  QueryTranslator(const CatalogReader* catalog, std::string default_db,
+                  LiteralGuard* guard = nullptr)
+      : catalog_(catalog), default_db_(std::move(default_db)), guard_(guard) {}
 
   /// Translates bound, normalized `query` through `view` using the mapping
   /// found by the usability checker. `usability.usable` must be true.
@@ -67,6 +70,7 @@ class QueryTranslator {
  private:
   const CatalogReader* catalog_;
   std::string default_db_;
+  LiteralGuard* guard_;
 };
 
 }  // namespace dynview

@@ -161,7 +161,7 @@ Result<UsabilityResult> UsabilityChecker::Check(const ViewDefinition& view,
     return result;
   }
 
-  ConditionAnalyzer q_conds(q.conds);
+  ConditionAnalyzer q_conds(q.conds, guard_);
 
   // Candidate images for each view tuple variable: query tuple variables
   // over the same relation (Def. 5.1).
@@ -254,7 +254,7 @@ Result<UsabilityResult> UsabilityChecker::Check(const ViewDefinition& view,
       // Residual Conds′: query conjuncts not implied by φ(Conds(V)).
       std::vector<const Expr*> mapped_ptrs;
       for (const auto& mc : mapped_conds) mapped_ptrs.push_back(mc.get());
-      ConditionAnalyzer v_conds(mapped_ptrs);
+      ConditionAnalyzer v_conds(mapped_ptrs, guard_);
       std::vector<std::unique_ptr<Expr>> residual;
       for (const Expr* qc : q.conds) {
         if (!v_conds.Implies(*qc)) residual.push_back(qc->Clone());

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/implication.h"
 #include "core/view_definition.h"
 #include "relational/catalog.h"
 #include "sql/ast.h"
@@ -83,8 +84,11 @@ Result<QueryInfo> AnalyzeQuery(const SelectStmt& stmt, const BoundQuery& bq,
 /// conditions hold.
 class UsabilityChecker {
  public:
-  UsabilityChecker(const CatalogReader* catalog, std::string default_db)
-      : catalog_(catalog), default_db_(std::move(default_db)) {}
+  /// With `guard`, every implication answer a check takes that depends on a
+  /// query literal is recorded there (see LiteralGuard).
+  UsabilityChecker(const CatalogReader* catalog, std::string default_db,
+                   LiteralGuard* guard = nullptr)
+      : catalog_(catalog), default_db_(std::move(default_db)), guard_(guard) {}
 
   /// Thm. 5.1/5.2. `query` must be normalized and bound.
   Result<UsabilityResult> CheckSetUsable(const ViewDefinition& view,
@@ -108,6 +112,7 @@ class UsabilityChecker {
 
   const CatalogReader* catalog_;
   std::string default_db_;
+  LiteralGuard* guard_;
 };
 
 }  // namespace dynview

@@ -320,24 +320,28 @@ Pipeline BuildPipeline(const SelectStmt& stmt,
     }
   }
 
-  // Join pipeline over tuple variables in declaration order.
-  ColumnBindings wb;
-  std::vector<Column> wcols;
-  bool first = true;
+  // Resolve every scan's relation and bindings first, stopping at the first
+  // scan holding an error (the scans that precede it still get their
+  // predicates below).
+  struct ScanScope {
+    const Schema* schema = nullptr;
+    ColumnBindings bindings;
+  };
+  std::vector<ScanScope> scopes;
   for (const FromItem& f : stmt.from_items) {
     if (f.kind != FromItemKind::kTupleVar) continue;
     Pipeline::Scan& scan = p.scans.emplace_back();
     if (f.db.is_variable || f.rel.is_variable) {
       scan.unresolved = Status::Internal(
           "schema variable survived grounding: " + f.ToString());
-      return p;
+      break;
     }
     const Schema* schema = input;
     if (schema == nullptr) {
       const Table* t = Peek(*snap, DatabaseOf(f, default_db), f.rel.text);
       if (t == nullptr) {
         scan.missing = true;  // The run's resolution reports why.
-        return p;
+        break;
       }
       schema = &t->schema();
     }
@@ -355,45 +359,101 @@ Pipeline BuildPipeline(const SelectStmt& stmt,
       if (d.attr.is_variable) {
         scan.bind_error = Status::Internal(
             "attribute variable survived grounding: " + d.ToString());
-        return p;
+        break;
       }
       int idx = sb.LookupQualified(f.var, d.attr.text);
       if (idx < 0) {
         scan.bind_error = Status::BindError(
             "relation '" + f.rel.text + "' has no attribute '" + d.attr.text +
             "' (domain variable " + d.var + ")");
-        return p;
+        break;
       }
       sb.AddNamed(d.var, idx);
     }
+    if (!scan.bind_error.ok()) break;
+    scopes.push_back(ScanScope{schema, std::move(sb)});
+  }
+  const bool scans_ok = scopes.size() == p.scans.size();
+
+  // Each name resolves against the whole FROM scope before a conjunct is
+  // placed: a bare name that is one scan's domain variable must not bind to
+  // a same-named column of another scan (the self-join rewritings of
+  // Fig. 11 declare `date` on one view scan and `U_date` on the other).
+  // `within(e, lo, hi)` holds when every name of `e` that resolves in the
+  // whole scope belongs to a scan in [lo, hi]; a name ambiguous there is
+  // left to the scan-local check. A single scan has nothing to confuse.
+  ColumnBindings scope;
+  std::vector<int> scan_start;
+  if (scopes.size() > 1) {
+    for (const ScanScope& s : scopes) {
+      scan_start.push_back(static_cast<int>(scope.num_columns()));
+      scope.MergeShifted(s.bindings, static_cast<int>(scope.num_columns()));
+      scope.set_num_columns(scan_start.back() + s.schema->num_columns());
+    }
+  }
+  std::function<bool(const Expr&, int, int)> within =
+      [&](const Expr& e, int lo, int hi) {
+        if (scan_start.empty()) return true;
+        int idx = -1;
+        if (e.kind == ExprKind::kVarRef) {
+          idx = scope.LookupBare(e.var_name);
+        } else if (e.kind == ExprKind::kColumnRef && !e.column.is_variable) {
+          idx = scope.LookupQualified(e.qualifier, e.column.text);
+        }
+        if (idx >= 0) {
+          int owner = static_cast<int>(
+              std::upper_bound(scan_start.begin(), scan_start.end(), idx) -
+              scan_start.begin()) - 1;
+          if (owner < lo || owner > hi) return false;
+        }
+        return (e.left == nullptr || within(*e.left, lo, hi)) &&
+               (e.right == nullptr || within(*e.right, lo, hi));
+      };
+
+  // Join pipeline over tuple variables in declaration order.
+  ColumnBindings wb;
+  std::vector<Column> wcols;
+  bool first = true;
+  for (size_t k = 0; k < scopes.size(); ++k) {
+    Pipeline::Scan& scan = p.scans[k];
+    const ColumnBindings& sb = scopes[k].bindings;
+    const int at = static_cast<int>(k);
     // Predicate pushdown, fused into the scan: pushed conjuncts apply while
     // reading base rows, so rows they reject are never materialized.
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (applied[i] || conjuncts[i]->ContainsAggregate()) continue;
-      if (!CanEvaluate(*conjuncts[i], sb)) continue;
+      if (!within(*conjuncts[i], at, at) || !CanEvaluate(*conjuncts[i], sb)) {
+        continue;
+      }
       scan.pushed.push_back(
           PrepareProgram(*conjuncts[i], sb, /*as_predicate=*/true, ctx));
       scan.pushed_sql.push_back(conjuncts[i]->ToString());
       applied[i] = true;
     }
     if (first) {
-      wb = std::move(sb);
-      wcols = schema->columns();
+      wb = std::move(scopes[k].bindings);  // Not read again.
+      wcols = scopes[k].schema->columns();
       first = false;
       continue;
     }
 
     // Discover equi-join keys among the unapplied conjuncts.
+    auto left_of = [&](const Expr& e) {
+      return within(e, 0, at - 1) && CanEvaluate(e, wb);
+    };
+    auto right_of = [&](const Expr& e) {
+      return within(e, at, at) && CanEvaluate(e, sb);
+    };
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (applied[i]) continue;
       const Expr* c = conjuncts[i];
       if (c->kind != ExprKind::kCompare || c->op != BinaryOp::kEq) continue;
       const Expr* lkey = nullptr;
       const Expr* rkey = nullptr;
-      if (CanEvaluate(*c->left, wb) && CanEvaluate(*c->right, sb)) {
+      if (left_of(*c->left) && right_of(*c->right)) {
         lkey = c->left.get();
         rkey = c->right.get();
-      } else if (CanEvaluate(*c->right, wb) && CanEvaluate(*c->left, sb)) {
+      } else if (left_of(*c->right) && right_of(*c->left)) {
         lkey = c->right.get();
         rkey = c->left.get();
       } else {
@@ -405,18 +465,21 @@ Pipeline BuildPipeline(const SelectStmt& stmt,
       applied[i] = true;
     }
     wb.MergeShifted(sb, static_cast<int>(wcols.size()));
-    for (const Column& c : schema->columns()) wcols.push_back(c);
+    for (const Column& c : scopes[k].schema->columns()) wcols.push_back(c);
 
     // Conjuncts that have just become evaluable, one filter each.
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (applied[i] || conjuncts[i]->ContainsAggregate()) continue;
-      if (!CanEvaluate(*conjuncts[i], wb)) continue;
+      if (!within(*conjuncts[i], 0, at) || !CanEvaluate(*conjuncts[i], wb)) {
+        continue;
+      }
       scan.post.push_back(
           PrepareProgram(*conjuncts[i], wb, /*as_predicate=*/true, ctx));
       scan.post_sql.push_back(conjuncts[i]->ToString());
       applied[i] = true;
     }
   }
+  if (!scans_ok) return p;
   if (first) {
     p.tail_error = Status::BindError("query has no tuple variables in FROM");
     return p;

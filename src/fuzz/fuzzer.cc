@@ -18,8 +18,10 @@
 #include "evolve/evolution.h"
 #include "integration/integration.h"
 #include "optimizer/optimizer.h"
+#include "plan_cache/fingerprint.h"
 #include "relational/catalog.h"
 #include "relational/table.h"
+#include "sql/parser.h"
 
 namespace dynview {
 namespace {
@@ -78,6 +80,13 @@ ScenarioSpec MakeSpec(uint64_t seed, int index) {
                         "T.cat C, T.id A, T.val V");
   }
   spec.rng_seed = rng();
+  // Conditioned source, registered last: usable only when the query's
+  // conditions imply V > 25, so the shape arm's second literal can flip
+  // that implication (a literal-guard failure).
+  spec.defs.push_back("create view hi" + s +
+                      "::base0(id, cat, val, wt) as select A, C, V, W from "
+                      "I::base0 T, T.id A, T.cat C, T.val V, T.wt W "
+                      "where V > 25");
   return spec;
 }
 
@@ -97,6 +106,9 @@ struct Runtime {
   std::unique_ptr<QueryEngine> dc8;  // Direct, 8 threads.
   std::unique_ptr<IntegrationSystem> a1;  // Rewriting, 1 thread.
   std::unique_ptr<IntegrationSystem> a8;  // Rewriting, 8 threads.
+  /// Rewriting, 1 thread, registered like a1 but only ever asked with an
+  /// empty plan cache: the shape arm's cold reference.
+  std::unique_ptr<IntegrationSystem> cold;
   std::unique_ptr<SchemaEvolver> evolver;
 
   /// Tears down in reverse declaration order. Move-assigning a fresh
@@ -105,6 +117,7 @@ struct Runtime {
   /// reads it — this is the crash-simulation path, so order matters.
   void Reset() {
     evolver.reset();
+    cold.reset();
     a8.reset();
     a1.reset();
     dc8.reset();
@@ -128,7 +141,10 @@ void SyncFences(const IntegrationSystem& primary, IntegrationSystem* twin) {
   }
 }
 
-void SyncTwins(Runtime* rt) { SyncFences(*rt->a8, rt->a1.get()); }
+void SyncTwins(Runtime* rt) {
+  SyncFences(*rt->a8, rt->a1.get());
+  SyncFences(*rt->a8, rt->cold.get());
+}
 
 /// Builds (fresh_data) or recovers (!fresh_data, durable dir has state) one
 /// scenario runtime. On recovery the primary's catalog, sources, fences and
@@ -146,6 +162,7 @@ Status BuildRuntime(const ScenarioSpec& spec, const std::string& durable_dir,
   o8.exec = MakeExec(8);
   rt->a1 = std::make_unique<IntegrationSystem>(rt->catalog.get(), "I", o1);
   rt->a8 = std::make_unique<IntegrationSystem>(rt->catalog.get(), "I", o8);
+  rt->cold = std::make_unique<IntegrationSystem>(rt->catalog.get(), "I", o1);
   if (!durable_dir.empty()) {
     DV_RETURN_IF_ERROR(rt->a8->OpenDurable(durable_dir));
   }
@@ -159,8 +176,20 @@ Status BuildRuntime(const ScenarioSpec& spec, const std::string& durable_dir,
       DV_RETURN_IF_ERROR(rt->a8->RegisterAndMaterializeSource(def).status());
     }
   }
-  for (const std::string& def : spec.defs) {
+  // The twins register the primary's definitions. After a recovery those
+  // are the replayed ones, whose bodies were normalized against the schema
+  // of I at their first registration — re-registering the spec's text
+  // against an evolved I would give the twins different sources.
+  std::vector<std::string> defs = spec.defs;
+  if (!fresh_data) {
+    defs.clear();
+    for (const auto& source : rt->a8->sources()) {
+      defs.push_back(source->stmt().ToString());
+    }
+  }
+  for (const std::string& def : defs) {
     DV_RETURN_IF_ERROR(rt->a1->RegisterSource(def).status());
+    DV_RETURN_IF_ERROR(rt->cold->RegisterSource(def).status());
   }
   rt->evolver =
       std::make_unique<SchemaEvolver>(rt->catalog.get(), rt->a8.get());
@@ -495,6 +524,33 @@ std::string Describe(const RunOut& o) {
   return o.canon;
 }
 
+/// `sql` with every literal replaced by another value of its type: ints
+/// shift by 17 (mod 40, the generator's range, so a bound may cross the
+/// `hi` source's 25) and labels rotate through the pool. Nullopt when the
+/// query has no literal.
+std::optional<std::string> Rebind(const std::string& sql) {
+  Result<std::unique_ptr<SelectStmt>> parsed = Parser::ParseSelect(sql);
+  if (!parsed.ok()) return std::nullopt;
+  QueryShape shape = ShapeStatement(*parsed.value());
+  std::vector<Value>& values = shape.fingerprint.literals;
+  if (shape.tagged == nullptr || values.empty()) return std::nullopt;
+  for (Value& v : values) {
+    if (v.kind() == TypeKind::kInt) {
+      v = Value::Int((v.as_int() + 17) % 40);
+    } else if (v.kind() == TypeKind::kString) {
+      const size_t n = sizeof(kLabelPool) / sizeof(kLabelPool[0]);
+      for (size_t i = 0; i < n; ++i) {
+        if (v.as_string() == kLabelPool[i]) {
+          v = Value::String(kLabelPool[(i + 1) % n]);
+          break;
+        }
+      }
+    }
+  }
+  SubstituteLiteralSlots(shape.tagged.get(), values);
+  return shape.tagged->ToString();
+}
+
 /// Runs one (sql, multiset) through every strategy and compares. Returns the
 /// first violation ("<strategy>: <what diverged>"), or nullopt when all
 /// six executions agree. `rep` is null during minimization replays.
@@ -632,6 +688,54 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
     }
   }
 
+  // Shape arm: answer the query, then the same shape with other literals
+  // (Rebind). The second answer reuses the first's rewriting when its
+  // literal guard holds and probes afresh when it fails; either way it and
+  // its EXPLAIN must equal the cold twin's, byte for byte.
+  if (std::optional<std::string> rebound = Rebind(sql)) {
+    AnswerOptions options;
+    options.multiset = multiset;
+    IntegrationSystem* sys = rt.a1.get();
+    rt.cold->ClearPlanCache();
+    RunOut want = RunAnswer(rt.cold.get(), *rebound, multiset, snap);
+    rt.cold->ClearPlanCache();
+    Result<std::string> want_explain =
+        rt.cold->ExplainOptimized(*rebound, options);
+
+    sys->ClearPlanCache();
+    (void)RunAnswer(sys, sql, multiset, snap);
+    const PlanCacheStats before = sys->plan_cache_stats();
+    RunOut got = RunAnswer(sys, *rebound, multiset, snap);
+    const PlanCacheStats after = sys->plan_cache_stats();
+    sys->ClearPlanCache();
+    (void)RunAnswer(sys, sql, multiset, snap);
+    Result<std::string> got_explain = sys->ExplainOptimized(*rebound, options);
+    count();
+    if (rep != nullptr) {
+      rep->shape_checks +=
+          static_cast<int>(after.shape_hits - before.shape_hits);
+      rep->shape_fallbacks += static_cast<int>(after.shape_guard_failures -
+                                               before.shape_guard_failures);
+    }
+    const std::string arm = "answer/t1-shape [" + *rebound + "]: ";
+    if (got.ok != want.ok || (!got.ok && got.st.code() != want.st.code())) {
+      return arm + Describe(got) + " vs cold " + Describe(want);
+    }
+    if (got.ok && (got.raw != want.raw || got.warns != want.warns)) {
+      return arm + "answer diverges from the cold twin's\n" + got.raw +
+             "--- cold ---\n" + want.raw;
+    }
+    if (got_explain.ok() != want_explain.ok() ||
+        (got_explain.ok() && got_explain.value() != want_explain.value())) {
+      return arm + "EXPLAIN diverges from the cold twin's\n" +
+             (got_explain.ok() ? got_explain.value()
+                               : got_explain.status().ToString()) +
+             "--- cold ---\n" +
+             (want_explain.ok() ? want_explain.value()
+                                : want_explain.status().ToString());
+    }
+  }
+
   if (outs[0].warns != outs[1].warns) {
     auto render = [](const RunOut& o) {
       std::string s;
@@ -733,7 +837,8 @@ std::string FuzzReport::Summary() const {
      << " remats=" << remats << " left_stale=" << left_stale
      << " warnings=" << warnings_seen << " optimizer=" << optimizer_checks
      << " optimizer_refusals=" << optimizer_refusals
-     << " warm_cold=" << warm_cold_checks
+     << " warm_cold=" << warm_cold_checks << " shape=" << shape_checks
+     << " shape_fallbacks=" << shape_fallbacks
      << " crashes=" << crashes_replayed
      << " mismatches=" << mismatches << " kinds=[";
   bool first = true;

@@ -59,6 +59,8 @@ struct FuzzReport {
   int optimizer_checks = 0;    // Sec. 6 optimizer plans compared.
   int optimizer_refusals = 0;  // Queries it declined (kUnsupported).
   int warm_cold_checks = 0;    // Cold answers compared with their hit.
+  int shape_checks = 0;     // Shape-tier hits compared with the cold twin.
+  int shape_fallbacks = 0;  // Rebound queries whose literal guard failed.
   int crashes_replayed = 0;
   int mismatches = 0;  // Oracle violations — any nonzero run is a failure.
   std::set<std::string> kinds_applied;  // DdlKindName of every applied op.
@@ -87,7 +89,10 @@ struct FuzzReport {
 /// systems. A warm-vs-cold arm then empties each rewriting system's plan
 /// cache and answers twice: the cold answer and the hit must agree in
 /// bytes and row order, warnings, and the per-answer grounding and row
-/// counters. Queries the optimizer declines to plan
+/// counters. A shape arm answers each query and then the same shape with
+/// other literals: that second answer (a shape-tier hit, or a full probe
+/// when its literal guard fails) and its EXPLAIN must equal a cold twin's
+/// byte for byte. Queries the optimizer declines to plan
 /// (kUnsupported: higher-order or multi-block) are counted as refusals. In
 /// durable mode every scenario additionally crashes mid-stream and must
 /// replay to the exact pre-crash head and answers.

@@ -135,7 +135,8 @@ Result<Table> ViewIndex::ProbeRange(const std::optional<Value>& lo,
   return RowsFor(btree_->Range(lo, lo_inclusive, hi, hi_inclusive));
 }
 
-Result<Table> ViewIndex::ProbeKeyword(const std::string& word) const {
+Result<std::vector<int64_t>> ViewIndex::KeywordRows(
+    const std::string& word) const {
   if (inverted_ == nullptr) {
     return Status::InvalidArgument("ProbeKeyword on a non-inverted index");
   }
@@ -145,6 +146,11 @@ Result<Table> ViewIndex::ProbeKeyword(const std::string& word) const {
   // a single column here, but stay defensive).
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+Result<Table> ViewIndex::ProbeKeyword(const std::string& word) const {
+  DV_ASSIGN_OR_RETURN(std::vector<int64_t> ids, KeywordRows(word));
   return RowsFor(ids);
 }
 

@@ -85,6 +85,10 @@ class ViewIndex {
   /// Inverted probe: payload rows whose key text contains `word`.
   Result<Table> ProbeKeyword(const std::string& word) const;
 
+  /// The positions in contents() of the rows ProbeKeyword returns,
+  /// ascending.
+  Result<std::vector<int64_t>> KeywordRows(const std::string& word) const;
+
   /// The SchemaSQL definition text (for catalogs and EXPLAIN output).
   std::string definition() const { return definition_; }
 

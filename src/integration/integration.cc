@@ -1,5 +1,6 @@
 #include "integration/integration.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 
@@ -103,7 +104,10 @@ PlanCacheStats IntegrationSystem::plan_cache_stats() const {
       .hits = metrics_.Value(counters::kPlanCacheHits),
       .misses = metrics_.Value(counters::kPlanCacheMisses),
       .evictions = metrics_.Value(counters::kPlanCacheEvictions),
-      .invalidations = metrics_.Value(counters::kPlanCacheInvalidations)};
+      .invalidations = metrics_.Value(counters::kPlanCacheInvalidations),
+      .shape_hits = metrics_.Value(counters::kPlanCacheShapeHits),
+      .shape_guard_failures =
+          metrics_.Value(counters::kPlanCacheShapeGuardFailures)};
 }
 
 AuditReport IntegrationSystem::AuditWorkload() const {
@@ -500,16 +504,17 @@ Result<TranslationResult> IntegrationSystem::Rewrite(const std::string& sql,
   // One consistent version for the whole rewrite (the translators read view
   // bodies and I's schema through it). Held alive for the call.
   std::shared_ptr<const CatalogSnapshot> snap = catalog_->Snapshot();
-  return RewriteOver(*stmt, multiset, *snap, /*plan=*/nullptr);
+  return RewriteOver(*stmt, multiset, *snap, /*plan=*/nullptr,
+                     /*guard=*/nullptr);
 }
 
 Result<TranslationResult> IntegrationSystem::RewriteOver(
     const SelectStmt& query, bool multiset, const CatalogSnapshot& snap,
-    CachedPlan* plan) {
+    CachedPlan* plan, LiteralGuard* guard) {
   CachedPlan scratch;
   if (plan == nullptr) plan = &scratch;
-  QueryTranslator translator(&snap, integration_db_);
-  AggregateViewRewriter agg_rewriter(&snap, integration_db_);
+  QueryTranslator translator(&snap, integration_db_, guard);
+  AggregateViewRewriter agg_rewriter(&snap, integration_db_, guard);
   std::optional<TranslationResult> chosen;
   std::string last_reason;
   for (const auto& source : sources_) {
@@ -579,7 +584,11 @@ Result<IntegrationSystem::ParsedQuery> IntegrationSystem::ParseMemoized(
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
     auto it = raw_memo_.find(memo_key);
-    if (it != raw_memo_.end()) return it->second;
+    if (it != raw_memo_.end()) {
+      ParsedQuery repeated = it->second;
+      repeated.repeat = true;
+      return repeated;
+    }
   }
   // Second level: parse once, fingerprint the normalized statement. Text
   // I's grammar rejects fails here with the parser's positioned error.
@@ -606,15 +615,73 @@ void IntegrationSystem::CountPlanCache(const char* name, uint64_t n,
   if (sink != nullptr) sink->Add(name, n);
 }
 
-void IntegrationSystem::Remember(const ParsedQuery& query, uint64_t version,
+void IntegrationSystem::Remember(const std::string& key, uint64_t version,
                                  std::shared_ptr<CachedPlan> plan,
                                  MetricsRegistry* sink) {
-  size_t evicted =
-      plan_cache_.Insert(query.cache_key, version, std::move(plan));
+  size_t evicted = plan_cache_.Insert(key, version, std::move(plan));
   if (evicted > 0) {
     CountPlanCache(counters::kPlanCacheEvictions,
                    static_cast<uint64_t>(evicted), sink);
   }
+}
+
+std::string IntegrationSystem::ShapeKey(const QueryShape& shape,
+                                        bool multiset) {
+  // '#' keeps the shape tier's keys apart from the exact tier's "m|"/"s|".
+  return (multiset ? "m#|" : "s#|") + shape.fingerprint.normalized;
+}
+
+std::shared_ptr<IntegrationSystem::CachedPlan> IntegrationSystem::PlanMiss(
+    const ParsedQuery& query, bool multiset, const CatalogSnapshot& snap,
+    MetricsRegistry* sink, Status* no_source) {
+  const uint64_t version = snap.version();
+  // Computed only here, after an exact miss: exact hits pay nothing for the
+  // shape tier. A repeated text misses only when its plan went stale, and
+  // then a shape entry pays only if another binding follows at the same
+  // version — ad-hoc traffic, which arrives as new text.
+  QueryShape shape;
+  if (!query.repeat) shape = ShapeStatement(*query.stmt);
+  const bool shaped = shape.tagged != nullptr;
+  const std::string shape_key = shaped ? ShapeKey(shape, multiset) : "";
+  if (shaped) {
+    std::shared_ptr<CachedPlan> entry = plan_cache_.Lookup(shape_key, version);
+    if (entry != nullptr && entry->guard->Holds(shape.fingerprint.literals)) {
+      // Every answer the probe took from the literals is the same for these
+      // values, so a probe of this query would choose the same source, with
+      // the same verdicts and warnings, and rewrite to the template with
+      // these values in its literal slots.
+      CountPlanCache(counters::kPlanCacheShapeHits, 1, sink);
+      auto plan = std::make_shared<CachedPlan>(*entry);
+      std::unique_ptr<SelectStmt> rewritten = entry->rewritten->Clone();
+      SubstituteLiteralSlots(rewritten.get(), shape.fingerprint.literals);
+      plan->rewritten = std::move(rewritten);
+      plan->guard = nullptr;
+      return plan;
+    }
+    if (entry != nullptr) {
+      CountPlanCache(counters::kPlanCacheShapeGuardFailures, 1, sink);
+    }
+  }
+
+  // Alg. 5.1 against the pinned snapshot, over the literal-tagged clone so
+  // the rewriting keeps each query literal's slot.
+  auto plan = std::make_shared<CachedPlan>();
+  auto guard = shaped ? std::make_shared<LiteralGuard>() : nullptr;
+  Result<TranslationResult> rewritten =
+      RewriteOver(shaped ? *shape.tagged : *query.stmt, multiset, snap,
+                  plan.get(), guard.get());
+  if (!rewritten.ok()) {
+    *no_source = rewritten.status();  // Direct plans stay exact-keyed.
+    return plan;
+  }
+  plan->rewritten =
+      std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
+  if (shaped && guard->complete()) {
+    auto entry = std::make_shared<CachedPlan>(*plan);
+    entry->guard = std::move(guard);
+    Remember(shape_key, version, std::move(entry), sink);
+  }
+  return plan;
 }
 
 IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
@@ -635,17 +702,8 @@ IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
     CountPlanCache(counters::kPlanCacheInvalidations, 1, sink);
   }
 
-  // Cold path: Alg. 5.1 against the pinned snapshot.
   if (!out.cached) {
-    plan = std::make_shared<CachedPlan>();
-    Result<TranslationResult> rewritten =
-        RewriteOver(*query.stmt, multiset, *qc->snapshot(), plan.get());
-    if (rewritten.ok()) {
-      plan->rewritten =
-          std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
-    } else {
-      out.no_source = rewritten.status();
-    }
+    plan = PlanMiss(query, multiset, *qc->snapshot(), sink, &out.no_source);
   }
 
   // Build the executable plan unless the entry carries one for this
@@ -661,7 +719,7 @@ IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
         // has one; the shared entry itself is never mutated.
         plan = std::make_shared<CachedPlan>(*plan);
         plan->exec = out.exec;
-        Remember(query, version, plan, sink);
+        Remember(query.cache_key, version, plan, sink);
       } else {
         plan->exec = out.exec;
       }
@@ -670,7 +728,7 @@ IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
   if (!out.cached && plan->rewritten != nullptr) {
     // Cached before execution: a rewriting is valid for this version even
     // if this particular execution trips a guard.
-    Remember(query, version, plan, sink);
+    Remember(query.cache_key, version, plan, sink);
   }
   out.plan = std::move(plan);
   return out;
@@ -709,13 +767,15 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
   } detach{qc, observer != nullptr};
   MetricsRegistry& sink = qc->observer()->metrics;
 
-  // Chaos hook: a poisoned cache entry is erased and the query degrades to a
-  // fresh compile with a warning — never a wrong answer.
+  // Chaos hook: a poisoned cache entry is erased, with its shape entry, and
+  // the query degrades to a fresh compile with a warning — never a wrong
+  // answer.
   std::vector<SourceWarning> warnings;
   if (FailPoints::AnyArmed()) {
     Status poisoned = FailPoints::Check("plan_cache.lookup", query.fp_hex);
     if (!poisoned.ok()) {
       plan_cache_.Erase(query.cache_key);
+      plan_cache_.Erase(ShapeKey(ShapeStatement(*query.stmt), options.multiset));
       warnings.push_back(SourceWarning{"plan_cache", poisoned});
     }
   }
@@ -744,7 +804,7 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     // any other direct error (a TypeError after DDL retyped a column, say)
     // is the query's real outcome and surfaces as is.
     if (answered.ok()) {
-      Remember(query, snap->version(), planned.plan, &sink);
+      Remember(query.cache_key, snap->version(), planned.plan, &sink);
     } else if (answered.status().code() == StatusCode::kNotFound &&
                qc->CheckGuards().ok()) {
       answered = planned.no_source;
@@ -816,9 +876,9 @@ Result<AnswerResult> IntegrationSystem::ExecutePrepared(
   }
   std::unique_ptr<SelectStmt> stmt = prepared.template_->Clone();
   DV_RETURN_IF_ERROR(SubstituteParameters(stmt.get(), params));
-  // Cache on the *exact* fingerprint of the substituted statement: usability
-  // decisions in Alg. 5.1 may read literal values, so keying the rewriting
-  // on the parameterized shape alone would be unsound.
+  // The exact tier keys on the substituted statement. A new binding that
+  // misses there reuses the shape tier's rewriting only when the guarded
+  // implication answers replay equal over its values (PlanMiss).
   return AnswerParsed(KeyStatement(std::move(stmt), options.multiset),
                       options, ctx);
 }
@@ -849,23 +909,51 @@ Result<std::string> IntegrationSystem::ExplainOptimized(
 
 Result<Table> IntegrationSystem::KeywordSearch(
     const std::string& interface_table, const std::string& keyword) {
-  // An inverted index answers only when its access path reads this very
-  // table and no commit to the table's database postdates its build (the
-  // optimizer's stale fence); otherwise the scan does.
+  // Both paths return whole rows of the interface table, in its column
+  // order. An inverted index answers only when its access path reads this
+  // very table, its key and payload cover every column, and no commit to
+  // the table's database postdates its build (the optimizer's stale fence);
+  // otherwise the scan does.
   const TableRef table{ToLower(integration_db_), ToLower(interface_table)};
   std::shared_ptr<const CatalogSnapshot> snap = catalog_->Snapshot();
+  Result<const Table*> base = snap->ResolveTable(table.db, table.rel);
   for (const auto& idx : indexes_) {
-    if (idx->method() != IndexMethod::kInverted ||
+    if (!base.ok() || idx->method() != IndexMethod::kInverted ||
         !idx->access_path().has_value() ||
         !(idx->access_path()->source == table) ||
         snap->DatabaseVersion(table.db) > idx->build_version()) {
       continue;
     }
-    Result<Table> hits = idx->ProbeKeyword(ToLower(keyword));
-    if (hits.ok()) return hits;
+    // contents() holds the key in column 0, then the payload attributes.
+    const IndexAccessPath& path = *idx->access_path();
+    const Schema& schema = base.value()->schema();
+    std::vector<size_t> from;
+    for (const Column& c : schema.columns()) {
+      const std::string name = ToLower(c.name);
+      if (name == path.key_attr) {
+        from.push_back(0);
+        continue;
+      }
+      auto it = std::find(path.payload_attrs.begin(), path.payload_attrs.end(),
+                          name);
+      if (it == path.payload_attrs.end()) break;
+      from.push_back(1 + static_cast<size_t>(it - path.payload_attrs.begin()));
+    }
+    if (from.size() != schema.num_columns()) continue;
+    Result<std::vector<int64_t>> ids = idx->KeywordRows(ToLower(keyword));
+    if (!ids.ok()) continue;
+    Table hits(schema);
+    for (int64_t id : ids.value()) {
+      const Row& r = idx->contents().row(static_cast<size_t>(id));
+      Row row;
+      row.reserve(from.size());
+      for (size_t col : from) row.push_back(r[col]);
+      hits.AppendRowUnchecked(std::move(row));
+    }
+    return hits;
   }
-  // Scan fallback: any attribute whose value contains the keyword. Render
-  // the keyword through Value::ToString so embedded quotes stay literal.
+  // Scan fallback: any row whose value contains the keyword. Render the
+  // keyword through Value::ToString so embedded quotes stay literal.
   QueryContext qc;
   qc.PinSnapshot(std::move(snap));
   return engine_.ExecuteSql("select * from " + integration_db_ +

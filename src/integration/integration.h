@@ -64,22 +64,30 @@ struct AnswerResult {
   uint64_t snapshot_version = 0;
   std::shared_ptr<const CatalogSnapshot> snapshot;
 
-  /// True when the answer reused a cached plan (Alg. 5.1 rewrite skipped);
-  /// false on the cold compile path. `plan_fingerprint` is the normalized
-  /// query hash (16 hex digits, exact mode) the plan cache keyed on.
+  /// True when the answer reused a cached plan of this exact query (Alg. 5.1
+  /// rewrite and build skipped); false on every other path, including a
+  /// shape-tier hit that reused another binding's rewriting but built this
+  /// one's plan (counted as `plan_cache.shape_hits`; a shape entry whose
+  /// literal guard failed counts `plan_cache.shape_guard_failures`).
+  /// `plan_fingerprint` is the normalized query hash (16 hex digits, exact
+  /// mode) the exact tier keyed on.
   bool plan_cached = false;
   std::string plan_fingerprint;
 };
 
 /// Cumulative plan-cache outcomes since construction (ClearPlanCache drops
 /// entries, not these counts): the plan_cache.* counters of
-/// IntegrationSystem::metrics(). A stale miss counts as a miss and an
-/// invalidation.
+/// IntegrationSystem::metrics(). Hits, misses and invalidations are the
+/// exact tier's (a stale miss counts as a miss and an invalidation); an
+/// exact miss the shape tier then served counts a shape hit, one whose
+/// literal guard failed a shape guard failure.
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t invalidations = 0;
+  uint64_t shape_hits = 0;
+  uint64_t shape_guard_failures = 0;
 };
 
 /// A query template compiled once by IntegrationSystem::Prepare: the parsed
@@ -288,10 +296,11 @@ class IntegrationSystem {
   /// Executes a prepared template with `params` bound positionally (params
   /// [i] replaces the i-th `?`, left-to-right). Semantically identical to
   /// AnswerGuarded over the substituted SQL, but skips parsing entirely and
-  /// shares cached plans across repeats: the cache key is the *exact*
-  /// fingerprint of the substituted statement, because Alg. 5.1's usability
-  /// decisions may depend on the literal values — parameterized-key caching
-  /// of rewritings would be unsound.
+  /// shares cached plans across repeats: the exact tier keys on the
+  /// substituted statement, whose cached plan was built for those values. A
+  /// new binding misses there and may reuse the shape tier's rewriting,
+  /// but only when the implication answers Alg. 5.1 took from the literals
+  /// replay equal over the new values (LiteralGuard).
   Result<AnswerResult> ExecutePrepared(const PreparedQuery& prepared,
                                        const std::vector<Value>& params,
                                        const AnswerOptions& options = {},
@@ -348,6 +357,11 @@ class IntegrationSystem {
   /// compiled), so a hit only runs it; null when the build ran with a
   /// failpoint armed, and then every hit builds afresh. Entries are shared
   /// by concurrent answers and never mutated after insertion.
+  ///
+  /// A shape-tier entry is the same record under the query's parameterized
+  /// shape: `rewritten` is a template whose query literals carry their
+  /// Expr::literal_slot, `guard` the probe's literal-dependent answers, and
+  /// `exec` is null. Its stale warnings and verdicts hold no query literal.
   struct CachedPlan {
     std::shared_ptr<const SelectStmt> rewritten;  // Null = direct plan on I.
     const ViewDefinition* chosen = nullptr;
@@ -356,6 +370,7 @@ class IntegrationSystem {
     /// (DV007), not usable (DV004 + reason), chosen (+ warnings), not probed.
     std::vector<std::string> verdicts;
     std::shared_ptr<const ExecPlan> exec;
+    std::shared_ptr<const LiteralGuard> guard;  // Shape entries only.
   };
 
   /// PlanParsed's entry, the plan to run, whether it was a hit, and the
@@ -370,11 +385,14 @@ class IntegrationSystem {
   /// A parsed query ready for the answer body: the immutable statement (the
   /// binder annotates in place, so every consumer works on a clone) plus
   /// its exact fingerprint — `cache_key` is the multiset flag + full
-  /// normalized text, `fp_hex` the display hash.
+  /// normalized text, `fp_hex` the display hash. `repeat` marks a text the
+  /// raw-SQL memo already held: repeated text is the exact tier's traffic,
+  /// so its misses skip the shape tier (PlanMiss).
   struct ParsedQuery {
     std::shared_ptr<const SelectStmt> stmt;
     std::string cache_key;
     std::string fp_hex;
+    bool repeat = false;
   };
   static ParsedQuery KeyStatement(std::unique_ptr<SelectStmt> stmt,
                                   bool multiset);
@@ -387,10 +405,25 @@ class IntegrationSystem {
   /// materialization is stale against `snap` are skipped. When `plan` is
   /// given, each skip appends a deterministic (registration-order) warning
   /// to plan->stale, each source a verdict, and plan->chosen names the
-  /// source the rewriting uses.
+  /// source the rewriting uses. `guard`, when given, records every
+  /// literal-dependent implication answer of every source probed.
   Result<TranslationResult> RewriteOver(const SelectStmt& query, bool multiset,
                                         const CatalogSnapshot& snap,
-                                        CachedPlan* plan);
+                                        CachedPlan* plan, LiteralGuard* guard);
+
+  /// The plan-cache key of `shape` in the shape tier.
+  static std::string ShapeKey(const QueryShape& shape, bool multiset);
+
+  /// An exact-tier miss: the shape tier's rewriting when its literal guard
+  /// holds for this query's values, else Alg. 5.1 over `snap` (recording a
+  /// guard and caching the rewriting under the shape). A repeated text
+  /// (ParsedQuery::repeat) runs Alg. 5.1 alone. The returned entry has no
+  /// executable plan; `no_source` receives the rewrite's NotFound when no
+  /// source answers.
+  std::shared_ptr<CachedPlan> PlanMiss(const ParsedQuery& query, bool multiset,
+                                       const CatalogSnapshot& snap,
+                                       MetricsRegistry* sink,
+                                       Status* no_source);
 
   /// The planning step of an answer, shared with EXPLAIN: plan-cache
   /// lookup at the version `qc` pins, rewrite on a miss, and a build unless
@@ -399,7 +432,7 @@ class IntegrationSystem {
   /// count on metrics() and on `sink` when given.
   PlannedQuery PlanParsed(const ParsedQuery& query, bool multiset,
                           QueryContext* qc, MetricsRegistry* sink);
-  void Remember(const ParsedQuery& query, uint64_t version,
+  void Remember(const std::string& key, uint64_t version,
                 std::shared_ptr<CachedPlan> plan, MetricsRegistry* sink);
   void CountPlanCache(const char* name, uint64_t n, MetricsRegistry* sink);
 
@@ -446,9 +479,12 @@ class IntegrationSystem {
   /// counters, written from every answering, linting and auditing thread.
   mutable MetricsRegistry metrics_;
 
-  /// Normalized-fingerprint plan cache: key = exact fingerprint + multiset
-  /// flag, version = pinned snapshot version. Cleared whenever the source /
-  /// index universe changes (RegisterSource, RegisterIndex).
+  /// Normalized-fingerprint plan cache with two key spaces, both versioned
+  /// by the pinned snapshot: the exact tier (multiset flag + exact
+  /// fingerprint, ParsedQuery::cache_key) and, consulted only after an
+  /// exact miss, the shape tier (ShapeKey: multiset flag + parameterized
+  /// shape). Cleared whenever the source / index universe changes
+  /// (RegisterSource, RegisterIndex).
   mutable ShardedLruCache<CachedPlan> plan_cache_;
 
   /// First cache level: raw SQL text (+ multiset flag) → parsed query.

@@ -42,7 +42,7 @@ inline constexpr char kPivotMultiplicityDropped[] =
 inline constexpr char kBudgetRowsCharged[] = "budget.rows_charged";
 inline constexpr char kBudgetBytesCharged[] = "budget.bytes_charged";
 // Compiled query path: plan cache outcomes and expression compilation.
-// All four plan_cache counters are decided on the driving thread before any
+// All six plan_cache counters are decided on the driving thread before any
 // worker runs, and exprs_flattened counts distinct programs inserted into
 // the program cache (raced compiles insert once) — thread-count invariant.
 // The plan_cache counters land twice: on the answer's observer and,
@@ -54,6 +54,12 @@ inline constexpr char kPlanCacheEvictions[] =
     "plan_cache.evictions";                                  // [invariant]
 inline constexpr char kPlanCacheInvalidations[] =
     "plan_cache.invalidations";                              // [invariant]
+// The plan cache's shape tier, consulted after an exact miss: a shape entry
+// whose literal guard held (its rewriting reused) or failed (full probe).
+inline constexpr char kPlanCacheShapeHits[] =
+    "plan_cache.shape_hits";                                 // [invariant]
+inline constexpr char kPlanCacheShapeGuardFailures[] =
+    "plan_cache.shape_guard_failures";                       // [invariant]
 inline constexpr char kExprsFlattened[] =
     "compile.exprs_flattened";                               // [invariant]
 // Durable catalog storage (WAL + snapshot checkpoints). Owned by the

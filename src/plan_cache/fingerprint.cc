@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <functional>
 #include <memory_resource>
 
 #include "sql/parser.h"
@@ -33,24 +32,6 @@ std::string NormalizeCase(const std::string& in) {
   return std::string(tmp.begin(), tmp.end());
 }
 
-/// Pre-order walk over every expression of `stmt`, all UNION branches.
-void ForEachExprTree(SelectStmt* stmt,
-                     const std::function<void(Expr*)>& fn) {
-  std::function<void(Expr*)> walk = [&](Expr* e) {
-    if (e == nullptr) return;
-    fn(e);
-    walk(e->left.get());
-    walk(e->right.get());
-  };
-  for (SelectStmt* s = stmt; s != nullptr; s = s->union_next.get()) {
-    for (SelectItem& item : s->select_list) walk(item.expr.get());
-    walk(s->where.get());
-    for (auto& g : s->group_by) walk(g.get());
-    walk(s->having.get());
-    for (OrderItem& o : s->order_by) walk(o.expr.get());
-  }
-}
-
 }  // namespace
 
 uint64_t Fnv1a64(const std::string& s) {
@@ -71,25 +52,41 @@ std::string QueryFingerprint::Hex() const {
 
 QueryFingerprint FingerprintStatement(const SelectStmt& stmt,
                                       FingerprintMode mode) {
-  QueryFingerprint fp;
-  if (mode == FingerprintMode::kExact) {
-    fp.normalized = NormalizeCase(stmt.ToString());
-  } else {
-    // Parameterize on a clone: every literal position (including positions
-    // already holding a `?` parameter) is renumbered in render order, so
-    // equal shapes normalize identically regardless of how their markers
-    // were originally numbered.
-    std::unique_ptr<SelectStmt> shape = stmt.Clone();
-    int next = 0;
-    ForEachExprTree(shape.get(), [&](Expr* e) {
-      if (e->kind != ExprKind::kLiteral) return;
-      if (e->param_index < 0) fp.literals.push_back(e->literal);
-      e->param_index = next++;
-    });
-    fp.normalized = NormalizeCase(shape->ToString());
+  if (mode == FingerprintMode::kParameterized) {
+    return ShapeStatement(stmt).fingerprint;
   }
+  QueryFingerprint fp;
+  fp.normalized = NormalizeCase(stmt.ToString());
   fp.hash = Fnv1a64(fp.normalized);
   return fp;
+}
+
+QueryShape ShapeStatement(const SelectStmt& stmt) {
+  // Parameterize a clone: every literal position (including positions
+  // already holding a `?` parameter) is renumbered in render order, so
+  // equal shapes normalize identically regardless of how their markers
+  // were originally numbered.
+  QueryShape shape;
+  QueryFingerprint& fp = shape.fingerprint;
+  shape.tagged = stmt.Clone();
+  std::vector<Expr*> literals;
+  bool unbound = false;
+  ForEachExpr(shape.tagged.get(), [&](Expr* e) {
+    if (e->kind != ExprKind::kLiteral) return;
+    if (e->param_index < 0) fp.literals.push_back(e->literal);
+    unbound = unbound || e->param_index >= 0;
+    e->literal_slot = static_cast<int>(literals.size());
+    e->param_index = e->literal_slot;
+    literals.push_back(e);
+  });
+  fp.normalized = NormalizeCase(shape.tagged->ToString());
+  fp.hash = Fnv1a64(fp.normalized);
+  if (unbound) {
+    shape.tagged.reset();
+  } else {
+    for (Expr* e : literals) e->param_index = -1;  // Render values again.
+  }
+  return shape;
 }
 
 Result<QueryFingerprint> FingerprintSql(const std::string& sql,

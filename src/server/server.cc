@@ -202,10 +202,6 @@ std::map<std::string, uint64_t> QueryServer::MetricsSnapshot() const {
   return out;
 }
 
-AdmissionController::Snapshot QueryServer::AdmissionSnapshot() const {
-  return admission_->snapshot();
-}
-
 // --- Reactor ---------------------------------------------------------------
 
 void QueryServer::ReactorLoop() {

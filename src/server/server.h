@@ -120,9 +120,6 @@ class QueryServer {
   /// from any thread.
   std::map<std::string, uint64_t> MetricsSnapshot() const;
 
-  /// Instantaneous admission state (running / queued per lane).
-  AdmissionController::Snapshot AdmissionSnapshot() const;
-
  private:
   struct Connection;
 

@@ -114,6 +114,7 @@ std::unique_ptr<Expr> Expr::Clone() const {
   e->kind = kind;
   e->literal = literal;
   e->param_index = param_index;
+  e->literal_slot = literal_slot;
   e->var_name = var_name;
   e->qualifier = qualifier;
   e->column = column;
@@ -283,6 +284,8 @@ void ForEachExpr(Expr* e, const std::function<void(Expr*)>& fn) {
   ForEachExpr(e->right.get(), fn);
 }
 
+}  // namespace
+
 void ForEachExpr(SelectStmt* stmt, const std::function<void(Expr*)>& fn) {
   for (SelectStmt* s = stmt; s != nullptr; s = s->union_next.get()) {
     for (SelectItem& item : s->select_list) ForEachExpr(item.expr.get(), fn);
@@ -293,7 +296,21 @@ void ForEachExpr(SelectStmt* stmt, const std::function<void(Expr*)>& fn) {
   }
 }
 
-}  // namespace
+void SubstituteLiteralSlots(Expr* e, const std::vector<Value>& values) {
+  ForEachExpr(e, [&](Expr* n) {
+    if (n->kind == ExprKind::kLiteral && n->literal_slot >= 0 &&
+        static_cast<size_t>(n->literal_slot) < values.size()) {
+      n->literal = values[n->literal_slot];
+    }
+  });
+}
+
+void SubstituteLiteralSlots(SelectStmt* stmt,
+                            const std::vector<Value>& values) {
+  ForEachExpr(stmt, [&](Expr* e) {
+    if (e->kind == ExprKind::kLiteral) SubstituteLiteralSlots(e, values);
+  });
+}
 
 void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
   if (e == nullptr) return;

@@ -1,6 +1,7 @@
 #ifndef DYNVIEW_SQL_AST_H_
 #define DYNVIEW_SQL_AST_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,6 +79,13 @@ struct Expr {
   /// parameter renders as "?N" and evaluates to an "unbound parameter" error;
   /// SubstituteParameters replaces `literal` and resets this to -1.
   int param_index = -1;
+
+  /// >= 0 marks this literal as the query's marker ?N+1 under
+  /// FingerprintMode::kParameterized (ShapeStatement sets it). Clones keep
+  /// it, so a rewriting built from the statement knows which of its
+  /// literals are the query's; SubstituteLiteralSlots puts another query's
+  /// values there. Neither rendering nor evaluation reads it.
+  int literal_slot = -1;
 
   // kVarRef: the referenced name.
   std::string var_name;
@@ -214,6 +222,17 @@ int CountParameters(const SelectStmt& stmt);
 /// by `params[k]` and clears the param markers. Errors when a parameter
 /// ordinal has no corresponding value.
 Status SubstituteParameters(SelectStmt* stmt, const std::vector<Value>& params);
+
+/// Replaces the value of every literal with a literal_slot below
+/// `values.size()` by `values[literal_slot]`.
+void SubstituteLiteralSlots(Expr* e, const std::vector<Value>& values);
+/// The same over every expression of `stmt` (all UNION branches).
+void SubstituteLiteralSlots(SelectStmt* stmt, const std::vector<Value>& values);
+
+/// Calls `fn` on every expression node of `stmt`, pre-order, in render
+/// order: select list, WHERE, GROUP BY, HAVING, ORDER BY, then the next
+/// UNION branch.
+void ForEachExpr(SelectStmt* stmt, const std::function<void(Expr*)>& fn);
 
 /// CREATE VIEW with a possibly data-dependent output schema:
 ///   create view s2::C(date, price) as select ...      (C is a variable)

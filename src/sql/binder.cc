@@ -20,15 +20,6 @@ bool IsSchemaVarClass(VarClass cls) {
          cls == VarClass::kAttribute;
 }
 
-const char* ViewClassName(ViewClass cls) {
-  switch (cls) {
-    case ViewClass::kFirstOrder: return "first-order";
-    case ViewClass::kDynamic: return "dynamic";
-    case ViewClass::kHigherOrder: return "higher-order";
-  }
-  return "?";
-}
-
 const BoundVariable* BoundQuery::Find(const std::string& name) const {
   auto it = variables.find(ToLower(name));
   if (it == variables.end()) return nullptr;

@@ -37,8 +37,6 @@ struct BoundVariable {
 ///                   class the paper's architecture admits.
 enum class ViewClass { kFirstOrder, kDynamic, kHigherOrder };
 
-const char* ViewClassName(ViewClass cls);
-
 /// Result of binding a SELECT statement: the variable table plus annotations
 /// written into the AST (NameTerm::is_variable flags).
 struct BoundQuery {

@@ -54,8 +54,6 @@ std::string JurisdictionName(int i) {
   return base + std::to_string(i / 8);
 }
 
-std::string InfractionName(int i) { return kInfractions[i % 6]; }
-
 std::string LicenseName(int i) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "lic%04d", i);

@@ -26,7 +26,6 @@ struct TicketsGenConfig {
 };
 
 std::string JurisdictionName(int i);  // "queens", "bronx", "monroe", ...
-std::string InfractionName(int i);    // "dui", "speeding", ...
 std::string LicenseName(int i);       // "lic0042"
 
 /// Installs one relation per jurisdiction into `db` (the Fig. 4 layout).

@@ -33,10 +33,10 @@ class FailpointCoverageTest : public ::testing::Test {
   static constexpr const char* kFanOut =
       "select R, D, P from s2 -> R, R T, T.date D, T.price P";
 
-  // Runs kFanOut under `guards` with an observer attached; returns the
-  // engine result and fills `obs` / `qc_out`.
-  Result<Table> Run(const QueryGuards& guards, QueryObserver* obs,
-                    QueryContext* qc, size_t threads = 4) {
+  // Runs kFanOut under `qc` (which carries the test's guards) with `obs`
+  // attached; returns the engine result.
+  Result<Table> Run(QueryObserver* obs, QueryContext* qc,
+                    size_t threads = 4) {
     ExecConfig exec;
     exec.num_threads = threads;
     exec.morsel_rows = 4;
@@ -59,7 +59,7 @@ TEST_F(FailpointCoverageTest, RetryCounterMatchesInjectedTransientFault) {
   g.source_policy = SourcePolicy::kRetry;
   QueryContext qc(g);
   QueryObserver obs;
-  auto r = Run(g, &obs, &qc);
+  auto r = Run(&obs, &qc);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 15u);  // Retry recovered the grounding.
   EXPECT_EQ(obs.metrics.Value(counters::kSourceRetries), 1u);
@@ -77,7 +77,7 @@ TEST_F(FailpointCoverageTest, SkipCounterMatchesWarningsUnderCatalogFault) {
   g.source_policy = SourcePolicy::kSkipAndReport;
   QueryContext qc(g);
   QueryObserver obs;
-  auto r = Run(g, &obs, &qc);
+  auto r = Run(&obs, &qc);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 10u);  // coB + coC only.
   EXPECT_EQ(obs.metrics.Value(counters::kSourcesSkipped), qc.warnings().size());
@@ -101,7 +101,7 @@ TEST_F(FailpointCoverageTest, SkipCountersInvariantAcrossThreadCounts) {
     g.source_policy = SourcePolicy::kSkipAndReport;
     QueryContext qc(g);
     QueryObserver obs;
-    auto r = Run(g, &obs, &qc, threads[i]);
+    auto r = Run(&obs, &qc, threads[i]);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     skipped[i] = obs.metrics.Value(counters::kSourcesSkipped);
     trips[i] = obs.metrics.Value(counters::kFailpointTrips);
@@ -121,7 +121,7 @@ TEST_F(FailpointCoverageTest, PersistentFaultSkipsWithoutRetries) {
   g.source_policy = SourcePolicy::kSkipAndReport;
   QueryContext qc(g);
   QueryObserver obs;
-  auto r = Run(g, &obs, &qc, 1);
+  auto r = Run(&obs, &qc, 1);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 10u);
   // kSkipAndReport drops the grounding on the first transient failure (only
@@ -143,7 +143,7 @@ TEST_F(FailpointCoverageTest, RetryExhaustionCountsEveryAttempt) {
   g.max_retries = 2;
   QueryContext qc(g);
   QueryObserver obs;
-  auto r = Run(g, &obs, &qc, 1);
+  auto r = Run(&obs, &qc, 1);
   // Persistent fault under kRetry: the query fails after exhausting
   // retries, and the counters record every attempt.
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
@@ -271,7 +271,7 @@ TEST_F(FailpointCoverageTest, RetryBackoffScheduleUsesInjectedSleep) {
   };
   QueryContext qc(g);
   QueryObserver obs;
-  auto r = Run(g, &obs, &qc, 1);
+  auto r = Run(&obs, &qc, 1);
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   // The injected hook observed the exact exponential schedule — no
   // wall-clock sleeps happened, so the test is fast AND the schedule is a
@@ -298,7 +298,7 @@ TEST_F(FailpointCoverageTest, RetryBackoffRecoversAfterTransientFault) {
   };
   QueryContext qc(g);
   QueryObserver obs;
-  auto r = Run(g, &obs, &qc);
+  auto r = Run(&obs, &qc);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 15u);
   ASSERT_EQ(slept.size(), 1u);  // One transient fault → one backoff.
@@ -313,7 +313,7 @@ TEST_F(FailpointCoverageTest, LatencyInjectionDoesNotCountAsTrip) {
   QueryGuards g;
   QueryContext qc(g);
   QueryObserver obs;
-  auto r = Run(g, &obs, &qc);
+  auto r = Run(&obs, &qc);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(obs.metrics.Value(counters::kFailpointTrips), 0u);
   EXPECT_EQ(obs.metrics.Value(counters::kSourceRetries), 0u);

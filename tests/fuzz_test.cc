@@ -50,7 +50,8 @@ class FuzzTest : public ::testing::Test {
 // The CI workhorse: one seeded run covers >= 200 (catalog, DDL step, query)
 // triples, applies all six DDL kinds, and the six-way differential oracle
 // (direct t1/t8, the Sec. 6 optimizer, rewriting t1/t8, plan-cache hit path)
-// stays byte-identical.
+// stays byte-identical, as does the shape arm's rebound query against its
+// cold twin.
 TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   FuzzConfig config;
   config.seed = 1;
@@ -77,6 +78,10 @@ TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   // Every triple compared a cold answer with its plan-cache hit on the
   // 1- and 8-thread systems (the warm-vs-cold arm).
   EXPECT_GE(report.warm_cold_checks, report.triples) << report.Summary();
+  // The shape arm compared shape-tier hits with a cold twin, and rebound
+  // literals flipped some literal guards (both guard outcomes ran).
+  EXPECT_GT(report.shape_checks, 0) << report.Summary();
+  EXPECT_GT(report.shape_fallbacks, 0) << report.Summary();
   EXPECT_GT(report.ddl_applied, 0);
   for (const char* kind :
        {"add-attribute", "drop-attribute", "rename-attribute",

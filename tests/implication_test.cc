@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/implication.h"
 #include "core/view_definition.h"
 #include "sql/parser.h"
@@ -126,6 +128,79 @@ TEST(ImplicationTest, EqualVariablesEnumeration) {
 TEST(ImplicationTest, MixedNumericKinds) {
   EXPECT_TRUE(Implies("a = 1", "a < 2.5"));
   EXPECT_TRUE(Implies("a > 1.5", "a > 1"));
+}
+
+/// `where` parsed with every literal tagged as the query's slot 0, 1, ...
+/// in pre-order (what ShapeStatement does to a whole statement).
+std::unique_ptr<Expr> Tagged(const std::string& where) {
+  std::unique_ptr<Expr> e = ParsePred(where);
+  int next = 0;
+  std::function<void(Expr*)> tag = [&](Expr* n) {
+    if (n->kind == ExprKind::kLiteral) n->literal_slot = next++;
+    if (n->left) tag(n->left.get());
+    if (n->right) tag(n->right.get());
+  };
+  tag(e.get());
+  return e;
+}
+
+TEST(LiteralGuardTest, ReplaysEveryKindOfAnswer) {
+  // Query conjuncts hold the slots; the questions are a view condition and
+  // variable equalities, as in a usability check.
+  std::unique_ptr<Expr> where = Tagged("a > 10 and b = 4 and c = 4");
+  std::vector<const Expr*> conjuncts;
+  CollectConjuncts(where.get(), &conjuncts);
+  std::unique_ptr<Expr> view_cond = ParsePred("a > 5");
+  LiteralGuard guard;
+  {
+    ConditionAnalyzer recorded(conjuncts, &guard);
+    EXPECT_TRUE(recorded.Implies(*view_cond));
+    EXPECT_TRUE(recorded.ImpliesEquality("b", "c"));
+    EXPECT_EQ(recorded.EqualVariables("b"),
+              (std::vector<std::string>{"b", "c"}));
+    EXPECT_FALSE(recorded.unsatisfiable());
+  }
+  ASSERT_TRUE(guard.complete());
+  auto ints = [](int a, int b, int c) {
+    return std::vector<Value>{Value::Int(a), Value::Int(b), Value::Int(c)};
+  };
+  EXPECT_TRUE(guard.Holds(ints(10, 4, 4)));
+  EXPECT_TRUE(guard.Holds(ints(7, 9, 9)));
+  EXPECT_FALSE(guard.Holds(ints(2, 9, 9)));  // a > 2 does not imply a > 5.
+  EXPECT_FALSE(guard.Holds(ints(7, 8, 9)));  // b and c no longer equal.
+  // Unsatisfiability replays too: crossed bounds stay crossed or not.
+  std::unique_ptr<Expr> unsat = Tagged("a > 10 and a < 3");
+  std::vector<const Expr*> bounds;
+  CollectConjuncts(unsat.get(), &bounds);
+  LiteralGuard unsat_guard;
+  {
+    ConditionAnalyzer recorded(bounds, &unsat_guard);
+    EXPECT_TRUE(recorded.unsatisfiable());
+  }
+  EXPECT_TRUE(unsat_guard.Holds({Value::Int(8), Value::Int(1)}));
+  EXPECT_FALSE(unsat_guard.Holds({Value::Int(1), Value::Int(8)}));
+}
+
+TEST(LiteralGuardTest, AnswersThatReadNoLiteralAreNotRecorded) {
+  // Neither the conjuncts nor the question hold a query literal: the answer
+  // cannot change with the query's values, so nothing is replayed.
+  std::unique_ptr<Expr> given = ParsePred("a > 5");
+  std::vector<const Expr*> conjuncts = {given.get()};
+  std::unique_ptr<Expr> question = ParsePred("a > 1");
+  LiteralGuard guard;
+  {
+    ConditionAnalyzer recorded(conjuncts, &guard);
+    EXPECT_TRUE(recorded.Implies(*question));
+  }
+  EXPECT_TRUE(guard.Holds({}));
+  // A tagged question against the same conjuncts is recorded.
+  std::unique_ptr<Expr> tagged = Tagged("a > 1");
+  {
+    ConditionAnalyzer recorded(conjuncts, &guard);
+    EXPECT_TRUE(recorded.Implies(*tagged));
+  }
+  EXPECT_TRUE(guard.Holds({Value::Int(3)}));
+  EXPECT_FALSE(guard.Holds({Value::Int(6)}));
 }
 
 }  // namespace

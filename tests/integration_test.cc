@@ -198,6 +198,57 @@ TEST_F(StockIntegrationTest, FallsBackToLocalIntegrationData) {
   EXPECT_GT(answer.value().table.num_rows(), 0u);
 }
 
+TEST(SelfJoinRewritingTest, RepeatedApplicationKeepsEachScansVariables) {
+  // Fig. 11: a self-join over I answered by two scans of s2's relations.
+  // The rewriting declares `date` on the first view scan and `U_date` on the
+  // second; the second scan's own `date` column must not capture `date`.
+  Catalog catalog;
+  Table stock(Schema({{"company", TypeKind::kString},
+                      {"date", TypeKind::kDate},
+                      {"price", TypeKind::kInt}}));
+  const std::vector<std::string> companies = {"coa", "cob", "coc"};
+  for (size_t c = 0; c < companies.size(); ++c) {
+    Table rel(Schema({{"date", TypeKind::kDate}, {"price", TypeKind::kInt}}));
+    for (int d = 0; d < 3; ++d) {
+      const Value date = Value::MakeDate(Date::FromYmd(1998, 1, 1 + d).value());
+      const Value price = Value::Int(100 + 10 * static_cast<int>(c) + d);
+      stock.AppendRowUnchecked({Value::String(companies[c]), date, price});
+      rel.AppendRowUnchecked({date, price});
+    }
+    ASSERT_TRUE(catalog.PutTable("s2", companies[c], std::move(rel)).ok());
+  }
+  ASSERT_TRUE(catalog.PutTable("I", "stock", std::move(stock)).ok());
+  IntegrationSystem system(&catalog, "I");
+  ASSERT_TRUE(system
+                  .RegisterSource(
+                      "create view s2::C(date, price) as select D, P "
+                      "from I::stock T, T.company C, T.date D, T.price P")
+                  .ok());
+  const std::string q =
+      "select T.date from I::stock T, I::stock U "
+      "where T.date = U.date and T.price < U.price";
+  QueryEngine direct(&catalog, "I");
+  auto expected = direct.ExecuteSql(q);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected.value().num_rows(), 9u);
+  for (bool multiset : {false, true}) {
+    SCOPED_TRACE(multiset);
+    auto explained = system.ExplainOptimized(q, Semantics(multiset));
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    EXPECT_NE(explained.value().find("source: s2::C\n"), std::string::npos)
+        << explained.value();
+    auto answer = system.AnswerGuarded(q, Semantics(multiset));
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    if (multiset) {
+      EXPECT_TRUE(answer.value().table.BagEquals(expected.value()))
+          << answer.value().table.ToString(20);
+    } else {
+      EXPECT_TRUE(answer.value().table.SetEquals(expected.value()))
+          << answer.value().table.ToString(20);
+    }
+  }
+}
+
 TEST_F(StockIntegrationTest, UnparseableSqlKeepsTheParseError) {
   // With no sources and with one, text I's grammar rejects fails with the
   // parser's positioned error — never "no registered source can answer".
@@ -601,6 +652,28 @@ Table WordsTable(const std::vector<std::pair<int, std::string>>& rows) {
   return t;
 }
 
+/// KeywordSearch through the scan: a system with no index over `catalog`.
+Table ScannedKeywordSearch(Catalog* catalog, const std::string& table,
+                           const std::string& keyword) {
+  IntegrationSystem unindexed(catalog, "I");
+  auto hits = unindexed.KeywordSearch(table, keyword);
+  EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+  return hits.ok() ? std::move(hits).value() : Table();
+}
+
+/// Same column names and types, same rows in the same order.
+void ExpectSameTable(const Table& got, const Table& want) {
+  ASSERT_EQ(got.schema().num_columns(), want.schema().num_columns());
+  for (size_t c = 0; c < want.schema().num_columns(); ++c) {
+    EXPECT_EQ(got.schema().column(c).name, want.schema().column(c).name);
+    EXPECT_EQ(got.schema().column(c).type, want.schema().column(c).type);
+  }
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t r = 0; r < want.num_rows(); ++r) {
+    EXPECT_EQ(got.row(r), want.row(r)) << "row " << r;
+  }
+}
+
 TEST(KeywordSearchTest, IndexAnswersOnlyForItsOwnTable) {
   Catalog catalog;
   ASSERT_TRUE(catalog
@@ -628,6 +701,29 @@ TEST(KeywordSearchTest, IndexAnswersOnlyForItsOwnTable) {
   ASSERT_TRUE(hotels.ok());
   ASSERT_EQ(hotels.value().num_rows(), 1u);
   EXPECT_EQ(hotels.value().row(0)[0].as_int(), 1);
+  // The index and the scan return the same table: whole rows, same columns.
+  ExpectSameTable(hotels.value(),
+                  ScannedKeywordSearch(&catalog, "hotelwords", "Sofitel"));
+  ExpectSameTable(cars.value(),
+                  ScannedKeywordSearch(&catalog, "carwords", "Hilton"));
+}
+
+TEST(KeywordSearchTest, IndexNotCoveringTheRowLeavesItToTheScan) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .PutTable("I", "hotelwords",
+                            WordsTable({{1, "Sofitel Athens"}, {2, "Ritz"}}))
+                  .ok());
+  IntegrationSystem system(&catalog, "I");
+  ASSERT_TRUE(system
+                  .RegisterIndex("create index ids as inverted by given "
+                                 "T.value select T.hid from I::hotelwords T")
+                  .ok());
+  auto hits = system.KeywordSearch("hotelwords", "Sofitel");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(hits.value().num_rows(), 1u);
+  ExpectSameTable(hits.value(),
+                  ScannedKeywordSearch(&catalog, "hotelwords", "Sofitel"));
 }
 
 TEST(KeywordSearchTest, StaleIndexFallsBackToTheScan) {
@@ -644,6 +740,10 @@ TEST(KeywordSearchTest, StaleIndexFallsBackToTheScan) {
                   .ok());
   EXPECT_EQ(system.KeywordSearch("hotelwords", "Hilton").value().num_rows(),
             0u);
+  auto fresh = system.KeywordSearch("hotelwords", "Sofitel");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectSameTable(fresh.value(),
+                  ScannedKeywordSearch(&catalog, "hotelwords", "Sofitel"));
   // A commit adds a Hilton row after the build: the index no longer covers
   // the table, so the scan answers.
   ASSERT_TRUE(catalog
@@ -656,6 +756,9 @@ TEST(KeywordSearchTest, StaleIndexFallsBackToTheScan) {
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   ASSERT_EQ(hits.value().num_rows(), 1u);
   EXPECT_EQ(hits.value().row(0)[0].as_int(), 3);
+  // The stale index's answer had the scan's columns too.
+  ExpectSameTable(fresh.value(),
+                  ScannedKeywordSearch(&catalog, "hotelwords", "Sofitel"));
 }
 
 // ---- Physical data independence (Fig. 8) ------------------------------------
