@@ -3,8 +3,7 @@
 // commit cost, and — the headline number — query throughput while a writer
 // thread commits continuously. Writers never block readers, so the
 // under-mutation trajectory must track the quiescent one; the gate in
-// scripts/run_experiments.sh reads BENCH_concurrency.json and warns above
-// 2% reader overhead, fails above 10%.
+// bench/gates.txt warns above 2% reader overhead and fails above 10%.
 
 #include <benchmark/benchmark.h>
 
@@ -121,10 +120,20 @@ void BM_MutateCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_MutateCommit);
 
+// The gated pair runs the reader serially, so the calling thread's CPU
+// time is the whole reader cost. On a pool, how much of the fan-out the
+// calling thread runs itself depends on how busy the other cores are, and
+// the writer thread keeps one of them busy.
+ExecConfig SerialReader() {
+  ExecConfig exec;
+  exec.num_threads = 1;
+  return exec;
+}
+
 void BM_FanOutQuiescent(benchmark::State& state) {
   Catalog catalog;
   InstallWorkload(&catalog);
-  QueryEngine engine(&catalog, "s2");
+  QueryEngine engine(&catalog, "s2", SerialReader());
   for (auto _ : state) {
     auto r = engine.ExecuteSql(kFanOut);
     benchmark::DoNotOptimize(r);
@@ -135,7 +144,7 @@ BENCHMARK(BM_FanOutQuiescent);
 void BM_FanOutUnderMutation(benchmark::State& state) {
   Catalog catalog;
   InstallWorkload(&catalog);
-  QueryEngine engine(&catalog, "s2");
+  QueryEngine engine(&catalog, "s2", SerialReader());
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> commits{0};
   std::thread writer([&] {

@@ -1,8 +1,8 @@
 // Observability overhead: the same fan-out and join queries with (a) no
 // observer attached and (b) an observer attached (full spans + counters).
-// The acceptance bar is <2% between (a) and (b) on the fan-out workload.
-// The preamble prints a per-query counter dump — the flat name=value form
-// that lands in BENCH_observe.json notes.
+// The gate in bench/gates.txt warns above 2% between (a) and (b) on the
+// fan-out workload and fails above 10%. The preamble prints a per-query
+// counter dump in the flat name=value form.
 
 #include <benchmark/benchmark.h>
 

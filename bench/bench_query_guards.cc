@@ -3,7 +3,8 @@
 // QueryContext — the fast path every pre-guard caller gets) and guarded
 // with generous limits (deadline + row/byte budgets armed but never
 // tripping). The difference is the steady-state cost of deadline checks,
-// cancellation polls, and budget accounting; target ≤ 2%.
+// cancellation polls, and budget accounting; bench/gates.txt warns above 2%
+// and fails above 10%.
 
 #include <benchmark/benchmark.h>
 
@@ -32,6 +33,14 @@ const char kQ2[] =
 // Higher-order fan-out over the s2 layout: guards are also checked per
 // grounding, so this exercises the enforcement point the join queries miss.
 const char kFanOut[] = "select R, D, P from s2 -> R, R T, T.date D, T.price P";
+
+/// Serial execution: the calling thread's CPU time is then the whole query
+/// cost, which the gate compares guarded vs unguarded.
+ExecConfig Serial() {
+  ExecConfig exec;
+  exec.num_threads = 1;
+  return exec;
+}
 
 /// Limits far above what the workloads produce: every check runs, none trips.
 QueryGuards GenerousGuards() {
@@ -75,7 +84,7 @@ void PrintOverheadPreamble() {
   };
   Setup s(20, 100);
   for (const Case& c : cases) {
-    QueryEngine engine(&s.catalog, c.db);
+    QueryEngine engine(&s.catalog, c.db, Serial());
     // Warm-up, then alternate modes to cancel drift; report best-of-N per
     // mode (minimum suppresses scheduler noise, which on a small machine
     // dwarfs the per-check cost being measured).
@@ -103,7 +112,7 @@ void PrintOverheadPreamble() {
 
 void BM_Q1(benchmark::State& state) {
   Setup s(20, 100);
-  QueryEngine engine(&s.catalog, "db0");
+  QueryEngine engine(&s.catalog, "db0", Serial());
   const bool guarded = state.range(0) != 0;
   for (auto _ : state) RunQuery(&engine, kQ1, guarded);
 }
@@ -111,7 +120,7 @@ BENCHMARK(BM_Q1)->Arg(0)->Arg(1)->ArgNames({"guarded"});
 
 void BM_Q2(benchmark::State& state) {
   Setup s(20, 100);
-  QueryEngine engine(&s.catalog, "db0");
+  QueryEngine engine(&s.catalog, "db0", Serial());
   const bool guarded = state.range(0) != 0;
   for (auto _ : state) RunQuery(&engine, kQ2, guarded);
 }
@@ -119,7 +128,7 @@ BENCHMARK(BM_Q2)->Arg(0)->Arg(1)->ArgNames({"guarded"});
 
 void BM_FanOut(benchmark::State& state) {
   Setup s(20, 100);
-  QueryEngine engine(&s.catalog, "s2");
+  QueryEngine engine(&s.catalog, "s2", Serial());
   const bool guarded = state.range(0) != 0;
   for (auto _ : state) RunQuery(&engine, kFanOut, guarded);
 }

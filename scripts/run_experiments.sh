@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates every reproduced figure/experiment (see EXPERIMENTS.md):
-# builds, runs the test suite, then every bench binary, collecting outputs
-# under results/.
+# Regenerates every reproduced figure/experiment (see EXPERIMENTS.md) and
+# checks the benchmark gates of bench/gates.txt: builds, runs the test
+# suite, runs every bench binary once (text and JSON together), checks the
+# gates, then the lint/audit checks, the fault-injected passes, the
+# examples and a ThreadSanitizer pass. Outputs land under results/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,265 +11,90 @@ cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 
 mkdir -p results
-ctest --test-dir build --output-on-failure 2>&1 | tee results/tests.txt
+rm -f results/BENCH_*.json
 
+# The whole tier-1 suite, every labelled suite included. The fuzz soak
+# knobs are unset so this always runs the pinned baseline workload.
+env -u DYNVIEW_FUZZ_ITERS -u DYNVIEW_FUZZ_SEED -u DYNVIEW_FUZZ_REPRO \
+  ctest --test-dir build --output-on-failure 2>&1 | tee results/tests.txt
+
+# Every bench once, its text and JSON together. Binaries named in the gate
+# table run 20 short repetitions in random order: the comparator reads
+# medians, and many interleaved samples keep host drift from landing on one
+# side of a ratio.
+gated="$(awk '!/^#/ && NF { print $1 }' bench/gates.txt | sort -u)"
 for b in build/bench/bench_*; do
   name="$(basename "$b")"
+  reps=(--benchmark_repetitions=1)
+  if grep -qx "$name" <<<"$gated"; then
+    reps=(--benchmark_repetitions=20 --benchmark_min_time=0.1
+          --benchmark_enable_random_interleaving=true)
+  fi
   echo "=== $name ==="
-  "$b" 2>&1 | tee "results/${name}.txt"
+  "$b" "${reps[@]}" \
+    --benchmark_out="results/BENCH_${name#bench_}.json" \
+    --benchmark_out_format=json 2>&1 | tee "results/${name}.txt"
 done
+# A failing gate fails the script, but only at the end: the correctness
+# passes below run either way.
+set +e
+python3 scripts/check_gates.py bench/gates.txt results/BENCH_*.json |
+  tee results/gates.txt
+gates_status=${PIPESTATUS[0]}
+set -e
 
-# Machine-readable parallel-scaling trajectory (threads 1/2/4/8): the
-# speedup preamble goes to the .txt above; this JSON is the comparable
-# artifact future PRs regress against.
-build/bench/bench_parallel_engine \
-  --benchmark_out=results/BENCH_parallel.json \
-  --benchmark_out_format=json >/dev/null
-
-# Guard overhead (deadline/cancellation/budget checks, armed but idle) on the
-# Fig. 11 / Fig. 13 workloads; the acceptance bar is ≤2% vs unguarded.
-build/bench/bench_query_guards \
-  --benchmark_out=results/BENCH_guards.json \
-  --benchmark_out_format=json >/dev/null
-
-# Observability overhead: no-observer vs traced (spans + counters).
-# Acceptance bar: traced fan-out within 2% of no-observer (warn), hard-fail
-# above 10%.
-build/bench/bench_observability \
-  --benchmark_out=results/BENCH_observe.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_observe.json") as f:
-    runs = {b["name"]: b["real_time"] for b in json.load(f)["benchmarks"]}
-base = runs["BM_FanOutNoObserver/48/200"]
-traced = runs["BM_FanOutTraced/48/200"]
-pct = 100.0 * (traced - base) / base
-print(f"observability overhead (traced): {pct:+.2f}%")
-if pct > 10.0:
-    raise SystemExit(f"FAIL: traced overhead {pct:.2f}% > 10%")
-if pct > 2.0:
-    print(f"WARN: traced overhead {pct:.2f}% above the 2% target")
-EOF
-
-# Versioned-catalog reader overhead: queries while a writer thread commits
-# continuously vs. a quiescent catalog. Mutations never block readers, so
-# the two must track: warn above 2%, hard-fail above 10%.
-build/bench/bench_concurrent_catalog \
-  --benchmark_out=results/BENCH_concurrency.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_concurrency.json") as f:
-    runs = {b["name"]: b for b in json.load(f)["benchmarks"]}
-# Gate on cpu_time: on few-core hosts the writer thread shares the wall
-# clock with the reader, inflating real_time without any blocking. The
-# reader's own CPU cost is the scheduling-independent regression signal;
-# real_time is printed for the multi-core case where it is meaningful.
-base = runs["BM_FanOutQuiescent"]["cpu_time"]
-churn = runs["BM_FanOutUnderMutation"]["cpu_time"]
-pct = 100.0 * (churn - base) / base
-wall = 100.0 * (runs["BM_FanOutUnderMutation"]["real_time"] -
-                runs["BM_FanOutQuiescent"]["real_time"]) \
-             / runs["BM_FanOutQuiescent"]["real_time"]
-print(f"catalog reader overhead under mutation: {pct:+.2f}% cpu "
-      f"({wall:+.2f}% wall)")
-if pct > 10.0:
-    raise SystemExit(f"FAIL: reader cpu overhead {pct:.2f}% > 10% — the "
-                     "read path regressed under concurrent commits")
-if pct > 2.0:
-    print(f"WARN: reader cpu overhead {pct:.2f}% above the 2% target")
-EOF
-
-# Lint gate: dynview-lint over the workload catalogs must report ZERO error
-# diagnostics (warnings like DV003 pivot-multiplicity are expected and
-# allowed), and JSON output must be byte-stable across runs and thread
-# counts. Then the C++ lint (clang-tidy when installed).
+# Lint gate: dynview-lint exits 1 on any error diagnostic over the workload
+# catalogs (warnings like DV003 pivot-multiplicity are expected), and its
+# JSON must be byte-stable across thread counts. Then the C++ lint
+# (clang-tidy when installed).
 for wl in stock hotel tickets; do
   echo "=== dynview-lint: ${wl} ==="
-  build/examples/dynview_lint "examples/lint/${wl}.ssql" \
-    --workload="${wl}" --format=json --threads=1 \
-    | tee "results/lint_${wl}.json"
-  build/examples/dynview_lint "examples/lint/${wl}.ssql" \
-    --workload="${wl}" --format=json --threads=8 \
-    > "results/lint_${wl}_t8.json"
-  cmp "results/lint_${wl}.json" "results/lint_${wl}_t8.json" || {
+  for t in 1 8; do
+    build/examples/dynview_lint "examples/lint/${wl}.ssql" \
+      --workload="${wl}" --format=json --threads="$t" \
+      > "results/lint_${wl}_t${t}.json"
+  done
+  cat "results/lint_${wl}_t1.json"
+  cmp "results/lint_${wl}_t1.json" "results/lint_${wl}_t8.json" || {
     echo "FAIL: dynview-lint output differs across thread counts (${wl})"
     exit 1
   }
-  rm -f "results/lint_${wl}_t8.json"
-  python3 - "results/lint_${wl}.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-if report["errors"] != 0:
-    raise SystemExit(f"FAIL: {sys.argv[1]}: {report['errors']} lint error(s)")
-print(f"{sys.argv[1]}: 0 errors, {report['warnings']} warning(s), "
-      f"{report['notes']} note(s)")
-EOF
 done
 scripts/run_lint.sh build 2>&1 | tee results/lint_cxx.txt
 
-# Compiled query path: cold vs warm-cache vs prepared per-query cost at
-# repeat rates {1,10,100} on the Fig. 6 workload. Acceptance bar: at repeat
-# rate 100 the amortized per-query cost must be ≥3× cheaper than at repeat
-# rate 1 (the cold path) — the plan cache has to actually pay for itself.
-build/bench/bench_compiled \
-  --benchmark_out=results/BENCH_compiled.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_compiled.json") as f:
-    runs = {b["name"]: b for b in json.load(f)["benchmarks"]}
+# Audit gate: dynview-audit reports ZERO findings over the workload
+# catalogs (the shipped workloads carry no redundancy), and its JSON is
+# byte-stable across thread counts.
+for wl in stock hotel tickets; do
+  echo "=== dynview-audit: ${wl} ==="
+  for t in 1 8; do
+    build/examples/dynview_audit "examples/lint/${wl}.ssql" \
+      --workload="${wl}" --format=json --threads="$t" \
+      > "results/audit_${wl}_t${t}.json"
+  done
+  cat "results/audit_${wl}_t1.json"
+  cmp "results/audit_${wl}_t1.json" "results/audit_${wl}_t8.json" || {
+    echo "FAIL: dynview-audit output differs across thread counts (${wl})"
+    exit 1
+  }
+  grep -q '"findings": \[\]' "results/audit_${wl}_t1.json" || {
+    echo "FAIL: audit finding(s) on the shipped ${wl} workload"
+    exit 1
+  }
+done
 
-def per_query(name, repeat):
-    return runs[name]["real_time"] / repeat
+# Fault-injected passes: a latency failpoint on every catalog resolution
+# must be inert for correctness — under the chaos suite's query/mutator
+# races and on the engine/integration-facing suites.
+DYNVIEW_FAILPOINTS="catalog.resolve=latency(1)" \
+  ctest --test-dir build --output-on-failure -L chaos 2>&1 |
+  tee results/tests_chaos.txt
+DYNVIEW_FAILPOINTS="catalog.resolve=latency(1)" \
+  ctest --test-dir build --output-on-failure \
+  -R 'EngineTest|IntegrationTest|GuardTest' 2>&1 |
+  tee results/tests_failpoints.txt
 
-for family in ("BM_AnswerRepeatRate", "BM_PreparedRepeatRate"):
-    series = {r: per_query(f"{family}/{r}", r) for r in (1, 10, 100)}
-    print(f"{family}: per-query "
-          + ", ".join(f"r={r}: {t:.1f} {runs[family + '/1']['time_unit']}"
-                      for r, t in series.items()))
-    speedup = series[1] / series[100]
-    print(f"{family}: warm-vs-cold speedup at repeat 100 = {speedup:.2f}x")
-    if speedup < 3.0:
-        raise SystemExit(
-            f"FAIL: {family} repeat-100 speedup {speedup:.2f}x < 3x — the "
-            "plan cache is not paying for itself")
-EOF
-
-# The compiled-path suite (ctest -L compiled): engine goldens at 1/8
-# threads, the expression differential against the reference tree walk,
-# plan-cache semantics, prepared queries, the plan_cache.lookup failpoint.
-ctest --test-dir build --output-on-failure -L compiled 2>&1 |
-  tee results/tests_compiled.txt
-
-# Durability: snapshot encode/write/load throughput, per-commit WAL append
-# cost (fsync on/off), and recovery time vs log length. Every recovery
-# benchmark re-checks the crash-consistency oracle (exact head version +
-# byte-identical state) and reports it as recovery_ok — gate on it.
-build/bench/bench_durability \
-  --benchmark_out=results/BENCH_durability.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_durability.json") as f:
-    doc = json.load(f)
-checked = 0
-for b in doc["benchmarks"]:
-    if "recovery_ok" not in b:
-        continue
-    checked += 1
-    if b["recovery_ok"] != 1.0:
-        raise SystemExit(
-            f"FAIL: {b['name']}: recovery_ok={b['recovery_ok']} — recovered "
-            "state diverged from the pre-crash catalog")
-if checked == 0:
-    raise SystemExit("FAIL: no recovery benchmarks reported recovery_ok")
-print(f"durability: recovery oracle held in {checked} benchmark(s)")
-EOF
-
-# The durability suite proper (ctest -L durability): snapshot round-trip
-# byte-identity, WAL replay to the exact head version, torn-tail
-# truncation, the wal.append / wal.fsync / snapshot.write / snapshot.load
-# failpoints, and the crash-recovery chaos oracle at 1 and 8 threads.
-ctest --test-dir build --output-on-failure -L durability 2>&1 |
-  tee results/tests_durability.txt
-
-# Schema evolution cost: the DDL transaction itself, the re-lint pass over
-# registered definitions, and full propagation with re-materialization.
-# Acceptance bars: a rename-relation transaction stays under 5 ms per op
-# (it must not scale with data), a relint-only evolution over two sources
-# stays under 5 ms per op, and skipping re-materialization actually skips
-# its cost (relint-only ≤ full propagation on the same workload).
-build/bench/bench_evolve \
-  --benchmark_out=results/BENCH_evolve.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_evolve.json") as f:
-    runs = {b["name"]: b for b in json.load(f)["benchmarks"]}
-unit = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-def per_op_ms(name):
-    b = runs[name]
-    return b["cpu_time"] * unit[b["time_unit"]] / 2  # 2 DDL ops / iteration
-rename = per_op_ms("BM_EvolveTxnRenameRelation/100")
-relint = per_op_ms("BM_EvolveRelintOnly/10/100/2")
-full = per_op_ms("BM_EvolveWithRematerialization/10/100/2")
-print(f"evolution txn (rename-relation): {rename:.3f} ms/op")
-print(f"evolution relint-only (2 sources): {relint:.3f} ms/op")
-print(f"evolution full propagation (2 sources): {full:.3f} ms/op")
-if rename > 5.0:
-    raise SystemExit(f"FAIL: rename-relation txn {rename:.3f} ms > 5 ms")
-if relint > 5.0:
-    raise SystemExit(f"FAIL: relint-only evolution {relint:.3f} ms > 5 ms")
-if relint > 1.25 * full:
-    raise SystemExit(
-        f"FAIL: relint-only ({relint:.3f} ms) costs more than full "
-        f"propagation ({full:.3f} ms) — skipping remat is not skipping work")
-EOF
-
-# The query-server suite (ctest -L server): wire-codec round-trips,
-# concurrent sessions byte-identical to in-process answers, deterministic
-# load shedding (admission queues, session caps, pool backpressure),
-# disconnect cancellation, and chaos inputs (accept/read/write failpoints,
-# torn/garbage/oversized frames) degrading to clean errors.
-ctest --test-dir build --output-on-failure -L server 2>&1 |
-  tee results/tests_server.txt
-
-# Server robustness benchmarks: throughput + p50/p95/p99 at 1/8/32
-# sessions, shed behavior under 2× admission overload, and a chaos run
-# (read-failpoint storm + mid-query hangups). Gates: overload SHEDS
-# (shed > 0, kResourceExhausted + retry-after) instead of violating
-# deadlines (zero violations, admitted p99 under the request deadline), and
-# after the storm the server still answers byte-identically (chaos_ok).
-build/bench/bench_server \
-  --benchmark_out=results/BENCH_server.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_server.json") as f:
-    runs = {b["name"]: b for b in json.load(f)["benchmarks"]}
-over = runs["BM_ServerOverloadShed/iterations:1/real_time"]
-chaos = runs["BM_ServerChaos/iterations:1/real_time"]
-for n in (1, 8, 32):
-    b = runs[f"BM_ServerThroughput/{n}/real_time"]
-    print(f"server throughput @{n} sessions: {b['qps']:.0f} req/s, "
-          f"p50={b['p50_ms']:.2f} p95={b['p95_ms']:.2f} "
-          f"p99={b['p99_ms']:.2f} ms, shed={b.get('shed', 0):.0f}")
-    if b["errors"] != 0:
-        raise SystemExit(f"FAIL: {b['errors']:.0f} hard errors at {n} sessions")
-print(f"overload (2x): shed_rate={over['shed_rate']:.2f} ok={over['ok']:.0f} "
-      f"shed={over['shed']:.0f} p99={over['p99_ms']:.2f} ms "
-      f"(deadline {over['deadline_ms']:.0f} ms)")
-if over["shed"] == 0:
-    raise SystemExit("FAIL: 2x overload shed nothing — admission control "
-                     "is not bounding the queues")
-if over["deadline_violations"] != 0 or over["other_errors"] != 0:
-    raise SystemExit(
-        f"FAIL: overload violated deadlines ({over['deadline_violations']:.0f}) "
-        f"or errored ({over['other_errors']:.0f}) instead of shedding")
-if over["p99_ms"] >= over["deadline_ms"]:
-    raise SystemExit(f"FAIL: admitted p99 {over['p99_ms']:.2f} ms breaches "
-                     f"the {over['deadline_ms']:.0f} ms deadline")
-print(f"chaos: survived={chaos['survived']:.0f} dropped={chaos['dropped']:.0f} "
-      f"failpoint_trips={chaos['failpoint_trips']:.0f} "
-      f"disconnect_cancels={chaos['disconnect_cancels']:.0f}")
-if chaos["chaos_ok"] != 1.0 or chaos["server_running"] != 1.0:
-    raise SystemExit("FAIL: server did not answer byte-identically after the "
-                     "chaos storm")
-EOF
-
-# The fuzz suite (ctest -L fuzz): bounded, seeded, deterministic — the
-# randomized-heterogeneity fuzzer's differential oracle (rewriting and the
-# optimizer vs. direct, threads {1,8}, pre/post every DDL step,
-# replay-after-crash) must hold byte-identically. The soak knobs are
-# explicitly unset so CI always runs the pinned baseline workload.
-env -u DYNVIEW_FUZZ_ITERS -u DYNVIEW_FUZZ_SEED -u DYNVIEW_FUZZ_REPRO \
-  ctest --test-dir build --output-on-failure -L fuzz 2>&1 |
-  tee results/tests_fuzz.txt
-
-# Nightly soak hook: DYNVIEW_FUZZ_ITERS=<n> scales the same seeded run to n
+# Nightly soak hook: DYNVIEW_FUZZ_ITERS=<n> scales the seeded fuzz run to n
 # scenarios (optionally reseeded via DYNVIEW_FUZZ_SEED); on an oracle
 # mismatch the fuzzer delta-minimizes the DDL stream and dumps a
 # self-contained repro under results/fuzz_repro/.
@@ -279,162 +106,48 @@ if [[ -n "${DYNVIEW_FUZZ_ITERS:-}" ]]; then
     tee results/tests_fuzz_soak.txt
 fi
 
-# Analyzer cost on the Fig. 6 catalog: every per-view analysis must stay
-# under 5 ms — definition-time linting is invisible next to materialization.
-build/bench/bench_analyze \
-  --benchmark_out=results/BENCH_analyze.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_analyze.json") as f:
-    doc = json.load(f)
-unit = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-worst = (0.0, "")
-for b in doc["benchmarks"]:
-    if not b["name"].startswith("BM_AnalyzeView"):
-        continue
-    ms = b["real_time"] * unit[b["time_unit"]]
-    if ms > worst[0]:
-        worst = (ms, b["name"])
-print(f"analyzer cost: worst per-view case {worst[1]} = {worst[0]:.3f} ms")
-if worst[0] > 5.0:
-    raise SystemExit(f"FAIL: {worst[1]} takes {worst[0]:.3f} ms > 5 ms per view")
-EOF
-
-# Workload-auditor cost on a containment-heavy 20-view workload (every view
-# pair comparable, so the pairwise sweep does maximal prover work).
-# Acceptance bars: the full 20-view audit stays under 50 ms and the
-# per-view-pair containment check under 2 ms — the audit is a static tool
-# and must stay interactive at workload scale.
-build/bench/bench_audit \
-  --benchmark_out=results/BENCH_audit.json \
-  --benchmark_out_format=json >/dev/null
-python3 - <<'EOF'
-import json
-with open("results/BENCH_audit.json") as f:
-    runs = {b["name"]: b for b in json.load(f)["benchmarks"]}
-unit = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-def ms(name):
-    b = runs[name]
-    return b["real_time"] * unit[b["time_unit"]]
-full = ms("BM_AuditWorkload/20")
-pair = ms("BM_AuditPair")
-whatif = ms("BM_WhatIfBlastRadius/20")
-print(f"audit: 20-view workload {full:.3f} ms, per-pair {pair:.3f} ms, "
-      f"what-if {whatif:.3f} ms")
-if full > 50.0:
-    raise SystemExit(f"FAIL: 20-view audit {full:.3f} ms > 50 ms")
-if pair > 2.0:
-    raise SystemExit(f"FAIL: per-view-pair containment {pair:.3f} ms > 2 ms")
-EOF
-
-# Audit gate: dynview-audit over the workload catalogs must report ZERO
-# findings (the shipped workloads carry no redundancy), and JSON output must
-# be byte-stable across thread counts — the auditor is static and its bytes
-# must not depend on engine parallelism.
-for wl in stock hotel tickets; do
-  echo "=== dynview-audit: ${wl} ==="
-  build/examples/dynview_audit "examples/lint/${wl}.ssql" \
-    --workload="${wl}" --format=json --threads=1 \
-    | tee "results/audit_${wl}.json"
-  build/examples/dynview_audit "examples/lint/${wl}.ssql" \
-    --workload="${wl}" --format=json --threads=8 \
-    > "results/audit_${wl}_t8.json"
-  cmp "results/audit_${wl}.json" "results/audit_${wl}_t8.json" || {
-    echo "FAIL: dynview-audit output differs across thread counts (${wl})"
-    exit 1
-  }
-  rm -f "results/audit_${wl}_t8.json"
-  python3 - "results/audit_${wl}.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-n = len(report["findings"])
-if n != 0:
-    raise SystemExit(f"FAIL: {sys.argv[1]}: {n} audit finding(s) on a "
-                     "shipped workload (false positives)")
-print(f"{sys.argv[1]}: 0 findings, {report['pairs_checked']} pair(s) checked")
-EOF
-done
-
-# The static-analysis suite proper (ctest -L analyze): check registry,
-# DefineView gating, golden text/JSON diagnostics, thread determinism,
-# plus the workload auditor (DV100..DV103 and the what-if oracle).
-ctest --test-dir build --output-on-failure -L analyze 2>&1 |
-  tee results/tests_analyze.txt
-
-# The observability test suite proper (ctest -L observe): determinism
-# oracle, metamorphic pivot, golden rewritings, failpoint coverage.
-ctest --test-dir build --output-on-failure -L observe 2>&1 |
-  tee results/tests_observe.txt
-
-# Chaos pass (ctest -L chaos): 8 worker threads' worth of query/mutator
-# races with latency failpoints armed from the environment, first in the
-# release build, then under ThreadSanitizer — the snapshot-consistency
-# oracles must hold race-free in both.
-DYNVIEW_FAILPOINTS="catalog.resolve=latency(1)" \
-  ctest --test-dir build --output-on-failure -L chaos 2>&1 |
-  tee results/tests_chaos.txt
-cmake -B build-tsan-chaos -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DDYNVIEW_SANITIZE=thread
-cmake --build build-tsan-chaos
-DYNVIEW_FAILPOINTS="catalog.resolve=latency(1)" \
-  ctest --test-dir build-tsan-chaos --output-on-failure -L chaos 2>&1 |
-  tee results/tests_chaos_tsan.txt
-# The compiled differential suite must also hold race-free: cache hits
-# share immutable plans and compiled programs across threads.
-ctest --test-dir build-tsan-chaos --output-on-failure -L compiled 2>&1 |
-  tee results/tests_compiled_tsan.txt
-# And so must durability: WAL appends run under the catalog writer mutex
-# while checkpoints pause the writer — the crash-recovery oracle at 8
-# mutator threads has to hold race-free too.
-ctest --test-dir build-tsan-chaos --output-on-failure -L durability 2>&1 |
-  tee results/tests_durability_tsan.txt
-# The fuzz oracle drives real 8-thread executors through every evolution
-# step — the whole differential harness must also hold race-free.
-env -u DYNVIEW_FUZZ_ITERS -u DYNVIEW_FUZZ_SEED -u DYNVIEW_FUZZ_REPRO \
-  ctest --test-dir build-tsan-chaos --output-on-failure -L fuzz 2>&1 |
-  tee results/tests_fuzz_tsan.txt
-# The server reactor, admission controller and pool-side request execution
-# share connections across reactor + workers + client threads — the whole
-# suite (shedding, disconnects, frame chaos included) must hold race-free.
-ctest --test-dir build-tsan-chaos --output-on-failure -L server 2>&1 |
-  tee results/tests_server_tsan.txt
-
-# Fault-injected pass: run the engine/integration-facing suites with a
-# latency failpoint armed on every catalog resolution, proving injection is
-# inert for correctness (latency only) and the env plumbing works end to end.
-DYNVIEW_FAILPOINTS="catalog.resolve=latency(1)" \
-  ctest --test-dir build --output-on-failure \
-  -R 'EngineTest|IntegrationTest|GuardTest' 2>&1 |
-  tee results/tests_failpoints.txt
-
 for e in quickstart stock_integration hotel_publishing ticket_indexing \
          warehouse_cube; do
   echo "=== example: $e ==="
   "./build/examples/$e" 2>&1 | tee "results/example_${e}.txt"
 done
 
-# DYNVIEW_SANITIZE=1: rebuild under ThreadSanitizer, AddressSanitizer and
-# UndefinedBehaviorSanitizer. The thread lane runs the concurrency-sensitive
-# suites (races are concurrency-shaped); the address and undefined lanes run
-# the FULL tier-1 suite — memory and UB bugs hide anywhere, and both
-# sanitizers are cheap enough to afford everything.
-if [[ "${DYNVIEW_SANITIZE:-0}" == "1" ]]; then
-  for san in thread address undefined; do
-    dir="build-${san}san"
-    cmake -B "$dir" -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DDYNVIEW_SANITIZE="$san"
-    cmake --build "$dir"
-    if [[ "$san" == "thread" ]]; then
-      ctest --test-dir "$dir" --output-on-failure \
-        -R 'GuardTest|QueryContextTest|FailPointTest|ThreadPool|Parallel|MetricsRegistryTest|QueryTraceTest|ObserveEngineTest|DeterminismTest|FailpointCoverageTest|ChaosTest|CompiledEngineTest|CompiledRandomTest|PlanCacheTest|GoldenCachedTest' \
-        2>&1 | tee "results/tests_${san}san.txt"
-    else
-      ctest --test-dir "$dir" --output-on-failure -j \
-        2>&1 | tee "results/tests_${san}san.txt"
-    fi
-  done
+# ThreadSanitizer over the label sets of CI's tsan job, read from the
+# workflow so the two lists cannot drift, plus the fuzz suite (its oracle
+# drives 8-thread executors). The chaos suite runs with a latency failpoint
+# armed on every catalog resolution, which widens its race windows.
+# DYNVIEW_SANITIZE=1 adds AddressSanitizer and UndefinedBehaviorSanitizer
+# lanes over the FULL tier-1 suite — memory and UB bugs hide anywhere.
+mapfile -t tsan_labels < <(sed -n '/^  tsan:/,/^  [a-z_-]*:$/p' \
+  .github/workflows/ci.yml | grep -o -- '-L [a-z]*' | cut -d' ' -f2)
+if ! printf '%s\n' "${tsan_labels[@]}" | grep -qx chaos; then
+  echo "FAIL: no '-L chaos' among the ctest labels of ci.yml's tsan job" \
+       "(read: ${tsan_labels[*]:-none})"
+  exit 1
 fi
+sans=(thread)
+if [[ "${DYNVIEW_SANITIZE:-0}" == "1" ]]; then sans+=(address undefined); fi
+for san in "${sans[@]}"; do
+  dir="build-${san}san"
+  cmake -B "$dir" -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DDYNVIEW_SANITIZE="$san"
+  cmake --build "$dir"
+  if [[ "$san" == "thread" ]]; then
+    for label in "${tsan_labels[@]}" fuzz; do
+      failpoints=""
+      if [[ "$label" == "chaos" ]]; then
+        failpoints="catalog.resolve=latency(1)"
+      fi
+      env -u DYNVIEW_FUZZ_ITERS -u DYNVIEW_FUZZ_SEED -u DYNVIEW_FUZZ_REPRO \
+        DYNVIEW_FAILPOINTS="$failpoints" \
+        ctest --test-dir "$dir" --output-on-failure -L "$label" 2>&1 |
+        tee "results/tests_${label}_${san}san.txt"
+    done
+  else
+    ctest --test-dir "$dir" --output-on-failure -j \
+      2>&1 | tee "results/tests_${san}san.txt"
+  fi
+done
 
 echo "All outputs collected under results/."
+exit "$gates_status"

@@ -243,8 +243,7 @@ bool ParseEvolveRematTag(const std::string& tag, size_t* index,
   return true;
 }
 
-Status IntegrationSystem::OpenDurable(const std::string& dir,
-                                      const DurabilityOptions& options) {
+Status IntegrationSystem::OpenDurable(const std::string& dir) {
   if (durable_ != nullptr) {
     return Status::InvalidArgument("durable storage is already open (" +
                                    durable_->dir() + ")");
@@ -286,8 +285,7 @@ Status IntegrationSystem::OpenDurable(const std::string& dir,
   };
   hooks.blob_provider = [this]() { return RegistrationExtras(); };
   DV_ASSIGN_OR_RETURN(durable_,
-                      DurableCatalog::Open(catalog_, dir, options,
-                                           std::move(hooks),
+                      DurableCatalog::Open(catalog_, dir, std::move(hooks),
                                            &recovery_report_));
   {
     std::lock_guard<std::mutex> lock(recovery_warn_mu_);

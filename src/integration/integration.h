@@ -235,8 +235,7 @@ class IntegrationSystem {
   ///     state is captured by the initial checkpoint).
   /// Recovery warnings (torn WAL tail, skipped snapshot) surface once on
   /// the next AnswerGuarded result and stay readable via recovery_report().
-  Status OpenDurable(const std::string& dir,
-                     const DurabilityOptions& options = {});
+  Status OpenDurable(const std::string& dir);
 
   /// Writes a snapshot (catalog + registrations) and truncates the WAL.
   Status Checkpoint();

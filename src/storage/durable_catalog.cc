@@ -103,14 +103,14 @@ Status Catalog::Recover(const std::string& dir, RecoveryReport* report) {
 }
 
 Result<std::unique_ptr<DurableCatalog>> DurableCatalog::Open(
-    Catalog* catalog, const std::string& dir, const DurabilityOptions& opts,
-    DurableHooks hooks, RecoveryReport* report) {
+    Catalog* catalog, const std::string& dir, DurableHooks hooks,
+    RecoveryReport* report) {
   DV_RETURN_IF_ERROR(EnsureDir(dir));
   std::unique_ptr<DurableCatalog> dc(
-      new DurableCatalog(catalog, dir, opts, std::move(hooks)));
+      new DurableCatalog(catalog, dir, std::move(hooks)));
   DV_RETURN_IF_ERROR(RecoverInto(catalog, dir, dc->hooks_, &dc->report_,
                                  &dc->metrics_));
-  DV_ASSIGN_OR_RETURN(dc->wal_, WalWriter::Open(dc->WalPath(), opts.fsync));
+  DV_ASSIGN_OR_RETURN(dc->wal_, WalWriter::Open(dc->WalPath()));
   catalog->SetCommitSink(dc.get());
   // Bound the replayed log: checkpoint what we just recovered. Failure
   // (e.g. an injected snapshot.write error) leaves the WAL intact and

@@ -29,12 +29,6 @@ struct RecoveryReport {
   std::vector<std::string> warnings;
 };
 
-struct DurabilityOptions {
-  /// fsync every WAL append (the durability contract). Benches may disable
-  /// it to measure the append path alone; correctness tests never do.
-  bool fsync = true;
-};
-
 /// Integration points for layers that keep derived state beside the
 /// catalog (view registrations, index payloads). All optional.
 struct DurableHooks {
@@ -70,8 +64,8 @@ class DurableCatalog final : public CatalogCommitSink {
   /// `dir` holds prior state. `report` (optional) receives what recovery
   /// saw; the same data stays readable via report().
   static Result<std::unique_ptr<DurableCatalog>> Open(
-      Catalog* catalog, const std::string& dir, const DurabilityOptions& opts,
-      DurableHooks hooks, RecoveryReport* report = nullptr);
+      Catalog* catalog, const std::string& dir, DurableHooks hooks,
+      RecoveryReport* report = nullptr);
 
   ~DurableCatalog() override;
 
@@ -109,18 +103,13 @@ class DurableCatalog final : public CatalogCommitSink {
                             MetricsRegistry* metrics);
 
  private:
-  DurableCatalog(Catalog* catalog, std::string dir, DurabilityOptions opts,
-                 DurableHooks hooks)
-      : catalog_(catalog),
-        dir_(std::move(dir)),
-        opts_(opts),
-        hooks_(std::move(hooks)) {}
+  DurableCatalog(Catalog* catalog, std::string dir, DurableHooks hooks)
+      : catalog_(catalog), dir_(std::move(dir)), hooks_(std::move(hooks)) {}
 
   std::string WalPath() const { return dir_ + "/wal.log"; }
 
   Catalog* catalog_;
   std::string dir_;
-  DurabilityOptions opts_;
   DurableHooks hooks_;
   std::unique_ptr<WalWriter> wal_;
   RecoveryReport report_;

@@ -166,11 +166,10 @@ Status EncodeTableChanges(const Database* before, const Database& after,
 
 }  // namespace
 
-Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
-                                                   bool fsync_each) {
+Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return Status::Internal(Errno("open", path));
-  return std::unique_ptr<WalWriter>(new WalWriter(fd, path, fsync_each));
+  return std::unique_ptr<WalWriter>(new WalWriter(fd, path));
 }
 
 WalWriter::~WalWriter() {
@@ -210,7 +209,7 @@ Status WalWriter::AppendRecord(const std::string& payload,
     broken_ = true;
     return st;
   }
-  if (fsync_each_ && ::fsync(fd_) != 0) {
+  if (::fsync(fd_) != 0) {
     broken_ = true;
     return Status::Internal(Errno("fsync", path_));
   }
@@ -288,7 +287,7 @@ Status WalWriter::Truncate() {
   if (::ftruncate(fd_, 0) != 0) {
     return Status::Internal(Errno("ftruncate", path_));
   }
-  if (fsync_each_ && ::fsync(fd_) != 0) {
+  if (::fsync(fd_) != 0) {
     return Status::Internal(Errno("fsync", path_));
   }
   broken_ = false;  // The ambiguous suffix (if any) is gone with the log.

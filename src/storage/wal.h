@@ -65,11 +65,11 @@ namespace dynview {
 /// newest snapshot was unreadable and recovery fell back to an older one)
 /// and a change that does not fit the recovered head.
 ///
-/// Durability contract: Append fsyncs (when enabled) BEFORE returning OK,
-/// and the catalog publishes the new head only after that — the WAL fsync
-/// is the commit point. If a record may have reached the disk but the
-/// append did not return OK (torn write, failed/injected fsync), the writer
-/// turns fail-stop: every later append returns Unavailable until the log is
+/// Durability contract: every Append fsyncs BEFORE returning OK, and the
+/// catalog publishes the new head only after that — the WAL fsync is the
+/// commit point. If a record may have reached the disk but the append did
+/// not return OK (torn write, failed/injected fsync), the writer turns
+/// fail-stop: every later append returns Unavailable until the log is
 /// recovered. That keeps the on-disk prefix unambiguous.
 ///
 /// Failpoints (detail = commit tag or blob kind):
@@ -83,8 +83,7 @@ namespace dynview {
 
 class WalWriter final : public CatalogCommitSink {
  public:
-  static Result<std::unique_ptr<WalWriter>> Open(const std::string& path,
-                                                 bool fsync_each);
+  static Result<std::unique_ptr<WalWriter>> Open(const std::string& path);
   ~WalWriter() override;
 
   WalWriter(const WalWriter&) = delete;
@@ -105,15 +104,13 @@ class WalWriter final : public CatalogCommitSink {
   uint64_t bytes_written() const;
 
  private:
-  WalWriter(int fd, std::string path, bool fsync_each)
-      : fd_(fd), path_(std::move(path)), fsync_each_(fsync_each) {}
+  WalWriter(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
 
   Status AppendRecord(const std::string& payload, const std::string& detail);
 
   mutable std::mutex mu_;
   int fd_;
   std::string path_;
-  bool fsync_each_;
   bool broken_ = false;
   uint64_t appends_ = 0;
   uint64_t bytes_ = 0;

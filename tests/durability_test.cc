@@ -224,11 +224,11 @@ Status ApplyOps(Catalog* catalog, int n) {
 TEST_F(DurabilityTest, WalReplayRestoresExactHeadVersion) {
   Catalog catalog;
   {
-    auto wal = WalWriter::Open(dir_ + "_nodir/wal.log", /*fsync_each=*/true);
+    auto wal = WalWriter::Open(dir_ + "_nodir/wal.log");
     EXPECT_FALSE(wal.ok()) << "missing directory must fail cleanly";
   }
   ASSERT_TRUE(::mkdir(dir_.c_str(), 0755) == 0);
-  auto wal = WalWriter::Open(dir_ + "/wal.log", /*fsync_each=*/true);
+  auto wal = WalWriter::Open(dir_ + "/wal.log");
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   catalog.SetCommitSink(wal.value().get());
   ASSERT_TRUE(ApplyOps(&catalog, 5).ok());
@@ -258,7 +258,7 @@ TEST_F(DurabilityTest, TornTailIsTruncatedWithWarningNeverError) {
   ASSERT_TRUE(::mkdir(dir_.c_str(), 0755) == 0);
   std::string wal_path = dir_ + "/wal.log";
   {
-    auto wal = WalWriter::Open(wal_path, true);
+    auto wal = WalWriter::Open(wal_path);
     ASSERT_TRUE(wal.ok());
     catalog.SetCommitSink(wal.value().get());
     ASSERT_TRUE(ApplyOps(&catalog, 3).ok());
@@ -300,7 +300,7 @@ TEST_F(DurabilityTest, TornTailIsTruncatedWithWarningNeverError) {
 TEST_F(DurabilityTest, WalAppendFailpointAbortsCommitCleanly) {
   Catalog catalog;
   ASSERT_TRUE(::mkdir(dir_.c_str(), 0755) == 0);
-  auto wal = WalWriter::Open(dir_ + "/wal.log", true);
+  auto wal = WalWriter::Open(dir_ + "/wal.log");
   ASSERT_TRUE(wal.ok());
   catalog.SetCommitSink(wal.value().get());
   ASSERT_TRUE(ApplyOps(&catalog, 2).ok());
@@ -344,7 +344,7 @@ TEST_F(DurabilityTest, WalAppendFailpointAbortsCommitCleanly) {
 TEST_F(DurabilityTest, TornWriteFailpointLeavesRecoverablePrefix) {
   Catalog catalog;
   ASSERT_TRUE(::mkdir(dir_.c_str(), 0755) == 0);
-  auto wal = WalWriter::Open(dir_ + "/wal.log", true);
+  auto wal = WalWriter::Open(dir_ + "/wal.log");
   ASSERT_TRUE(wal.ok());
   catalog.SetCommitSink(wal.value().get());
   ASSERT_TRUE(ApplyOps(&catalog, 4).ok());
@@ -382,7 +382,7 @@ TEST_F(DurabilityTest, FsyncKillWindowRecoveryIncludesDurableRecord) {
   // WAL fsync, not the publish, is the commit point.
   Catalog catalog;
   ASSERT_TRUE(::mkdir(dir_.c_str(), 0755) == 0);
-  auto wal = WalWriter::Open(dir_ + "/wal.log", true);
+  auto wal = WalWriter::Open(dir_ + "/wal.log");
   ASSERT_TRUE(wal.ok());
   catalog.SetCommitSink(wal.value().get());
   ASSERT_TRUE(ApplyOps(&catalog, 3).ok());
@@ -410,7 +410,7 @@ TEST_F(DurabilityTest, FsyncKillWindowRecoveryIncludesDurableRecord) {
 TEST_F(DurabilityTest, SnapshotWriteFailpointKillsCheckpointNotRecovery) {
   Catalog catalog;
   RecoveryReport report;
-  auto durable = DurableCatalog::Open(&catalog, dir_, {}, {}, &report);
+  auto durable = DurableCatalog::Open(&catalog, dir_, {}, &report);
   ASSERT_TRUE(durable.ok()) << durable.status().ToString();
   ASSERT_TRUE(ApplyOps(&catalog, 3).ok());
   ASSERT_TRUE(durable.value()->Checkpoint().ok());
@@ -439,7 +439,7 @@ TEST_F(DurabilityTest, SnapshotWriteFailpointKillsCheckpointNotRecovery) {
 
 TEST_F(DurabilityTest, SnapshotLoadFailpointFallsBackToOlderSnapshot) {
   Catalog catalog;
-  auto durable = DurableCatalog::Open(&catalog, dir_, {}, {});
+  auto durable = DurableCatalog::Open(&catalog, dir_, {});
   ASSERT_TRUE(durable.ok());
   ASSERT_TRUE(ApplyOps(&catalog, 2).ok());
   ASSERT_TRUE(durable.value()->Checkpoint().ok());
@@ -473,7 +473,7 @@ TEST_F(DurabilityTest, SnapshotLoadFailpointFallsBackToOlderSnapshot) {
 TEST_F(DurabilityTest, CheckpointThenRecoverIsByteIdentical) {
   Catalog catalog;
   RecoveryReport open_report;
-  auto durable = DurableCatalog::Open(&catalog, dir_, {}, {}, &open_report);
+  auto durable = DurableCatalog::Open(&catalog, dir_, {}, &open_report);
   ASSERT_TRUE(durable.ok());
   EXPECT_FALSE(open_report.recovered_snapshot);
   ASSERT_TRUE(ApplyOps(&catalog, 4).ok());
@@ -697,7 +697,7 @@ Table ChaosTable(int t, int upto) {
 void RunCrashChaos(const std::string& dir, int threads) {
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0);
   Catalog catalog;
-  auto wal = WalWriter::Open(dir + "/wal.log", /*fsync_each=*/true);
+  auto wal = WalWriter::Open(dir + "/wal.log");
   ASSERT_TRUE(wal.ok());
   catalog.SetCommitSink(wal.value().get());
 
@@ -782,7 +782,7 @@ TEST_F(DurabilityTest, CheckpointRenameKillChaos) {
   // no checkpoint lands, but the WAL keeps the full history and recovery
   // still reaches the exact head.
   Catalog catalog;
-  auto durable = DurableCatalog::Open(&catalog, dir_, {}, {});
+  auto durable = DurableCatalog::Open(&catalog, dir_, {});
   ASSERT_TRUE(durable.ok());
   FailSpec kill;
   kill.mode = FailMode::kErrorAlways;
@@ -993,7 +993,7 @@ TEST_F(DurabilityTest, ChecksummedFrameOfUnknownKindRefusesRecovery) {
   ASSERT_TRUE(::mkdir(dir_.c_str(), 0755) == 0);
   const std::string wal_path = dir_ + "/wal.log";
   {
-    auto wal = WalWriter::Open(wal_path, true);
+    auto wal = WalWriter::Open(wal_path);
     ASSERT_TRUE(wal.ok());
     catalog.SetCommitSink(wal.value().get());
     ASSERT_TRUE(ApplyOps(&catalog, 1).ok());
@@ -1048,7 +1048,7 @@ TEST_F(DurabilityTest, SpliceThatDoesNotFitTheHeadRefusesRecovery) {
   ASSERT_TRUE(::mkdir(dir_.c_str(), 0755) == 0);
   Catalog catalog;
   {
-    auto wal = WalWriter::Open(dir_ + "/wal.log", true);
+    auto wal = WalWriter::Open(dir_ + "/wal.log");
     ASSERT_TRUE(wal.ok());
     catalog.SetCommitSink(wal.value().get());
     ASSERT_TRUE(ApplyOps(&catalog, 1).ok());  // wal_db.t: one row, arity 2.
@@ -1102,7 +1102,7 @@ TEST_F(DurabilityTest, VersionGapAfterASkippedSnapshotRefusesRecovery) {
   const std::string image = dir_ + "_crash";
   Catalog catalog;
   {
-    auto durable = DurableCatalog::Open(&catalog, dir_, {}, {});
+    auto durable = DurableCatalog::Open(&catalog, dir_, {});
     ASSERT_TRUE(durable.ok());
     ASSERT_TRUE(ApplyOps(&catalog, 3).ok());  // wal_db.t: 3 rows.
     ASSERT_TRUE(durable.value()->Checkpoint().ok());
@@ -1182,7 +1182,7 @@ TEST_F(DurabilityTest, ZeroColumnTableWithRowsIsNeverStored) {
   one_row.AppendRowUnchecked(Row{});
   Catalog catalog;
   {
-    auto durable = DurableCatalog::Open(&catalog, dir_, {}, {});
+    auto durable = DurableCatalog::Open(&catalog, dir_, {});
     ASSERT_TRUE(durable.ok());
     ASSERT_TRUE(catalog.PutTable("db", "none", no_rows).ok());
     const uint64_t head = catalog.version();
@@ -1223,7 +1223,7 @@ TEST_F(DurabilityTest, OneRowCommitCostsTheSameAtEveryTableSize) {
           catalog.PutTable("db", "t" + std::to_string(t), std::move(table))
               .ok());
     }
-    auto wal = WalWriter::Open(dir + "/wal.log", false);
+    auto wal = WalWriter::Open(dir + "/wal.log");
     ASSERT_TRUE(wal.ok());
     catalog.SetCommitSink(wal.value().get());
     ASSERT_TRUE(catalog

@@ -1,16 +1,17 @@
 // Randomized-heterogeneity fuzz suite (ctest -L fuzz).
 //
-// The fuzzer itself lives in src/fuzz/ — these tests pin down the CI
-// contract: a bounded, seeded run is deterministic and clean (no oracle
-// mismatches) across compilation modes and thread counts {1, 8}; every DDL
-// kind is exercised; durable scenarios crash mid-stream and replay to the
-// pre-crash answers; and the fuzz.oracle failpoint proves the minimization
-// + repro-dump plumbing fires when a mismatch really happens.
+// The fuzzer itself lives in fuzzer.{h,cc} beside this file, a test-support
+// library linked only here. These tests pin down the CI contract: a
+// bounded, seeded run is deterministic and clean (no oracle mismatches)
+// across compilation modes and thread counts {1, 8}; every DDL kind is
+// exercised; durable scenarios crash mid-stream and replay to the pre-crash
+// answers; and the fuzz.oracle failpoint proves the minimization +
+// repro-dump plumbing fires when a mismatch really happens.
 //
 // DYNVIEW_FUZZ_ITERS / DYNVIEW_FUZZ_SEED scale the same binary into the
 // nightly soak (scripts/run_experiments.sh).
 
-#include "fuzz/fuzzer.h"
+#include "fuzzer.h"
 
 #include <gtest/gtest.h>
 

@@ -540,10 +540,13 @@ TEST_F(ServerTest, ShedsDeterministicallyWhenHeavyQueueIsFull) {
 
   // Four pipelined heavy queries hit admission back to back: one runs, one
   // queues, two shed — decided serially on the reactor, so exactly ids 3
-  // and 4 are shed, every run.
+  // and 4 are shed, every run. Each carries a generous deadline: the server
+  // bounds its queue by shedding the excess, so the admitted two finish
+  // inside theirs and nothing is answered kDeadlineExceeded.
   std::vector<uint64_t> ids;
   ClientQueryOptions qopts;
   qopts.multiset = true;
+  qopts.deadline_ms = 10000;
   for (int i = 0; i < 4; ++i) {
     auto id = c.SendQuery(kFanOut, qopts);
     ASSERT_TRUE(id.ok());
@@ -553,6 +556,8 @@ TEST_F(ServerTest, ShedsDeterministicallyWhenHeavyQueueIsFull) {
   for (uint64_t id : ids) {
     auto reply = c.Await(id);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_NE(reply.value().status.code(), StatusCode::kDeadlineExceeded)
+        << "request " << id << " was admitted past its deadline";
     if (reply.value().status.ok()) {
       ++ok;
       continue;
@@ -774,6 +779,21 @@ TEST_F(ServerTest, IoFailpointsDegradeToCleanCloses) {
   ASSERT_TRUE(healthy.ok());
   EXPECT_TRUE(healthy.value()->Ping().ok());
   EXPECT_GE(Counter(server, counters::kServerFailpointTrips), 3u);
+
+  // The server degraded, it did not corrupt: a fan-out query on a fresh
+  // connection returns the in-process answer byte for byte.
+  AnswerOptions options;
+  options.multiset = true;
+  auto expected = system.AnswerGuarded(kFanOut, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto fresh = ServerClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ClientQueryOptions qopts;
+  qopts.multiset = true;
+  auto reply = fresh.value()->Query(kFanOut, qopts);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply.value().status.ok()) << reply.value().status.ToString();
+  EXPECT_EQ(reply.value().csv, TableToCsvTyped(expected.value().table));
   server.Stop();
 }
 
