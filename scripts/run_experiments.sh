@@ -113,9 +113,10 @@ for e in quickstart stock_integration hotel_publishing ticket_indexing \
 done
 
 # ThreadSanitizer over the label sets of CI's tsan job, read from the
-# workflow so the two lists cannot drift, plus the fuzz suite (its oracle
-# drives 8-thread executors). The chaos suite runs with a latency failpoint
-# armed on every catalog resolution, which widens its race windows.
+# workflow so the two lists cannot drift (the fuzz suite among them: its
+# oracle drives 8-thread executors, across commits too). The chaos suite
+# runs with a latency failpoint armed on every catalog resolution, which
+# widens its race windows.
 # DYNVIEW_SANITIZE=1 adds AddressSanitizer and UndefinedBehaviorSanitizer
 # lanes over the FULL tier-1 suite — memory and UB bugs hide anywhere.
 mapfile -t tsan_labels < <(sed -n '/^  tsan:/,/^  [a-z_-]*:$/p' \
@@ -133,7 +134,7 @@ for san in "${sans[@]}"; do
     -DDYNVIEW_SANITIZE="$san"
   cmake --build "$dir"
   if [[ "$san" == "thread" ]]; then
-    for label in "${tsan_labels[@]}" fuzz; do
+    for label in "${tsan_labels[@]}"; do
       failpoints=""
       if [[ "$label" == "chaos" ]]; then
         failpoints="catalog.resolve=latency(1)"

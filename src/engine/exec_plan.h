@@ -40,8 +40,8 @@ struct GroupedExpr {
 /// after any data error that precedes them.
 ///
 /// A pipeline holds no table: a run resolves each relation by name through
-/// the run's pinned snapshot, which must be the version the pipeline was
-/// built against.
+/// the run's pinned snapshot, which must have the schema epoch of the
+/// version the pipeline was built against.
 struct Pipeline {
   using Program = std::shared_ptr<const CompiledExpr>;
 
@@ -125,7 +125,6 @@ struct BranchPlan {
   Status deferred;
   bool higher_order = false;
   bool union_all = false;  // This branch's UNION [ALL] toward the next.
-  bool wants_pool = false;
 
   std::vector<Pipeline> pipelines;
   std::vector<PipelineRun> runs;  // Higher order: one per grounding.
@@ -145,10 +144,11 @@ struct BranchPlan {
 };
 
 /// An executable plan: what QueryEngine::Build derives from a statement and
-/// one snapshot version, and QueryEngine::Run executes. Immutable once
-/// built; runs on many threads share it. It holds names, labels and
-/// compiled programs, never a snapshot or a table, so a cached plan keeps
-/// no catalog version alive.
+/// the names and schemas of one snapshot, and QueryEngine::Run executes at
+/// any snapshot of the same schema epoch. Immutable once built; runs on
+/// many threads share it. It holds names, labels and compiled programs,
+/// never a snapshot, a table or a row count, so a cached plan keeps no
+/// catalog version alive and no row commit outdates it.
 struct ExecPlan {
   std::vector<BranchPlan> branches;
   /// False when a failpoint was armed while the plan was built: grounding

@@ -753,7 +753,7 @@ Result<Table> RunPipeline(const Pipeline& p, const PipelineRun& run,
     }
     if (scan.missing || base->schema().num_columns() != scan.width) {
       return Status::Internal(
-          "executable plan was built against another catalog version");
+          "executable plan was built against another schema epoch");
     }
     DV_RETURN_IF_ERROR(scan.bind_error);
     if (p.fused) {
@@ -1019,9 +1019,6 @@ void QueryEngine::BuildBranch(const SelectStmt& stmt, const BoundQuery& bq,
     std::vector<const Expr*> conjuncts;
     CollectConjuncts(stmt.where.get(), &conjuncts);
     EvalConstants(conjuncts, &run);
-    // Workers are spun up lazily, and only when a scan is large enough for
-    // the morsel-driven operators to engage.
-    b->wants_pool = HasLargeScan(snap, run.relations, exec_.morsel_rows);
     b->runs.push_back(std::move(run));
     return;
   }
@@ -1205,19 +1202,25 @@ void QueryEngine::BuildFanout(const SelectStmt& stmt, const BoundQuery& bq,
                                            default_db_, ctx));
     }
     run.pipeline = it->second;
-    if (b->runs.empty()) {
-      // Workers pay off for a fan-out, or for one large scan.
-      b->wants_pool = set.groundings.size() > 1 ||
-                      HasLargeScan(snap, run.relations, exec_.morsel_rows);
-    }
     b->runs.push_back(std::move(run));
   }
+}
+
+bool QueryEngine::WantsPool(const BranchPlan& b,
+                            const CatalogSnapshot& snap) const {
+  // Workers pay off for a fan-out, or for one scan large enough for the
+  // morsel-driven operators to engage. Row counts are read at the run's
+  // snapshot: a plan outlives the row counts of the version it was built at.
+  if (b.higher_order && b.runs.size() > 1) return true;
+  return !b.runs.empty() &&
+         HasLargeScan(snap, b.runs[0].relations, exec_.morsel_rows);
 }
 
 Result<Table> QueryEngine::RunBranch(const BranchPlan& b, QueryContext* qc,
                                      const SnapshotRef& snap) {
   if (!b.higher_order) {
-    if (b.wants_pool) EnsurePool();
+    // Workers are spun up lazily, and only when the run can use them.
+    if (WantsPool(b, *snap)) EnsurePool();
     return RunPipeline(b.pipelines[0], b.runs[0], nullptr, Ctx(qc, snap),
                        snap.get());
   }
@@ -1247,7 +1250,7 @@ Result<Table> QueryEngine::RunFanout(const BranchPlan& b, QueryContext* qc,
   // *and* their order, or the reported error) is identical to serial
   // evaluation.
   const size_t n = b.runs.size();
-  ThreadPool* pool = b.wants_pool ? EnsurePool() : nullptr;
+  ThreadPool* pool = WantsPool(b, *snap) ? EnsurePool() : nullptr;
   const ExecContext ctx = Ctx(qc, snap);
   fctx.Count(counters::kGroundingsEvaluated, n);
   ScopedSpan fanout_span(fctx.trace, "grounding.fanout",

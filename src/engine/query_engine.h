@@ -33,9 +33,10 @@ struct ExecContext;
 ///
 /// Build and run: Execute builds an ExecPlan for the pinned snapshot (binds
 /// every branch, enumerates and substitutes the groundings, compiles one
-/// pipeline per slot layout) and then runs it. A caller that keeps the plan
-/// (the integration plan cache, keyed by snapshot version) calls Run again
-/// at the same version and skips the build entirely.
+/// pipeline per slot layout) and then runs it. Build reads names and
+/// schemas only, so a caller that keeps the plan (the integration plan
+/// cache, keyed by schema epoch) calls Run again at any snapshot of the
+/// same epoch and skips the build entirely.
 ///
 /// Snapshot isolation: every execution resolves its tables through one
 /// CatalogSnapshot pinned at entry — the one carried by the QueryContext
@@ -91,9 +92,10 @@ class QueryEngine {
   /// it carries one, else the engine's.
   std::shared_ptr<const ExecPlan> Build(SelectStmt* stmt, QueryContext* qc);
 
-  /// Runs `plan` under `qc`, whose pinned snapshot must be the version the
-  /// plan was built against. Every relation is resolved by name again, so
-  /// the catalog.resolve failpoint still fires per scan.
+  /// Runs `plan` under `qc`, whose pinned snapshot must have the schema
+  /// epoch of the version the plan was built against. Every relation is
+  /// resolved by name again, so the catalog.resolve failpoint still fires
+  /// per scan.
   Result<Table> Run(const ExecPlan& plan, QueryContext* qc);
 
  private:
@@ -116,6 +118,8 @@ class QueryEngine {
   void BuildFanout(const SelectStmt& stmt, const BoundQuery& bq,
                    const ExecContext& ctx, const CatalogSnapshot& snap,
                    BranchPlan* b) const;
+  /// Whether running `b` at `snap` warrants the worker pool.
+  bool WantsPool(const BranchPlan& b, const CatalogSnapshot& snap) const;
   Result<Table> RunBranch(const BranchPlan& b, QueryContext* qc,
                           const SnapshotRef& snap);
   Result<Table> RunFanout(const BranchPlan& b, QueryContext* qc,

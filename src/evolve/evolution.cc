@@ -488,6 +488,7 @@ Status SchemaEvolver::Propagate(const DdlOp& op, const EvolveOptions& options,
     for (const TableRef& old : view->materialization()) {
       if (fresh.count(old.ToString()) == 0) obsolete.push_back(old);
     }
+    bool fence_published = false;
     Result<uint64_t> committed = catalog_->Mutate(
         [&](CatalogTxn& txn) {
           for (const TableRef& old : obsolete) {
@@ -503,7 +504,13 @@ Status SchemaEvolver::Propagate(const DdlOp& op, const EvolveOptions& options,
           }
           return Status::OK();
         },
-        EvolveRematTag(i, new_refs));
+        EvolveRematTag(i, new_refs),
+        [&](uint64_t version) {
+          // The fresh partitions and their fence publish together.
+          view->set_materialization(std::move(new_refs));
+          view->AdvanceMaterializedVersion(version);
+          fence_published = true;
+        });
     if (!committed.ok()) {
       ++out->left_stale;
       out->warnings.push_back(SourceWarning{
@@ -513,8 +520,13 @@ Status SchemaEvolver::Propagate(const DdlOp& op, const EvolveOptions& options,
                               committed.status().message())});
       continue;
     }
-    view->set_materialization(std::move(new_refs));
-    view->AdvanceMaterializedVersion(committed.value());
+    if (!fence_published) {
+      // Nothing to install or retire (the body selects no rows before and
+      // after): the commit touched nothing and published no version, so the
+      // head it returned already reflects the evolution.
+      view->set_materialization(std::move(new_refs));
+      view->AdvanceMaterializedVersion(committed.value());
+    }
     ++out->rematerialized;
   }
   // Indexes are built against I and have no incremental rebuild path yet:

@@ -57,7 +57,11 @@ Result<DefinedView> IntegrationSystem::DefineView(
                           : RegisterSourceInternal(create_view_sql);
   DV_RETURN_IF_ERROR(registered.status());
   const ViewDefinition* view = registered.value();
-  if (!diags.empty()) source_diags_[view] = diags;
+  if (!diags.empty()) {
+    source_diags_[view] = diags;
+    // EXPLAIN's verdicts carry a chosen source's analysis warnings.
+    plan_cache_.Clear();
+  }
   // One durable record per definition, carrying the diagnostics set above
   // so they restore byte-exact.
   DV_RETURN_IF_ERROR(AppendSourceRecord(view));
@@ -141,24 +145,27 @@ Result<const ViewDefinition*> IntegrationSystem::RegisterAndMaterializeInternal(
                       ViewMaterializer::MaterializeSql(
                           create_view_sql, &engine_, catalog_, integration_db_,
                           /*qc=*/nullptr, &commit_version));
-  DV_ASSIGN_OR_RETURN(const ViewDefinition* view,
-                      RegisterSourceInternal(create_view_sql));
+  DV_ASSIGN_OR_RETURN(
+      ViewDefinition view,
+      ViewDefinition::FromSql(create_view_sql, *catalog_, integration_db_));
   // The materialization is derived state: fence it at the version its
-  // install committed so queries pinned to a later snapshot can detect
-  // whether I has moved underneath it (ViewDefinition::IsStaleAgainst).
+  // install committed (the base version when the body selected no rows and
+  // the install committed nothing) so queries pinned to a later snapshot
+  // can detect whether I has moved underneath it
+  // (ViewDefinition::IsStaleAgainst). No reader sees the definition before
+  // AddSource, so the fence is in place before any plan can choose it.
   // The created (db, rel) pairs are remembered so the fence also covers
   // DDL against the materialization itself (drop/rename of a partition)
   // and so re-materialization can retire partitions that no longer exist.
-  ViewDefinition* fenced = sources_.back().get();
   std::vector<TableRef> refs;
   refs.reserve(created.size());
   for (const auto& [db, rel] : created) {
     refs.push_back(TableRef{ToLower(db), ToLower(rel)});
   }
-  fenced->set_materialization(std::move(refs));
-  fenced->AdvanceMaterializedVersion(commit_version);
-  fenced->set_fenced(true);
-  return view;
+  view.set_materialization(std::move(refs));
+  view.AdvanceMaterializedVersion(commit_version);
+  view.set_fenced(true);
+  return AddSource(std::move(view));
 }
 
 Result<const ViewDefinition*> IntegrationSystem::RegisterSource(
@@ -174,13 +181,16 @@ Result<const ViewDefinition*> IntegrationSystem::RegisterSourceInternal(
   DV_ASSIGN_OR_RETURN(
       ViewDefinition view,
       ViewDefinition::FromSql(create_view_sql, *catalog_, integration_db_));
-  auto holder = std::make_shared<ViewDefinition>(std::move(view));
-  sources_.push_back(holder);
+  return AddSource(std::move(view));
+}
+
+const ViewDefinition* IntegrationSystem::AddSource(ViewDefinition view) {
+  sources_.push_back(std::make_shared<ViewDefinition>(std::move(view)));
   // The source universe changed: cached rewritings chose among the old
   // sources. (The raw-SQL memo survives — fingerprints are a pure function
   // of the text.)
   plan_cache_.Clear();
-  return holder.get();
+  return sources_.back().get();
 }
 
 Result<const ViewIndex*> IntegrationSystem::RegisterIndex(
@@ -196,6 +206,17 @@ Result<const ViewIndex*> IntegrationSystem::RegisterIndex(
 namespace {
 constexpr char kMaintainerTagPrefix[] = "maintainer.delta#";
 constexpr char kEvolveRematTagPrefix[] = "evolve.remat#";
+
+/// The warning of a source fenced off as stale at `snap`.
+SourceWarning StaleWarning(const ViewDefinition& view,
+                           const CatalogSnapshot& snap) {
+  return SourceWarning{
+      view.DisplayName(),
+      Status::Unavailable("stale materialization: built at catalog version " +
+                          std::to_string(view.materialized_version()) +
+                          ", snapshot is version " +
+                          std::to_string(snap.version()))};
+}
 
 /// The deterministic degrade warning for a rewriting whose materialization
 /// relation vanished under DDL (dropped or renamed without a fence to trip).
@@ -420,7 +441,10 @@ Status IntegrationSystem::RestoreSourceRecord(const std::string& payload) {
     restored->AdvanceMaterializedVersion(materialized_version);
     restored->set_fenced(true);
   }
-  if (!diags.empty()) source_diags_[view] = std::move(diags);
+  if (!diags.empty()) {
+    source_diags_[view] = std::move(diags);
+    plan_cache_.Clear();
+  }
   return Status::OK();
 }
 
@@ -522,17 +546,13 @@ Result<TranslationResult> IntegrationSystem::RewriteOver(
                                " not probed: an earlier source answers");
       continue;
     }
-    if (source->IsStaleAgainst(snap)) {
+    const bool stale = source->IsStaleAgainst(snap);
+    plan->fences.emplace_back(source.get(), stale);
+    if (stale) {
       // The materialization predates a commit that touched a base database
       // the view reads: answering from it would not match any single catalog
       // version. Fall back past it (stale fencing).
       last_reason = "source " + name + " is stale";
-      plan->stale.push_back(SourceWarning{
-          name, Status::Unavailable(
-                    "stale materialization: built at catalog version " +
-                    std::to_string(source->materialized_version()) +
-                    ", snapshot is version " +
-                    std::to_string(snap.version()))});
       plan->verdicts.push_back("warning DV007 [Sec. 6]: source " + name +
                                " fenced off: stale materialization predates "
                                "the pinned snapshot");
@@ -613,10 +633,10 @@ void IntegrationSystem::CountPlanCache(const char* name, uint64_t n,
   if (sink != nullptr) sink->Add(name, n);
 }
 
-void IntegrationSystem::Remember(const std::string& key, uint64_t version,
+void IntegrationSystem::Remember(const std::string& key, uint64_t epoch,
                                  std::shared_ptr<CachedPlan> plan,
                                  MetricsRegistry* sink) {
-  size_t evicted = plan_cache_.Insert(key, version, std::move(plan));
+  size_t evicted = plan_cache_.Insert(key, epoch, std::move(plan));
   if (evicted > 0) {
     CountPlanCache(counters::kPlanCacheEvictions,
                    static_cast<uint64_t>(evicted), sink);
@@ -629,20 +649,40 @@ std::string IntegrationSystem::ShapeKey(const QueryShape& shape,
   return (multiset ? "m#|" : "s#|") + shape.fingerprint.normalized;
 }
 
+bool IntegrationSystem::FencesHold(const CachedPlan& plan,
+                                   const CatalogSnapshot& snap) {
+  for (const auto& [source, stale] : plan.fences) {
+    if (source->IsStaleAgainst(snap) != stale) return false;
+  }
+  return true;
+}
+
+std::vector<SourceWarning> IntegrationSystem::StaleWarnings(
+    const CachedPlan& plan, const CatalogSnapshot& snap) {
+  std::vector<SourceWarning> out;
+  for (const auto& [source, stale] : plan.fences) {
+    if (stale) out.push_back(StaleWarning(*source, snap));
+  }
+  return out;
+}
+
 std::shared_ptr<IntegrationSystem::CachedPlan> IntegrationSystem::PlanMiss(
     const ParsedQuery& query, bool multiset, const CatalogSnapshot& snap,
     MetricsRegistry* sink, Status* no_source) {
-  const uint64_t version = snap.version();
+  const uint64_t epoch = snap.schema_epoch();
   // Computed only here, after an exact miss: exact hits pay nothing for the
-  // shape tier. A repeated text misses only when its plan went stale, and
-  // then a shape entry pays only if another binding follows at the same
-  // version — ad-hoc traffic, which arrives as new text.
+  // shape tier. A repeated text misses only when its plan went stale (the
+  // schema epoch or a fence verdict changed), and then a shape entry pays
+  // only if another binding follows within the epoch — ad-hoc traffic,
+  // which arrives as new text.
   QueryShape shape;
   if (!query.repeat) shape = ShapeStatement(*query.stmt);
   const bool shaped = shape.tagged != nullptr;
   const std::string shape_key = shaped ? ShapeKey(shape, multiset) : "";
   if (shaped) {
-    std::shared_ptr<CachedPlan> entry = plan_cache_.Lookup(shape_key, version);
+    std::shared_ptr<CachedPlan> entry = plan_cache_.Lookup(
+        shape_key, epoch,
+        [&](const CachedPlan& p) { return FencesHold(p, snap); });
     if (entry != nullptr && entry->guard->Holds(shape.fingerprint.literals)) {
       // Every answer the probe took from the literals is the same for these
       // values, so a probe of this query would choose the same source, with
@@ -677,7 +717,7 @@ std::shared_ptr<IntegrationSystem::CachedPlan> IntegrationSystem::PlanMiss(
   if (shaped && guard->complete()) {
     auto entry = std::make_shared<CachedPlan>(*plan);
     entry->guard = std::move(guard);
-    Remember(shape_key, version, std::move(entry), sink);
+    Remember(shape_key, epoch, std::move(entry), sink);
   }
   return plan;
 }
@@ -685,11 +725,13 @@ std::shared_ptr<IntegrationSystem::CachedPlan> IntegrationSystem::PlanMiss(
 IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
     const ParsedQuery& query, bool multiset, QueryContext* qc,
     MetricsRegistry* sink) {
-  const uint64_t version = qc->snapshot()->version();
+  const CatalogSnapshot& snap = *qc->snapshot();
+  const uint64_t epoch = snap.schema_epoch();
   PlannedQuery out;
   CacheLookupOutcome outcome = CacheLookupOutcome::kMiss;
-  std::shared_ptr<CachedPlan> plan =
-      plan_cache_.Lookup(query.cache_key, version, &outcome);
+  std::shared_ptr<CachedPlan> plan = plan_cache_.Lookup(
+      query.cache_key, epoch,
+      [&](const CachedPlan& p) { return FencesHold(p, snap); }, &outcome);
   out.cached = plan != nullptr;
   // Cache outcomes count cumulatively on the system registry and per answer
   // on the observer.
@@ -701,11 +743,11 @@ IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
   }
 
   if (!out.cached) {
-    plan = PlanMiss(query, multiset, *qc->snapshot(), sink, &out.no_source);
+    plan = PlanMiss(query, multiset, snap, sink, &out.no_source);
   }
 
-  // Build the executable plan unless the entry carries one for this
-  // version: a hit then runs it without binding, grounding or compiling.
+  // Build the executable plan unless the entry carries one for this epoch:
+  // a hit then runs it without binding, grounding or compiling.
   out.exec = plan->exec;
   if (out.exec == nullptr) {
     const SelectStmt& tmpl =
@@ -717,16 +759,16 @@ IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
         // has one; the shared entry itself is never mutated.
         plan = std::make_shared<CachedPlan>(*plan);
         plan->exec = out.exec;
-        Remember(query.cache_key, version, plan, sink);
+        Remember(query.cache_key, epoch, plan, sink);
       } else {
         plan->exec = out.exec;
       }
     }
   }
   if (!out.cached && plan->rewritten != nullptr) {
-    // Cached before execution: a rewriting is valid for this version even
-    // if this particular execution trips a guard.
-    Remember(query.cache_key, version, plan, sink);
+    // Cached before execution: a rewriting is valid for this epoch even if
+    // this particular execution trips a guard.
+    Remember(query.cache_key, epoch, plan, sink);
   }
   out.plan = std::move(plan);
   return out;
@@ -782,7 +824,7 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
   const CachedPlan& plan = *planned.plan;
   // Stale-source fences surface in registration order, before any
   // degradation warnings execution adds — a deterministic prefix.
-  std::vector<SourceWarning> stale = plan.stale;
+  std::vector<SourceWarning> stale = StaleWarnings(plan, *snap);
   const ViewDefinition* chosen = plan.chosen;
   Result<Table> answered = engine_.Run(*planned.exec, qc);
   if (plan.rewritten != nullptr && !answered.ok() &&
@@ -802,7 +844,7 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
     // any other direct error (a TypeError after DDL retyped a column, say)
     // is the query's real outcome and surfaces as is.
     if (answered.ok()) {
-      Remember(query.cache_key, snap->version(), planned.plan, &sink);
+      Remember(query.cache_key, snap->schema_epoch(), planned.plan, &sink);
     } else if (answered.status().code() == StatusCode::kNotFound &&
                qc->CheckGuards().ok()) {
       answered = planned.no_source;

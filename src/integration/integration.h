@@ -65,10 +65,12 @@ struct AnswerResult {
   std::shared_ptr<const CatalogSnapshot> snapshot;
 
   /// True when the answer reused a cached plan of this exact query (Alg. 5.1
-  /// rewrite and build skipped); false on every other path, including a
-  /// shape-tier hit that reused another binding's rewriting but built this
-  /// one's plan (counted as `plan_cache.shape_hits`; a shape entry whose
-  /// literal guard failed counts `plan_cache.shape_guard_failures`).
+  /// rewrite and build skipped), which holds across commits that change
+  /// rows only; false on every other path, including a stale miss (the
+  /// schema epoch or a source's fence verdict changed) and a shape-tier hit
+  /// that reused another binding's rewriting but built this one's plan
+  /// (counted as `plan_cache.shape_hits`; a shape entry whose literal guard
+  /// failed counts `plan_cache.shape_guard_failures`).
   /// `plan_fingerprint` is the normalized query hash (16 hex digits, exact
   /// mode) the exact tier keyed on.
   bool plan_cached = false;
@@ -79,8 +81,10 @@ struct AnswerResult {
 /// entries, not these counts): the plan_cache.* counters of
 /// IntegrationSystem::metrics(). Hits, misses and invalidations are the
 /// exact tier's (a stale miss counts as a miss and an invalidation); an
-/// exact miss the shape tier then served counts a shape hit, one whose
-/// literal guard failed a shape guard failure.
+/// entry goes stale when the catalog's schema epoch moves or a source the
+/// plan's probe visited changes its fence verdict, never on a commit that
+/// changes rows only. An exact miss the shape tier then served counts a
+/// shape hit, one whose literal guard failed a shape guard failure.
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -349,22 +353,28 @@ class IntegrationSystem {
 
  private:
   /// One plan-cache entry: everything a repeat of the same normalized query
-  /// at the same catalog version needs to skip parse → rewrite (Alg. 5.1)
-  /// → build. Statements are immutable templates — a build clones them,
-  /// because the binder annotates the AST in place. `exec` is the rewriting
-  /// built for the entry's version (groundings enumerated, pipelines
-  /// compiled), so a hit only runs it; null when the build ran with a
-  /// failpoint armed, and then every hit builds afresh. Entries are shared
-  /// by concurrent answers and never mutated after insertion.
+  /// at the same schema epoch needs to skip parse → rewrite (Alg. 5.1) →
+  /// build. Alg. 5.1 and the build read view definitions, names and
+  /// schemas, which the epoch covers, and the sources' fences, which
+  /// `fences` records. Statements are immutable templates — a build clones
+  /// them, because the binder annotates the AST in place. `exec` is the
+  /// rewriting built for the entry's epoch (groundings enumerated,
+  /// pipelines compiled), so a hit only runs it; null when the build ran
+  /// with a failpoint armed, and then every hit builds afresh. Entries are
+  /// shared by concurrent answers and never mutated after insertion.
   ///
   /// A shape-tier entry is the same record under the query's parameterized
   /// shape: `rewritten` is a template whose query literals carry their
   /// Expr::literal_slot, `guard` the probe's literal-dependent answers, and
-  /// `exec` is null. Its stale warnings and verdicts hold no query literal.
+  /// `exec` is null. Its fences and verdicts hold no query literal.
   struct CachedPlan {
     std::shared_ptr<const SelectStmt> rewritten;  // Null = direct plan on I.
     const ViewDefinition* chosen = nullptr;
-    std::vector<SourceWarning> stale;
+    /// The fence verdict (IsStaleAgainst) of every source the probe
+    /// visited, in registration order up to the chosen one. A lookup
+    /// re-evaluates them at its pinned snapshot (FencesHold); a source
+    /// fenced off here adds a stale warning to every answer (StaleWarnings).
+    std::vector<std::pair<const ViewDefinition*, bool>> fences;
     /// EXPLAIN's analysis lines, per source in registration order: stale
     /// (DV007), not usable (DV004 + reason), chosen (+ warnings), not probed.
     std::vector<std::string> verdicts;
@@ -402,9 +412,9 @@ class IntegrationSystem {
   /// Rewrite against one pinned catalog version: translators resolve view
   /// bodies and I's schema through `snap`, and fenced sources whose
   /// materialization is stale against `snap` are skipped. When `plan` is
-  /// given, each skip appends a deterministic (registration-order) warning
-  /// to plan->stale, each source a verdict, and plan->chosen names the
-  /// source the rewriting uses. `guard`, when given, records every
+  /// given, each source visited appends its fence verdict to plan->fences
+  /// (registration order), each source a verdict line, and plan->chosen
+  /// names the source the rewriting uses. `guard`, when given, records every
   /// literal-dependent implication answer of every source probed.
   Result<TranslationResult> RewriteOver(const SelectStmt& query, bool multiset,
                                         const CatalogSnapshot& snap,
@@ -412,6 +422,15 @@ class IntegrationSystem {
 
   /// The plan-cache key of `shape` in the shape tier.
   static std::string ShapeKey(const QueryShape& shape, bool multiset);
+
+  /// Whether every fence verdict `plan` recorded still holds at `snap`.
+  static bool FencesHold(const CachedPlan& plan, const CatalogSnapshot& snap);
+
+  /// One stale-materialization warning per source `plan` fenced off, in
+  /// registration order, rendered at `snap`: a warm answer's warnings equal
+  /// a cold answer's at the same snapshot.
+  static std::vector<SourceWarning> StaleWarnings(const CachedPlan& plan,
+                                                  const CatalogSnapshot& snap);
 
   /// An exact-tier miss: the shape tier's rewriting when its literal guard
   /// holds for this query's values, else Alg. 5.1 over `snap` (recording a
@@ -425,13 +444,14 @@ class IntegrationSystem {
                                        Status* no_source);
 
   /// The planning step of an answer, shared with EXPLAIN: plan-cache
-  /// lookup at the version `qc` pins, rewrite on a miss, and a build unless
-  /// the entry carries an executable plan. A rewriting is cached here,
+  /// lookup at the schema epoch `qc`'s snapshot carries (the entry's fence
+  /// verdicts re-checked at that snapshot), rewrite on a miss, and a build
+  /// unless the entry carries an executable plan. A rewriting is cached here,
   /// before it runs; a direct plan is left to the caller. Cache outcomes
   /// count on metrics() and on `sink` when given.
   PlannedQuery PlanParsed(const ParsedQuery& query, bool multiset,
                           QueryContext* qc, MetricsRegistry* sink);
-  void Remember(const std::string& key, uint64_t version,
+  void Remember(const std::string& key, uint64_t epoch,
                 std::shared_ptr<CachedPlan> plan, MetricsRegistry* sink);
   void CountPlanCache(const char* name, uint64_t n, MetricsRegistry* sink);
 
@@ -450,6 +470,8 @@ class IntegrationSystem {
   /// them so replaying a WAL never re-appends to it).
   Result<const ViewDefinition*> RegisterSourceInternal(
       const std::string& create_view_sql);
+  /// Appends `view` to the sources and drops every cached plan.
+  const ViewDefinition* AddSource(ViewDefinition view);
   Result<const ViewDefinition*> RegisterAndMaterializeInternal(
       const std::string& create_view_sql);
 
@@ -478,12 +500,13 @@ class IntegrationSystem {
   /// counters, written from every answering, linting and auditing thread.
   mutable MetricsRegistry metrics_;
 
-  /// Normalized-fingerprint plan cache with two key spaces, both versioned
-  /// by the pinned snapshot: the exact tier (multiset flag + exact
-  /// fingerprint, ParsedQuery::cache_key) and, consulted only after an
-  /// exact miss, the shape tier (ShapeKey: multiset flag + parameterized
-  /// shape). Cleared whenever the source / index universe changes
-  /// (RegisterSource, RegisterIndex).
+  /// Normalized-fingerprint plan cache with two key spaces, both pinned to
+  /// the schema epoch of the snapshot they were planned at: the exact tier
+  /// (multiset flag + exact fingerprint, ParsedQuery::cache_key) and,
+  /// consulted only after an exact miss, the shape tier (ShapeKey: multiset
+  /// flag + parameterized shape). Every lookup re-checks the entry's fence
+  /// verdicts. What else a plan reads — sources_, indexes_ and
+  /// source_diags_ — clears the cache whenever it changes.
   mutable ShardedLruCache<CachedPlan> plan_cache_;
 
   /// First cache level: raw SQL text (+ multiset flag) → parsed query.

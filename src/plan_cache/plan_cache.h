@@ -12,17 +12,20 @@
 
 namespace dynview {
 
-/// What a versioned cache lookup found. kStaleMiss means the key was present
-/// but pinned to an older catalog version: the entry is invalidated (erased)
-/// and the caller recompiles — the MVCC-lite snapshot versioning gives exact
-/// staleness detection for free, no TTLs or epoch guesses.
+/// What a lookup found. kStaleMiss means the key was present but its entry
+/// no longer applies: pinned to another schema epoch, or its caller's
+/// validity check failed at the pinned snapshot. The entry is erased and
+/// the caller recompiles.
 enum class CacheLookupOutcome { kHit, kMiss, kStaleMiss };
 
 /// A bounded, sharded LRU map from string keys to shared values, each entry
-/// pinned to a catalog snapshot version. Repeated query traffic hits in one
-/// shard lock + one hash probe; entries whose version no longer matches the
-/// pinned snapshot die lazily at lookup. The cache keeps no counters: its
-/// caller tallies the outcomes Lookup and Insert report.
+/// pinned to the catalog's schema epoch (CatalogSnapshot::schema_epoch).
+/// A plan reads names and schemas, which the epoch covers, so it survives
+/// commits that change rows only; what else it depends on the caller
+/// re-checks on every hit through Lookup's `valid`. Repeated query traffic
+/// hits in one shard lock + one hash probe; entries that no longer apply die
+/// lazily at lookup. The cache keeps no counters: its caller tallies the
+/// outcomes Lookup and Insert report.
 ///
 /// Sharding keeps concurrent Answer calls on one IntegrationSystem from
 /// serializing on a single mutex; within a shard, LRU order is maintained by
@@ -43,10 +46,13 @@ class ShardedLruCache {
     }
   }
 
-  /// The value under `key` when present AND pinned to `version`; nullptr
-  /// otherwise. A version mismatch erases the entry (lazy invalidation).
+  /// The value under `key` when present, pinned to `epoch` AND `valid(value)`
+  /// holds; nullptr otherwise. An entry failing either test is erased (lazy
+  /// invalidation). `valid` runs under the shard lock, so keep it cheap.
   /// `outcome` (optional) reports which of the three cases happened.
-  std::shared_ptr<V> Lookup(const std::string& key, uint64_t version,
+  template <typename Valid>
+  std::shared_ptr<V> Lookup(const std::string& key, uint64_t epoch,
+                            const Valid& valid,
                             CacheLookupOutcome* outcome = nullptr) {
     Shard& s = ShardFor(key);
     std::lock_guard<std::mutex> lock(s.mu);
@@ -55,7 +61,7 @@ class ShardedLruCache {
       if (outcome != nullptr) *outcome = CacheLookupOutcome::kMiss;
       return nullptr;
     }
-    if (it->second.version != version) {
+    if (it->second.epoch != epoch || !valid(*it->second.value)) {
       s.lru.erase(it->second.lru_it);
       s.map.erase(it);
       if (outcome != nullptr) *outcome = CacheLookupOutcome::kStaleMiss;
@@ -66,21 +72,21 @@ class ShardedLruCache {
     return it->second.value;
   }
 
-  /// Inserts (or replaces) `key` → `value` pinned to `version`. Returns the
+  /// Inserts (or replaces) `key` → `value` pinned to `epoch`. Returns the
   /// number of LRU entries evicted to stay within capacity.
-  size_t Insert(const std::string& key, uint64_t version,
+  size_t Insert(const std::string& key, uint64_t epoch,
                 std::shared_ptr<V> value) {
     Shard& s = ShardFor(key);
     std::lock_guard<std::mutex> lock(s.mu);
     auto it = s.map.find(key);
     if (it != s.map.end()) {
-      it->second.version = version;
+      it->second.epoch = epoch;
       it->second.value = std::move(value);
       s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
       return 0;
     }
     s.lru.push_front(key);
-    s.map.emplace(key, Entry{version, std::move(value), s.lru.begin()});
+    s.map.emplace(key, Entry{epoch, std::move(value), s.lru.begin()});
     size_t evicted = 0;
     while (s.map.size() > per_shard_cap_) {
       s.map.erase(s.lru.back());
@@ -101,7 +107,7 @@ class ShardedLruCache {
     return true;
   }
 
-  /// Drops every entry (catalog shape changed: new source/index/view).
+  /// Drops every entry (the source, index or diagnostic universe changed).
   void Clear() {
     for (auto& sp : shards_) {
       std::lock_guard<std::mutex> lock(sp->mu);
@@ -121,7 +127,7 @@ class ShardedLruCache {
 
  private:
   struct Entry {
-    uint64_t version = 0;
+    uint64_t epoch = 0;
     std::shared_ptr<V> value;
     typename std::list<std::string>::iterator lru_it;
   };

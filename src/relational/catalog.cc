@@ -66,7 +66,37 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
+bool Database::SameSchemaAs(const Database& other) const {
+  if (name_ != other.name_ || tables_.size() != other.tables_.size()) {
+    return false;
+  }
+  auto theirs = other.tables_.begin();
+  for (const auto& [key, entry] : tables_) {
+    const Entry& other_entry = theirs->second;
+    if (key != theirs->first || entry.name != other_entry.name) return false;
+    if (entry.table != other_entry.table &&
+        entry.table->schema() != other_entry.table->schema()) {
+      return false;
+    }
+    ++theirs;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------- Snapshot
+
+void CatalogSnapshot::InheritSchemaEpoch(const CatalogSnapshot& base) {
+  bool same = entries_.size() == base.entries_.size();
+  auto theirs = base.entries_.begin();
+  for (auto ours = entries_.begin(); same && ours != entries_.end();
+       ++ours, ++theirs) {
+    same = ours->first == theirs->first &&
+           ours->second.name == theirs->second.name &&
+           (ours->second.db == theirs->second.db ||
+            ours->second.db->SameSchemaAs(*theirs->second.db));
+  }
+  schema_epoch_ = same ? base.schema_epoch_ : version_;
+}
 
 uint64_t CatalogSnapshot::DatabaseVersion(const std::string& db_name) const {
   auto it = entries_.find(ToLower(db_name));
@@ -198,7 +228,8 @@ std::string CatalogTxn::TouchedDetail() const {
 }
 
 std::shared_ptr<const CatalogSnapshot> CatalogTxn::Build(
-    uint64_t version, const Catalog* origin) const {
+    const CatalogSnapshot& base, const Catalog* origin) const {
+  const uint64_t version = base.version() + 1;
   auto snap = std::make_shared<CatalogSnapshot>();
   snap->entries_ = entries_;
   for (const std::string& key : touched_) {
@@ -207,6 +238,7 @@ std::shared_ptr<const CatalogSnapshot> CatalogTxn::Build(
   }
   snap->version_ = version;
   snap->origin_ = origin;
+  snap->InheritSchemaEpoch(base);
   return snap;
 }
 
@@ -250,8 +282,9 @@ Result<uint64_t> Catalog::Mutate(
   return Mutate(fn, "txn");
 }
 
-Result<uint64_t> Catalog::Mutate(const std::function<Status(CatalogTxn&)>& fn,
-                                 const std::string& tag) {
+Result<uint64_t> Catalog::Mutate(
+    const std::function<Status(CatalogTxn&)>& fn, const std::string& tag,
+    const std::function<void(uint64_t)>& before_publish) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   CommitScope scope(this);
   std::shared_ptr<const CatalogSnapshot> base = Snapshot();
@@ -268,13 +301,14 @@ Result<uint64_t> Catalog::Mutate(const std::function<Status(CatalogTxn&)>& fn,
   }
   // Assemble the new version before taking the head lock: readers are only
   // ever excluded for the duration of one pointer swap.
-  std::shared_ptr<const CatalogSnapshot> built = txn.Build(next, this);
+  std::shared_ptr<const CatalogSnapshot> built = txn.Build(*base, this);
   if (sink_ != nullptr) {
     // Durability before visibility: the sink (WAL) must acknowledge the
     // commit — append + fsync — before the head pointer swaps. Its error
     // aborts the commit; readers keep the old version.
     DV_RETURN_IF_ERROR(sink_->OnCommit(*base, *built, tag));
   }
+  if (before_publish) before_publish(next);
   Publish(std::move(built));
   return next;
 }
@@ -306,6 +340,7 @@ Status Catalog::InstallRecoveredSnapshot(
         rd.name, std::make_shared<Database>(std::move(rd.db)), rd.version};
   }
   snap->version_ = version;
+  snap->schema_epoch_ = version;
   snap->origin_ = this;
   Publish(std::move(snap));
   return Status::OK();
@@ -385,6 +420,7 @@ Status Catalog::ApplyRecoveredCommit(uint64_t version,
   }
   snap->version_ = version;
   snap->origin_ = this;
+  snap->InheritSchemaEpoch(*base);
   Publish(std::move(snap));
   return Status::OK();
 }

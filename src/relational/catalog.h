@@ -56,6 +56,11 @@ class Database {
   /// Relation names in sorted order — the range of a relation variable.
   std::vector<std::string> TableNames() const;
 
+  /// True when both hold the same relations under the same names (case
+  /// included) with the same schemas, whatever their rows. A table the two
+  /// share is not compared.
+  bool SameSchemaAs(const Database& other) const;
+
   size_t num_tables() const { return tables_.size(); }
 
  private:
@@ -104,6 +109,13 @@ class CatalogSnapshot final : public CatalogReader {
   /// Monotonic catalog version this snapshot represents (0 = empty seed).
   uint64_t version() const { return version_; }
 
+  /// The version of the last commit that created or dropped a database or
+  /// table, changed the case of one's name, or changed a table's schema.
+  /// Two snapshots of one catalog with the same epoch differ in rows only,
+  /// so whatever is derived from names and schemas alone (a query plan)
+  /// holds at both.
+  uint64_t schema_epoch() const { return schema_epoch_; }
+
   /// The Catalog this snapshot was taken from. Components holding several
   /// catalogs (sub-engines over scratch catalogs) use it to decide whether a
   /// pinned snapshot applies to them.
@@ -133,9 +145,15 @@ class CatalogSnapshot final : public CatalogReader {
     uint64_t version = 0;                // Catalog version of last modification.
   };
 
+  /// Sets schema_epoch_ from `base`, the version this one was derived
+  /// from: its epoch when the two differ in rows only, else version_. Only
+  /// databases and tables whose pointers differ are compared.
+  void InheritSchemaEpoch(const CatalogSnapshot& base);
+
   // Keyed by lowercase database name.
   std::map<std::string, Entry> entries_;
   uint64_t version_ = 0;
+  uint64_t schema_epoch_ = 0;
   const Catalog* origin_ = nullptr;
 };
 
@@ -178,7 +196,8 @@ class CatalogTxn {
   /// detail and per-database version bumps.
   std::string TouchedDetail() const;
 
-  std::shared_ptr<const CatalogSnapshot> Build(uint64_t version,
+  /// The next version after `base`, the snapshot this transaction read.
+  std::shared_ptr<const CatalogSnapshot> Build(const CatalogSnapshot& base,
                                                const Catalog* origin) const;
 
   /// Copies the base database under `key` for write — its table map, not
@@ -308,8 +327,15 @@ class Catalog final : public CatalogReader {
   /// Like Mutate, with `tag` labeling the mutation for the commit sink (the
   /// WAL persists it and hands it back at replay). The no-tag overload uses
   /// "txn".
-  Result<uint64_t> Mutate(const std::function<Status(CatalogTxn&)>& fn,
-                          const std::string& tag);
+  ///
+  /// `before_publish`, when given, runs with the new version's number after
+  /// the sink acknowledged the commit and before any reader can pin it.
+  /// Derived state that a commit makes current (a materialization's fence)
+  /// is updated there, so no reader sees the new version without it. It
+  /// does not run when the commit fails or touches nothing.
+  Result<uint64_t> Mutate(
+      const std::function<Status(CatalogTxn&)>& fn, const std::string& tag,
+      const std::function<void(uint64_t)>& before_publish = nullptr);
 
   /// Attaches (or clears, with nullptr) the durability hook. The sink is
   /// invoked for every subsequent commit, under the writer mutex, before

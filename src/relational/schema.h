@@ -18,6 +18,8 @@ struct Column {
 
   Column() = default;
   Column(std::string n, TypeKind t) : name(std::move(n)), type(t) {}
+
+  friend bool operator==(const Column& a, const Column& b) = default;
 };
 
 /// Ordered list of columns of a relation.
@@ -47,6 +49,9 @@ class Schema {
   /// True if both schemas have the same column names (case-insensitive) and
   /// arity, in order.
   bool SameNames(const Schema& other) const;
+
+  /// Same columns in the same order: names (case-sensitive) and types.
+  friend bool operator==(const Schema& a, const Schema& b) = default;
 
   /// "(a INT, b STRING)" display form.
   std::string ToString() const;

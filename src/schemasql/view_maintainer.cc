@@ -165,10 +165,8 @@ Status ViewMaintainer::ApplyInserts(const std::vector<Row>& rows) {
         }
         if (pivot_position_ >= 0) return RecomputeAffectedGroups(txn, rows);
         return PropagateAppend(txn, rows);
-      }, commit_tag_);
-  if (!committed.ok()) return committed.status();
-  if (fence_ != nullptr) fence_->AdvanceMaterializedVersion(committed.value());
-  return Status::OK();
+      }, commit_tag_, [this](uint64_t version) { AdvanceFence(version); });
+  return committed.status();
 }
 
 Status ViewMaintainer::ApplyDeletes(const std::vector<Row>& rows) {
@@ -199,10 +197,12 @@ Status ViewMaintainer::ApplyDeletes(const std::vector<Row>& rows) {
           return RecomputeAffectedGroups(txn, actually_removed);
         }
         return PropagateRemove(txn, actually_removed);
-      }, commit_tag_);
-  if (!committed.ok()) return committed.status();
-  if (fence_ != nullptr) fence_->AdvanceMaterializedVersion(committed.value());
-  return Status::OK();
+      }, commit_tag_, [this](uint64_t version) { AdvanceFence(version); });
+  return committed.status();
+}
+
+void ViewMaintainer::AdvanceFence(uint64_t version) {
+  if (fence_ != nullptr) fence_->AdvanceMaterializedVersion(version);
 }
 
 Status ViewMaintainer::PropagateAppend(CatalogTxn& txn,

@@ -67,11 +67,14 @@ class ViewMaintainer {
   /// The base relation the view ranges over.
   const TableRef& base() const { return base_; }
 
-  /// Binds the fence of the view definition this maintainer repairs:
-  /// after every successful delta commit, the definition's materialized
-  /// version advances to the commit version, un-fencing access paths that
-  /// the base change would otherwise have staled. Borrowed — must outlive
-  /// the maintainer (or be rebound/cleared).
+  /// Binds the fence of the view definition this maintainer repairs: with
+  /// every successful delta commit, the definition's materialized version
+  /// advances to the commit version, un-fencing access paths that the base
+  /// change would otherwise have staled. The advance happens before the
+  /// commit publishes (Catalog::Mutate's before_publish), so no reader pins
+  /// the new version while the fence still predates it; a failed commit
+  /// advances nothing. Borrowed — must outlive the maintainer (or be
+  /// rebound/cleared).
   void BindFence(ViewDefinition* fence) { fence_ = fence; }
 
   /// Tag recorded with every delta commit (the WAL persists it). The
@@ -96,6 +99,9 @@ class ViewMaintainer {
   /// (delete direction for non-pivot views). Runs inside the delta
   /// transaction.
   Status PropagateRemove(CatalogTxn& txn, const std::vector<Row>& delta);
+
+  /// Moves the bound fence to `version` (Catalog::Mutate's before_publish).
+  void AdvanceFence(uint64_t version);
 
   /// Recomputes the pivot groups touched by `delta` from the full base
   /// (read through `txn` — the base row already updated this transaction).

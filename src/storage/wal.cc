@@ -80,24 +80,13 @@ bool SameRow(const Row& a, const Row& b) {
   return true;
 }
 
-bool SameSchema(const Schema& a, const Schema& b) {
-  if (a.num_columns() != b.num_columns()) return false;
-  for (size_t i = 0; i < a.num_columns(); ++i) {
-    if (a.column(i).name != b.column(i).name ||
-        a.column(i).type != b.column(i).type) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Appends the op that turns `before` (null: absent) into `after`.
 Status EncodeTableChange(const std::string& db, const std::string& rel,
                          const Table* before, const Table& after,
                          ByteWriter* w) {
   const size_t arity = after.schema().num_columns();
   if (before != nullptr && arity > 0 &&
-      SameSchema(before->schema(), after.schema())) {
+      before->schema() == after.schema()) {
     const std::vector<Row>& old_rows = before->rows();
     const std::vector<Row>& new_rows = after.rows();
     const size_t common = std::min(old_rows.size(), new_rows.size());

@@ -7,7 +7,8 @@
 //    recorded from the tree-walk evaluator, so they pin the compiled
 //    engine to its semantics, error order included;
 //  - the plan cache must serve byte-identical answers on hits, die on
-//    catalog commits and source/index registration, count
+//    schema changes, fence changes and source/index registration, survive
+//    commits that change rows only, count
 //    hits/misses/evictions/invalidations, and degrade to a fresh compile
 //    (never a wrong answer) when a lookup is poisoned via the
 //    `plan_cache.lookup` failpoint;
@@ -26,11 +27,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -39,6 +44,7 @@
 #include "integration/integration.h"
 #include "plan_cache/fingerprint.h"
 #include "sql/parser.h"
+#include "schemasql/view_maintainer.h"
 #include "schemasql/view_materializer.h"
 #include "workload/stock_data.h"
 
@@ -378,8 +384,8 @@ TEST_F(PlanCacheTest, CatalogCommitInvalidatesCachedPlan) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.value().plan_cached);
 
-  // Any commit moves the catalog version; version-pinned entries die lazily
-  // at next lookup.
+  // Creating a database moves the schema epoch; entries pinned to the old
+  // epoch die lazily at next lookup.
   ASSERT_TRUE(catalog_
                   .PutTable("scratch", "t",
                             Table(Schema({{"x", TypeKind::kInt}})))
@@ -784,6 +790,355 @@ TEST_F(PlanCacheTest, LabelPromotionStaleMissesAndRecompilesCleanly) {
   }
   EXPECT_EQ(rels.size(), 1u);
   EXPECT_TRUE(system.AnswerGuarded(fan_out, Multiset())->plan_cached);
+}
+
+// ---- plans across commits that change no schema -----------------------------
+
+/// `t`'s rows sorted: a rewriting and the direct plan agree as bags.
+std::string Sorted(const Table& t) {
+  Table copy = t;
+  copy.SortRows();
+  return copy.ToString();
+}
+
+/// One line per warning: source, code and message, byte for byte.
+std::string WarningText(const std::vector<SourceWarning>& warnings) {
+  std::string out;
+  for (const SourceWarning& w : warnings) {
+    out += w.source + ": " + w.status.ToString() + "\n";
+  }
+  return out;
+}
+
+/// `sql` answered by `system` at `snap`.
+Result<AnswerResult> AnswerAt(IntegrationSystem* system, const std::string& sql,
+                              std::shared_ptr<const CatalogSnapshot> snap,
+                              bool multiset = true) {
+  AnswerOptions options;
+  options.multiset = multiset;
+  QueryContext qc(options.guards);
+  qc.PinSnapshot(std::move(snap));
+  return system->AnswerGuarded(sql, options, &qc);
+}
+
+/// I holds the stock facts; s2 is materialized from them, fenced at its
+/// install and kept current by a maintainer. This is the durable_ingest
+/// layout without the disk.
+class MaintainedSourceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    StockGenConfig cfg;
+    cfg.num_companies = 5;
+    cfg.num_dates = 10;
+    s1_ = GenerateStockS1(cfg);
+    ASSERT_TRUE(InstallStockS1(&catalog_, "I", s1_).ok());
+    system_ = std::make_unique<IntegrationSystem>(&catalog_, "I");
+    ASSERT_TRUE(system_->RegisterAndMaterializeSource(kFig6SourceSql).ok());
+    auto maintainer = system_->CreateMaintainer(0, "s2");
+    ASSERT_TRUE(maintainer.ok()) << maintainer.status().ToString();
+    maintainer_.emplace(std::move(maintainer).value());
+  }
+
+  void TearDown() override { FailPoints::DisarmAll(); }
+
+  AnswerOptions Multiset() {
+    AnswerOptions opts;
+    opts.multiset = true;
+    return opts;
+  }
+
+  /// A fact of the first company, priced above every generated one.
+  Row NewFact() const {
+    Row row = s1_.row(0);
+    row[2] = Value::Int(999);
+    return row;
+  }
+
+  /// Appends NewFact() to I::stock without the maintainer: s2 goes stale.
+  Status AppendBypassingTheMaintainer() {
+    return catalog_
+        .Mutate([&](CatalogTxn& txn) -> Status {
+          DV_ASSIGN_OR_RETURN(Database * db, txn.GetMutableDatabase("I"));
+          DV_ASSIGN_OR_RETURN(Table * stock, db->GetMutableTable("stock"));
+          return stock->AppendRow(NewFact());
+        })
+        .status();
+  }
+
+  /// `sql` evaluated directly on I at `snap`, rows sorted.
+  std::string Direct(const std::string& sql,
+                     std::shared_ptr<const CatalogSnapshot> snap) const {
+    QueryEngine engine(&catalog_, "I", Config(1));
+    QueryContext qc;
+    qc.PinSnapshot(std::move(snap));
+    Result<Table> r = engine.ExecuteSql(sql, &qc);
+    return r.ok() ? Sorted(r.value()) : r.status().ToString();
+  }
+
+  std::string ChosenSource(const std::string& sql) {
+    Result<std::string> explain = system_->ExplainOptimized(sql, Multiset());
+    if (!explain.ok()) return explain.status().ToString();
+    size_t at = explain.value().find("source: ");
+    if (at == std::string::npos) return "direct";
+    return explain.value().substr(at + 8,
+                                  explain.value().find('\n', at) - at - 8);
+  }
+
+  Catalog catalog_;
+  Table s1_;
+  std::unique_ptr<IntegrationSystem> system_;
+  std::optional<ViewMaintainer> maintainer_;
+};
+
+TEST_F(MaintainedSourceTest, RowsOnlyMaintainerCommitKeepsThePlanWarm) {
+  auto cold = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold.value().plan_cached);
+  ASSERT_EQ(ChosenSource(kFig6Query), "s2::C");
+  ASSERT_TRUE(system_->AnswerGuarded(kFig6Query, Multiset())->plan_cached);
+  const uint64_t epoch = catalog_.Snapshot()->schema_epoch();
+  const uint64_t invalidations = system_->plan_cache_stats().invalidations;
+
+  // The maintainer appends to I::stock and to s2 in one commit and fences
+  // s2 at it: rows changed, no schema and no fence verdict did.
+  ASSERT_TRUE(maintainer_->ApplyInserts({NewFact()}).ok());
+  EXPECT_EQ(catalog_.Snapshot()->schema_epoch(), epoch);
+  auto after = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after.value().plan_cached) << "a row commit dropped the plan";
+  EXPECT_TRUE(after.value().warnings.empty())
+      << WarningText(after.value().warnings);
+  EXPECT_EQ(after.value().table.num_rows(), cold.value().table.num_rows() + 1);
+  EXPECT_NE(after.value().table.ToString().find("999"), std::string::npos);
+  EXPECT_EQ(Sorted(after.value().table),
+            Direct(kFig6Query, after.value().snapshot));
+  EXPECT_EQ(system_->plan_cache_stats().invalidations, invalidations);
+}
+
+TEST_F(PlanCacheTest, UnrelatedRowCommitKeepsThePlanWarm) {
+  // Creating a database is a schema change; replacing the rows of one of
+  // its tables is not.
+  ASSERT_TRUE(catalog_
+                  .PutTable("scratch", "t",
+                            Table(Schema({{"x", TypeKind::kInt}})))
+                  .ok());
+  auto cold = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(system_->AnswerGuarded(kFig6Query, Multiset())->plan_cached);
+
+  Table rows(Schema({{"x", TypeKind::kInt}}));
+  rows.AppendRowUnchecked({Value::Int(1)});
+  ASSERT_TRUE(catalog_.PutTable("scratch", "t", std::move(rows)).ok());
+  auto after = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after.value().plan_cached);
+  EXPECT_EQ(after.value().observer->metrics.Value(
+                counters::kPlanCacheInvalidations),
+            0u);
+  EXPECT_EQ(after.value().table.ToString(), cold.value().table.ToString());
+}
+
+TEST_F(MaintainedSourceTest, FencingCommitStaleMissesLikeAFreshSystem) {
+  ASSERT_TRUE(system_->AnswerGuarded(kFig6Query, Multiset()).ok());
+  ASSERT_TRUE(system_->AnswerGuarded(kFig6Query, Multiset())->plan_cached);
+  const uint64_t epoch = catalog_.Snapshot()->schema_epoch();
+
+  // A row commit to I that bypasses the maintainer fences s2 off: the plan
+  // that chose s2 goes stale although no schema changed.
+  ASSERT_TRUE(AppendBypassingTheMaintainer().ok());
+  EXPECT_EQ(catalog_.Snapshot()->schema_epoch(), epoch);
+  auto fenced = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(fenced.ok()) << fenced.status().ToString();
+  EXPECT_FALSE(fenced.value().plan_cached);
+  EXPECT_EQ(fenced.value().observer->metrics.Value(
+                counters::kPlanCacheInvalidations),
+            1u);
+  EXPECT_NE(WarningText(fenced.value().warnings).find("stale materialization"),
+            std::string::npos);
+  EXPECT_EQ(Sorted(fenced.value().table),
+            Direct(kFig6Query, fenced.value().snapshot));
+  EXPECT_EQ(ChosenSource(kFig6Query), "direct");
+
+  // A system that never cached anything, with the same source and fence,
+  // answers and explains the same at the same snapshot.
+  IntegrationSystem fresh(&catalog_, "I");
+  ASSERT_TRUE(fresh.RegisterSource(kFig6SourceSql).ok());
+  const ViewDefinition& ours = *system_->sources()[0];
+  ViewDefinition* theirs = fresh.sources()[0].get();
+  theirs->set_fenced(ours.fenced());
+  theirs->AdvanceMaterializedVersion(ours.materialized_version());
+  theirs->set_materialization(ours.materialization());
+  auto want = AnswerAt(&fresh, kFig6Query, fenced.value().snapshot);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(WarningText(fenced.value().warnings),
+            WarningText(want.value().warnings));
+  EXPECT_EQ(fenced.value().table.ToString(), want.value().table.ToString());
+  fresh.ClearPlanCache();
+  EXPECT_EQ(system_->ExplainOptimized(kFig6Query, Multiset()).value(),
+            fresh.ExplainOptimized(kFig6Query, Multiset()).value());
+
+  // Another such commit leaves every verdict as it was, so the direct plan
+  // hits; its warning names the new snapshot, as a cold answer's does.
+  ASSERT_TRUE(AppendBypassingTheMaintainer().ok());
+  auto hit = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit.value().plan_cached);
+  fresh.ClearPlanCache();
+  auto cold_twin = AnswerAt(&fresh, kFig6Query, hit.value().snapshot);
+  ASSERT_TRUE(cold_twin.ok());
+  EXPECT_EQ(WarningText(hit.value().warnings),
+            WarningText(cold_twin.value().warnings));
+  EXPECT_NE(WarningText(hit.value().warnings),
+            WarningText(fenced.value().warnings));
+  EXPECT_EQ(hit.value().table.ToString(), cold_twin.value().table.ToString());
+
+  // Re-materializing s2 lifts the fence: a stale miss back to s2.
+  uint64_t rebuilt = 0;
+  ASSERT_TRUE(ViewMaterializer::MaterializeSql(kFig6SourceSql,
+                                               system_->engine(), &catalog_,
+                                               "I", nullptr, &rebuilt)
+                  .ok());
+  system_->sources()[0]->AdvanceMaterializedVersion(rebuilt);
+  EXPECT_EQ(catalog_.Snapshot()->schema_epoch(), epoch);
+  auto back = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_FALSE(back.value().plan_cached);
+  EXPECT_TRUE(back.value().warnings.empty())
+      << WarningText(back.value().warnings);
+  EXPECT_EQ(ChosenSource(kFig6Query), "s2::C");
+  EXPECT_EQ(Sorted(back.value().table),
+            Direct(kFig6Query, back.value().snapshot));
+}
+
+TEST_F(MaintainedSourceTest, ConcurrentReadersNeverSeeAMaintainedSourceFenced) {
+  // The maintainer fences s2 with the commit that updates it, before that
+  // commit publishes: no reader may pin a version whose s2 fence lags.
+  constexpr int kReaders = 3;
+  constexpr int kPairs = 200;
+  std::atomic<bool> done{false};
+  std::vector<std::string> failures(kReaders);
+  std::vector<int> answered(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!done.load() && failures[r].empty()) {
+        auto a = system_->AnswerGuarded(kFig6Query, Multiset());
+        if (!a.ok()) {
+          failures[r] = a.status().ToString();
+          break;
+        }
+        const std::string warnings = WarningText(a.value().warnings);
+        if (warnings.find("stale materialization") != std::string::npos ||
+            warnings.find("DV007") != std::string::npos) {
+          failures[r] = "at version " +
+                        std::to_string(a.value().snapshot_version) + ": " +
+                        warnings;
+        } else if (Sorted(a.value().table) !=
+                   Direct(kFig6Query, a.value().snapshot)) {
+          failures[r] = "answer differs from I at version " +
+                        std::to_string(a.value().snapshot_version);
+        }
+        ++answered[r];
+      }
+    });
+  }
+  Status st;
+  for (int i = 0; i < kPairs && st.ok(); ++i) {
+    st = maintainer_->ApplyInserts({NewFact()});
+    if (st.ok()) st = maintainer_->ApplyDeletes({NewFact()});
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_TRUE(failures[r].empty()) << "reader " << r << ": " << failures[r];
+    EXPECT_GT(answered[r], 0);
+  }
+}
+
+TEST(PlanAcrossCommitsTest, EmptyInstallIsFencedAtItsBaseVersion) {
+  // A body that selects no rows installs no partition, so its commit
+  // touches nothing; the source is still fenced, at the version it was
+  // built against, and a later commit to I stales it.
+  StockGenConfig cfg;
+  cfg.num_companies = 5;
+  cfg.num_dates = 10;
+  const Table s1 = GenerateStockS1(cfg);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.PutTable("I", "stock", Table(s1.schema())).ok());
+  IntegrationSystem system(&catalog, "I");
+  auto registered = system.RegisterAndMaterializeSource(kFig6SourceSql);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  EXPECT_TRUE(registered.value()->materialization().empty());
+  EXPECT_TRUE(registered.value()->fenced());
+  EXPECT_EQ(registered.value()->materialized_version(), catalog.version());
+  AnswerOptions multiset;
+  multiset.multiset = true;
+  auto before = system.AnswerGuarded(kFig6Query, multiset);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before.value().table.num_rows(), 0u);
+
+  Row fact = s1.row(0);
+  fact[2] = Value::Int(999);
+  ASSERT_TRUE(catalog
+                  .Mutate([&](CatalogTxn& txn) -> Status {
+                    DV_ASSIGN_OR_RETURN(Database * db,
+                                        txn.GetMutableDatabase("I"));
+                    DV_ASSIGN_OR_RETURN(Table * stock,
+                                        db->GetMutableTable("stock"));
+                    return stock->AppendRow(fact);
+                  })
+                  .ok());
+  auto after = system.AnswerGuarded(kFig6Query, multiset);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after.value().plan_cached);
+  EXPECT_NE(WarningText(after.value().warnings).find("stale materialization"),
+            std::string::npos)
+      << WarningText(after.value().warnings);
+  QueryEngine engine(&catalog, "I", Config(1));
+  QueryContext qc;
+  qc.PinSnapshot(after.value().snapshot);
+  Result<Table> direct = engine.ExecuteSql(kFig6Query, &qc);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct.value().num_rows(), 1u);
+  EXPECT_EQ(Sorted(after.value().table), Sorted(direct.value()));
+}
+
+TEST(PlanAcrossCommitsTest, GrowthPastMorselRowsKeepsBytesAcrossThreads) {
+  // The plan is built while I::facts fits one morsel; the pool decision is
+  // the run's, so the warm plan goes parallel once the table grows.
+  auto facts = [](int n) {
+    Table t(Schema({{"k", TypeKind::kInt}, {"v", TypeKind::kInt}}));
+    for (int i = 0; i < n; ++i) {
+      t.AppendRowUnchecked({Value::Int(i), Value::Int(i * 7 % 13)});
+    }
+    return t;
+  };
+  Catalog catalog;
+  ASSERT_TRUE(catalog.PutTable("I", "facts", facts(4)).ok());
+  IntegrationOptions serial;
+  serial.exec = Config(1);
+  IntegrationOptions wide;
+  wide.exec = Config(8);
+  IntegrationSystem t1(&catalog, "I", serial);
+  IntegrationSystem t8(&catalog, "I", wide);
+  const char* sql = "select K, V from I::facts T, T.k K, T.v V where V > 2";
+  ASSERT_TRUE(t8.AnswerGuarded(sql, {}).ok());
+  ASSERT_TRUE(t8.AnswerGuarded(sql, {})->plan_cached);
+
+  ASSERT_TRUE(catalog.PutTable("I", "facts", facts(200)).ok());
+  auto wide_answer = t8.AnswerGuarded(sql, {});
+  ASSERT_TRUE(wide_answer.ok()) << wide_answer.status().ToString();
+  EXPECT_TRUE(wide_answer.value().plan_cached);
+  EXPECT_GT(wide_answer.value().observer->metrics.Value(
+                counters::kMorselsExecuted),
+            1u);
+  auto serial_answer = AnswerAt(&t1, sql, wide_answer.value().snapshot,
+                                /*multiset=*/false);
+  ASSERT_TRUE(serial_answer.ok());
+  EXPECT_GT(serial_answer.value().table.num_rows(), 100u);
+  EXPECT_EQ(wide_answer.value().table.ToString(),
+            serial_answer.value().table.ToString());
 }
 
 }  // namespace

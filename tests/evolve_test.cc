@@ -292,6 +292,25 @@ TEST_F(EvolvePropagationTest, AddAttributeRematerializesAffectedSources) {
   ASSERT_TRUE(rewriting.ok());
 }
 
+TEST_F(EvolvePropagationTest, EmptyRematerializationAdvancesTheFence) {
+  // No row has id > 100: the source installs nothing, and its rebuild
+  // after the evolution installs and retires nothing, so that commit
+  // touches nothing. The fence must still move past the evolution.
+  auto empty = system_->RegisterAndMaterializeSource(
+      "create view none::C(id) as select A from I::base0 T, T.cat C, T.id A "
+      "where A > 100");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ASSERT_TRUE(empty.value()->materialization().empty());
+  auto res =
+      evolver_->Apply(DdlOp::AddAttribute("I", "base0", "w", Value::Int(5)));
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res.value().sources_affected, 3u);
+  EXPECT_EQ(res.value().rematerialized, 3u);
+  EXPECT_EQ(res.value().left_stale, 0u);
+  EXPECT_TRUE(empty.value()->materialization().empty());
+  EXPECT_FALSE(empty.value()->IsStaleAgainst(*catalog_.Snapshot()));
+}
+
 TEST_F(EvolvePropagationTest, DemoteRetiresObsoletePartitions) {
   // Demote then promote back under a different label set: partitions for
   // vanished labels must be dropped by the re-materialization commit.

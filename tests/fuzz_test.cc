@@ -83,6 +83,11 @@ TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   // literals flipped some literal guards (both guard outcomes ran).
   EXPECT_GT(report.shape_checks, 0) << report.Summary();
   EXPECT_GT(report.shape_fallbacks, 0) << report.Summary();
+  // The commit arm compared warm answers across rows-only commits with
+  // cold ones, and some of them were served by a plan cached before the
+  // commit.
+  EXPECT_GT(report.commit_checks, 0) << report.Summary();
+  EXPECT_GT(report.commit_hits, 0) << report.Summary();
   EXPECT_GT(report.ddl_applied, 0);
   for (const char* kind :
        {"add-attribute", "drop-attribute", "rename-attribute",

@@ -551,6 +551,137 @@ std::optional<std::string> Rebind(const std::string& sql) {
   return shape.tagged->ToString();
 }
 
+/// Every warning byte for byte: source, code and message.
+std::string WarningText(const std::vector<SourceWarning>& ws) {
+  std::string out;
+  for (const SourceWarning& w : ws) {
+    out += w.source + ": " + w.status.ToString() + "\n";
+  }
+  return out;
+}
+
+/// A fresh catalog holding a copy of every database and table of `snap`,
+/// all at its first version.
+Result<std::unique_ptr<Catalog>> CopyCatalog(const CatalogSnapshot& snap) {
+  auto copy = std::make_unique<Catalog>();
+  auto fill = [&](CatalogTxn& txn) {
+    for (const std::string& name : snap.DatabaseNames()) {
+      const Database* from = snap.GetDatabase(name).value();
+      Database* to = txn.GetOrCreateDatabase(name);
+      for (const std::string& rel : from->TableNames()) {
+        to->PutTable(rel, *from->GetTable(rel).value());
+      }
+    }
+    return Status::OK();
+  };
+  DV_RETURN_IF_ERROR(copy->Mutate(fill).status());
+  return copy;
+}
+
+/// The commit arm: on a copy of the scenario's catalog, answer `sql`, commit
+/// a rows-only change to I::base0 and answer again. The warm answer (8
+/// threads, planned before the commit) must equal a cold one (1 thread,
+/// empty cache) at the new snapshot in bytes, row order, warnings and
+/// EXPLAIN. Sources register twice: unfenced, so the commit changes no
+/// plan input, and fenced as the primary fences them (fresh there = fresh
+/// here), so the commit fences every fresh source the plan visited.
+std::optional<std::string> CheckAcrossCommit(Runtime& rt,
+                                             const std::string& sql,
+                                             bool multiset, FuzzReport* rep) {
+  std::shared_ptr<const CatalogSnapshot> snap = rt.catalog->Snapshot();
+  Result<const Table*> base0 = snap->ResolveTable("I", "base0");
+  if (!base0.ok() || base0.value()->num_rows() == 0) return std::nullopt;
+  Row added = base0.value()->row(0);
+  for (Value& v : added) {
+    if (v.kind() == TypeKind::kInt) v = Value::Int(v.as_int() + 1);
+  }
+  AnswerOptions options;
+  options.multiset = multiset;
+  for (const bool fenced : {false, true}) {
+    Result<std::unique_ptr<Catalog>> copy = CopyCatalog(*snap);
+    if (!copy.ok()) {
+      return "commit: copying the catalog: " + copy.status().ToString();
+    }
+    Catalog* catalog = copy.value().get();
+    IntegrationOptions o1, o8;
+    o1.exec = MakeExec(1);
+    o8.exec = MakeExec(8);
+    IntegrationSystem warm(catalog, "I", o8);
+    IntegrationSystem cold(catalog, "I", o1);
+    const uint64_t copied = catalog->version();
+    for (const auto& source : rt.a8->sources()) {
+      const std::string def = source->stmt().ToString();
+      // A definition DDL broke no longer registers: the arm needs the
+      // primary's whole source universe.
+      if (!warm.RegisterSource(def).ok() || !cold.RegisterSource(def).ok()) {
+        return std::nullopt;
+      }
+      if (!fenced || !source->fenced()) continue;
+      for (IntegrationSystem* sys : {&warm, &cold}) {
+        ViewDefinition* twin = sys->sources().back().get();
+        twin->set_fenced(true);
+        twin->set_materialization(source->materialization());
+        if (!source->IsStaleAgainst(*snap)) {
+          twin->AdvanceMaterializedVersion(copied);
+        }
+      }
+    }
+    (void)RunAnswer(&warm, sql, multiset, catalog->Snapshot());
+    const uint64_t epoch = catalog->Snapshot()->schema_epoch();
+    auto append = [&](CatalogTxn& txn) -> Status {
+      DV_ASSIGN_OR_RETURN(Database * db, txn.GetMutableDatabase("I"));
+      DV_ASSIGN_OR_RETURN(Table * t, db->GetMutableTable("base0"));
+      return t->AppendRow(added);
+    };
+    Status committed = catalog->Mutate(append).status();
+    const std::string arm =
+        std::string(fenced ? "commit/fenced" : "commit/unfenced") + ": ";
+    if (!committed.ok()) return arm + committed.ToString();
+    std::shared_ptr<const CatalogSnapshot> next = catalog->Snapshot();
+    if (next->schema_epoch() != epoch) {
+      return arm + "a rows-only commit moved the schema epoch";
+    }
+    auto answer_at_next = [&](IntegrationSystem* sys) {
+      QueryContext qc(options.guards);
+      qc.PinSnapshot(next);
+      return sys->AnswerGuarded(sql, options, &qc);
+    };
+    Result<AnswerResult> got = answer_at_next(&warm);
+    Result<AnswerResult> want = answer_at_next(&cold);
+    if (rep != nullptr) {
+      ++rep->checks;
+      ++rep->commit_checks;
+      if (got.ok() && got.value().plan_cached) ++rep->commit_hits;
+    }
+    if (got.ok() != want.ok() ||
+        (!got.ok() && got.status().ToString() != want.status().ToString())) {
+      return arm + "warm " +
+             (got.ok() ? "ok" : got.status().ToString()) + " vs cold " +
+             (want.ok() ? "ok" : want.status().ToString());
+    }
+    if (!got.ok()) continue;
+    if (got.value().table.ToString() != want.value().table.ToString()) {
+      return arm + "bytes or row order diverge from the cold answer\n" +
+             got.value().table.ToString() + "--- cold ---\n" +
+             want.value().table.ToString();
+    }
+    if (WarningText(got.value().warnings) !=
+        WarningText(want.value().warnings)) {
+      return arm + "warnings diverge from the cold answer\n" +
+             WarningText(got.value().warnings) + "--- cold ---\n" +
+             WarningText(want.value().warnings);
+    }
+    cold.ClearPlanCache();
+    Result<std::string> got_explain = warm.ExplainOptimized(sql, options);
+    Result<std::string> want_explain = cold.ExplainOptimized(sql, options);
+    if (got_explain.ok() != want_explain.ok() ||
+        (got_explain.ok() && got_explain.value() != want_explain.value())) {
+      return arm + "EXPLAIN diverges from the cold twin's";
+    }
+  }
+  return std::nullopt;
+}
+
 /// Runs one (sql, multiset) through every strategy and compares. Returns the
 /// first violation ("<strategy>: <what diverged>"), or nullopt when all
 /// six executions agree. `rep` is null during minimization replays.
@@ -736,6 +867,11 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
     }
   }
 
+  if (std::optional<std::string> fail =
+          CheckAcrossCommit(rt, sql, multiset, rep)) {
+    return fail;
+  }
+
   if (outs[0].warns != outs[1].warns) {
     auto render = [](const RunOut& o) {
       std::string s;
@@ -839,6 +975,7 @@ std::string FuzzReport::Summary() const {
      << " optimizer_refusals=" << optimizer_refusals
      << " warm_cold=" << warm_cold_checks << " shape=" << shape_checks
      << " shape_fallbacks=" << shape_fallbacks
+     << " commit=" << commit_checks << " commit_hits=" << commit_hits
      << " crashes=" << crashes_replayed
      << " mismatches=" << mismatches << " kinds=[";
   bool first = true;

@@ -61,6 +61,8 @@ struct FuzzReport {
   int warm_cold_checks = 0;    // Cold answers compared with their hit.
   int shape_checks = 0;     // Shape-tier hits compared with the cold twin.
   int shape_fallbacks = 0;  // Rebound queries whose literal guard failed.
+  int commit_checks = 0;    // Warm answers across a rows-only commit.
+  int commit_hits = 0;      // ... of them served by a plan cached before it.
   int crashes_replayed = 0;
   int mismatches = 0;  // Oracle violations — any nonzero run is a failure.
   std::set<std::string> kinds_applied;  // DdlKindName of every applied op.
@@ -92,8 +94,13 @@ struct FuzzReport {
 /// counters. A shape arm answers each query and then the same shape with
 /// other literals: that second answer (a shape-tier hit, or a full probe
 /// when its literal guard fails) and its EXPLAIN must equal a cold twin's
-/// byte for byte. Queries the optimizer declines to plan
-/// (kUnsupported: higher-order or multi-block) are counted as refusals. In
+/// byte for byte. A commit arm answers each query on a copy of the
+/// catalog, commits a rows-only change to I::base0 and answers again: the
+/// warm answer must equal a cold one at the new snapshot in bytes, row
+/// order, warnings and EXPLAIN, with the sources unfenced and with them
+/// fenced (the commit then fences the chosen one). Queries the optimizer
+/// declines to plan (kUnsupported: higher-order or multi-block) are
+/// counted as refusals. In
 /// durable mode every scenario additionally crashes mid-stream and must
 /// replay to the exact pre-crash head and answers.
 ///

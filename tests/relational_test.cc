@@ -442,6 +442,110 @@ TEST(CatalogReclamationTest, SnapshotOutlivingItsCatalogIsFreedWhereItDrops) {
   EXPECT_EQ(probe.GetMutableTable("t").value(), shared);
 }
 
+TEST(CatalogTest, SchemaEpochMovesWithNamesAndSchemasOnly) {
+  Catalog cat;
+  Table t(Schema({{"a", TypeKind::kInt}}));
+  ASSERT_TRUE(cat.PutTable("db", "t", t).ok());
+  const uint64_t created = cat.Snapshot()->schema_epoch();
+  EXPECT_EQ(created, cat.version());
+
+  // Rows only: appended, replaced by a put of the same schema, or spliced
+  // in a replayed commit.
+  ASSERT_TRUE(cat.Mutate([](CatalogTxn& txn) -> Status {
+                   DV_ASSIGN_OR_RETURN(Database * db,
+                                       txn.GetMutableDatabase("db"));
+                   DV_ASSIGN_OR_RETURN(Table * mt, db->GetMutableTable("t"));
+                   return mt->AppendRow({Value::Int(1)});
+                 })
+                  .ok());
+  EXPECT_EQ(cat.Snapshot()->schema_epoch(), created);
+  ASSERT_TRUE(cat.PutTable("db", "t", t).ok());
+  EXPECT_EQ(cat.Snapshot()->schema_epoch(), created);
+  DatabaseChange splice;
+  splice.name = "db";
+  TableChange rows;
+  rows.op = TableChange::Op::kSplice;
+  rows.rel = "t";
+  rows.inserted = {{Value::Int(2)}};
+  splice.tables.push_back(std::move(rows));
+  ASSERT_TRUE(cat.ApplyRecoveredCommit(cat.version() + 1, {splice}).ok());
+  EXPECT_EQ(cat.Snapshot()->schema_epoch(), created);
+
+  // Names and schemas: each of these moves the epoch to its own version.
+  auto expect_moved = [&](const Status& st, const char* what) {
+    ASSERT_TRUE(st.ok()) << what << ": " << st.ToString();
+    EXPECT_EQ(cat.Snapshot()->schema_epoch(), cat.version()) << what;
+  };
+  expect_moved(cat.PutTable("db", "u", t), "new table");
+  const Table retyped(Schema({{"a", TypeKind::kDouble}}));
+  expect_moved(cat.PutTable("db", "t", retyped), "column type");
+  const Table renamed(Schema({{"b", TypeKind::kDouble}}));
+  expect_moved(cat.PutTable("db", "t", renamed), "column name");
+  expect_moved(cat.Mutate([](CatalogTxn& txn) -> Status {
+                    DV_ASSIGN_OR_RETURN(Database * db,
+                                        txn.GetMutableDatabase("db"));
+                    Table same = *db->GetTable("u").value();
+                    DV_RETURN_IF_ERROR(db->DropTable("u"));
+                    db->PutTable("U", std::move(same));
+                    return Status::OK();
+                  })
+                   .status(),
+               "relation name case");
+  expect_moved(cat.DropTable("db", "U"), "dropped table");
+  expect_moved(cat.CreateDatabase("other"), "new database");
+  expect_moved(cat.DropDatabase("other"), "dropped database");
+  DatabaseChange put;
+  put.name = "db";
+  TableChange table;
+  table.op = TableChange::Op::kPut;
+  table.rel = "v";
+  table.table = t;
+  put.tables.push_back(std::move(table));
+  expect_moved(cat.ApplyRecoveredCommit(cat.version() + 1, {put}),
+               "replayed new table");
+}
+
+TEST(CatalogTest, BeforePublishRunsOnlyForACommitAndBeforeReadersSeeIt) {
+  Catalog cat;
+  ASSERT_TRUE(cat.PutTable("db", "t", Table()).ok());
+  const uint64_t base = cat.version();
+  uint64_t seen = 0;
+  uint64_t head_during_hook = 0;
+  auto hook = [&](uint64_t version) {
+    seen = version;
+    head_during_hook = cat.Snapshot()->version();
+  };
+  auto write = [](CatalogTxn& txn) {
+    txn.GetOrCreateDatabase("db")->PutTable("t", Table());
+    return Status::OK();
+  };
+  Result<uint64_t> committed = cat.Mutate(write, "txn", hook);
+  ASSERT_TRUE(committed.ok());
+  EXPECT_EQ(seen, committed.value());
+  EXPECT_EQ(seen, base + 1);
+  EXPECT_EQ(head_during_hook, base);
+
+  // A transaction that fails, one the commit sink refuses and one that
+  // touches nothing publish nothing and run no hook.
+  struct RefusingSink : CatalogCommitSink {
+    Status OnCommit(const CatalogSnapshot&, const CatalogSnapshot&,
+                    const std::string&) override {
+      return Status::Unavailable("log device gone");
+    }
+  } refusing;
+  seen = 0;
+  EXPECT_FALSE(cat.Mutate([](CatalogTxn&) { return Status::Internal("no"); },
+                          "txn", hook)
+                   .ok());
+  cat.SetCommitSink(&refusing);
+  EXPECT_FALSE(cat.Mutate(write, "txn", hook).ok());
+  cat.SetCommitSink(nullptr);
+  EXPECT_TRUE(cat.Mutate([](CatalogTxn&) { return Status::OK(); }, "txn", hook)
+                  .ok());
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(cat.version(), base + 1);
+}
+
 TEST(TableTest, SpliceChecksRangeAndArity) {
   Table t(Schema::FromNames({"a"}));
   for (int i = 0; i < 4; ++i) t.AppendRowUnchecked({Value::Int(i)});
