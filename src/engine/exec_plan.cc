@@ -57,6 +57,14 @@ void DescribePipeline(const Pipeline& p,
 
 }  // namespace
 
+uint64_t ScanEstimate(const ExecPlan& plan) {
+  uint64_t scans = 0;
+  for (const BranchPlan& b : plan.branches) {
+    for (const PipelineRun& run : b.runs) scans += run.relations.size();
+  }
+  return scans;
+}
+
 std::string Describe(const ExecPlan& plan) {
   std::string out;
   for (size_t bi = 0; bi < plan.branches.size(); ++bi) {

@@ -157,6 +157,13 @@ struct ExecPlan {
   bool cacheable = true;
 };
 
+/// The estimate the answer path compares candidate plans by: the relation
+/// scans of every run, summed over the branches. Groundings pruned at build
+/// are gone; infeasible runs still count. It reads names only, never a row
+/// count or a literal, so it is fixed within a schema epoch and the same
+/// for every binding of a query shape.
+uint64_t ScanEstimate(const ExecPlan& plan);
+
 /// Renders `plan` for EXPLAIN: per branch, first-order or fan-out with its
 /// grounding counts; per pipeline, each scan's relation in every grounding,
 /// pushed conjuncts, join keys or cross product, then the output steps; then

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 
 #include "analyze/audit.h"
 #include "common/failpoint.h"
@@ -292,15 +291,18 @@ Status IntegrationSystem::OpenDurable(const std::string& dir) {
       return;
     }
     // Maintainer delta commits carry the source index in their tag; the
-    // replayed commit version re-advances that source's fence, restoring
-    // the exact staleness state (DV007) the crash interrupted.
+    // replayed commit version re-advances that source's fence when the
+    // source was fresh at the commit's base (the head here, as in the live
+    // ViewMaintainer), restoring the exact staleness state (DV007) the
+    // crash interrupted.
     if (tag.rfind(kMaintainerTagPrefix, 0) != 0) return;
     char* end = nullptr;
     unsigned long long idx =
         std::strtoull(tag.c_str() + sizeof(kMaintainerTagPrefix) - 1, &end,
                       10);
     if (end == nullptr || *end != '\0') return;
-    if (idx < sources_.size()) {
+    if (idx < sources_.size() &&
+        !sources_[idx]->IsStaleAgainst(*catalog_->Snapshot())) {
       sources_[idx]->AdvanceMaterializedVersion(version);
     }
   };
@@ -523,35 +525,39 @@ Result<TranslationResult> IntegrationSystem::Rewrite(const std::string& sql,
                                                      bool multiset) {
   DV_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
                       Parser::ParseSelect(sql));
-  // One consistent version for the whole rewrite (the translators read view
-  // bodies and I's schema through it). Held alive for the call.
-  std::shared_ptr<const CatalogSnapshot> snap = catalog_->Snapshot();
-  return RewriteOver(*stmt, multiset, *snap, /*plan=*/nullptr,
-                     /*guard=*/nullptr);
+  // One consistent version for the whole choice (the translators read view
+  // bodies and I's schema through it, the estimates build against it).
+  QueryContext qc;
+  qc.PinSnapshot(catalog_->Snapshot());
+  DV_ASSIGN_OR_RETURN(Choice choice,
+                      RewriteOver(*stmt, multiset, &qc, /*with_direct=*/false,
+                                  /*plan=*/nullptr, /*guard=*/nullptr));
+  return std::move(choice.translation);
 }
 
-Result<TranslationResult> IntegrationSystem::RewriteOver(
-    const SelectStmt& query, bool multiset, const CatalogSnapshot& snap,
+Result<IntegrationSystem::Choice> IntegrationSystem::RewriteOver(
+    const SelectStmt& query, bool multiset, QueryContext* qc, bool with_direct,
     CachedPlan* plan, LiteralGuard* guard) {
+  const CatalogSnapshot& snap = *qc->snapshot();
   CachedPlan scratch;
+  // The answer path takes the winner's built plan; Rewrite builds only to
+  // compare.
+  const bool wants_exec = plan != nullptr;
   if (plan == nullptr) plan = &scratch;
   QueryTranslator translator(&snap, integration_db_, guard);
   AggregateViewRewriter agg_rewriter(&snap, integration_db_, guard);
-  std::optional<TranslationResult> chosen;
+  std::vector<Choice> candidates;
+  std::vector<size_t> estimate_lines;  // A verdict slot per usable source.
+  bool fresh_fenced = false;
   std::string last_reason;
   for (const auto& source : sources_) {
-    std::string name = source->DisplayName();
-    if (chosen.has_value()) {
-      plan->verdicts.push_back("source " + name +
-                               " not probed: an earlier source answers");
-      continue;
-    }
+    const std::string name = source->DisplayName();
     const bool stale = source->IsStaleAgainst(snap);
     plan->fences.emplace_back(source.get(), stale);
     if (stale) {
       // The materialization predates a commit that touched a base database
       // the view reads: answering from it would not match any single catalog
-      // version. Fall back past it (stale fencing).
+      // version, so no candidate reads it (stale fencing).
       last_reason = "source " + name + " is stale";
       plan->verdicts.push_back("warning DV007 [Sec. 6]: source " + name +
                                " fenced off: stale materialization predates "
@@ -566,22 +572,64 @@ Result<TranslationResult> IntegrationSystem::RewriteOver(
             ? agg_rewriter.Rewrite(*source, query,
                                    /*allow_avg_reaggregation=*/!multiset)
             : translator.TranslateAll(*source, query, multiset);
-    if (t.ok()) {
-      chosen = std::move(t).value();
-      plan->chosen = source.get();
-      plan->verdicts.push_back("source " + name + " chosen");
-      for (const std::string& w : AnalysisWarnings(source.get())) {
-        plan->verdicts.push_back("warning " + w);
-      }
-    } else {
+    if (!t.ok()) {
       last_reason = t.status().message();
       plan->verdicts.push_back("note DV004 [Thm. 5.2/5.4]: source " + name +
                                " not usable: " + last_reason);
+      continue;
+    }
+    fresh_fenced = fresh_fenced || source->fenced();
+    estimate_lines.push_back(plan->verdicts.size());
+    plan->verdicts.emplace_back();
+    candidates.push_back(Choice{source.get(), std::move(t).value(), nullptr});
+  }
+  if (candidates.empty()) {
+    return Status::NotFound("no registered source can answer the query" +
+                            (last_reason.empty() ? "" : ": " + last_reason));
+  }
+  // A fenced source fresh at `snap` holds its body over I at `snap`, so by
+  // Thm. 5.2/5.4 the direct plan on I answers what its rewriting answers.
+  // An unfenced source promises nothing of I, which may be virtual.
+  if (with_direct && fresh_fenced) {
+    Choice direct;
+    direct.translation.query = query.Clone();
+    candidates.push_back(std::move(direct));
+  }
+  if (candidates.size() == 1 && !wants_exec) return std::move(candidates[0]);
+
+  // The estimate reads the built plans: no row counts and no literals, so
+  // the choice is the same for every binding of the shape and every
+  // snapshot of the schema epoch that keeps these fence verdicts.
+  size_t best = 0;
+  uint64_t best_cost = 0;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    Choice& c = candidates[i];
+    c.exec = engine_.Build(c.translation.query->Clone().get(), qc);
+    const uint64_t cost = ScanEstimate(*c.exec);
+    const std::string estimate = ": estimate " + std::to_string(cost) +
+                                 " scan(s)";
+    if (c.source != nullptr) {
+      plan->verdicts[estimate_lines[i]] =
+          "source " + c.source->DisplayName() + " usable" + estimate;
+    } else {
+      plan->verdicts.push_back("direct plan on " + integration_db_ + estimate);
+    }
+    if (i == 0 || cost < best_cost) {
+      best = i;
+      best_cost = cost;
     }
   }
-  if (chosen.has_value()) return std::move(*chosen);
-  return Status::NotFound("no registered source can answer the query" +
-                          (last_reason.empty() ? "" : ": " + last_reason));
+  Choice& won = candidates[best];
+  plan->chosen = won.source;
+  if (won.source == nullptr) {
+    plan->verdicts.push_back("direct plan on " + integration_db_ + " chosen");
+  } else {
+    plan->verdicts.push_back("source " + won.source->DisplayName() + " chosen");
+    for (const std::string& w : AnalysisWarnings(won.source)) {
+      plan->verdicts.push_back("warning " + w);
+    }
+  }
+  return std::move(won);
 }
 
 IntegrationSystem::ParsedQuery IntegrationSystem::KeyStatement(
@@ -667,8 +715,10 @@ std::vector<SourceWarning> IntegrationSystem::StaleWarnings(
 }
 
 std::shared_ptr<IntegrationSystem::CachedPlan> IntegrationSystem::PlanMiss(
-    const ParsedQuery& query, bool multiset, const CatalogSnapshot& snap,
-    MetricsRegistry* sink, Status* no_source) {
+    const ParsedQuery& query, bool multiset, QueryContext* qc,
+    MetricsRegistry* sink, std::shared_ptr<const ExecPlan>* exec,
+    Status* no_source) {
+  const CatalogSnapshot& snap = *qc->snapshot();
   const uint64_t epoch = snap.schema_epoch();
   // Computed only here, after an exact miss: exact hits pay nothing for the
   // shape tier. A repeated text misses only when its plan went stale (the
@@ -685,9 +735,9 @@ std::shared_ptr<IntegrationSystem::CachedPlan> IntegrationSystem::PlanMiss(
         [&](const CachedPlan& p) { return FencesHold(p, snap); });
     if (entry != nullptr && entry->guard->Holds(shape.fingerprint.literals)) {
       // Every answer the probe took from the literals is the same for these
-      // values, so a probe of this query would choose the same source, with
-      // the same verdicts and warnings, and rewrite to the template with
-      // these values in its literal slots.
+      // values, and no estimate reads a literal, so a probe of this query
+      // would make the same choice, with the same verdicts and warnings,
+      // and build the template with these values in its literal slots.
       CountPlanCache(counters::kPlanCacheShapeHits, 1, sink);
       auto plan = std::make_shared<CachedPlan>(*entry);
       std::unique_ptr<SelectStmt> rewritten = entry->rewritten->Clone();
@@ -701,19 +751,21 @@ std::shared_ptr<IntegrationSystem::CachedPlan> IntegrationSystem::PlanMiss(
     }
   }
 
-  // Alg. 5.1 against the pinned snapshot, over the literal-tagged clone so
-  // the rewriting keeps each query literal's slot.
+  // The costed choice against the pinned snapshot, over the literal-tagged
+  // clone so the winner's statement keeps each query literal's slot.
   auto plan = std::make_shared<CachedPlan>();
   auto guard = shaped ? std::make_shared<LiteralGuard>() : nullptr;
-  Result<TranslationResult> rewritten =
-      RewriteOver(shaped ? *shape.tagged : *query.stmt, multiset, snap,
-                  plan.get(), guard.get());
-  if (!rewritten.ok()) {
-    *no_source = rewritten.status();  // Direct plans stay exact-keyed.
+  Result<Choice> chosen =
+      RewriteOver(shaped ? *shape.tagged : *query.stmt, multiset, qc,
+                  /*with_direct=*/true, plan.get(), guard.get());
+  if (!chosen.ok()) {
+    // The direct plan for want of a source stays exact-keyed.
+    *no_source = chosen.status();
     return plan;
   }
-  plan->rewritten =
-      std::shared_ptr<const SelectStmt>(std::move(rewritten.value().query));
+  plan->rewritten = std::shared_ptr<const SelectStmt>(
+      std::move(chosen.value().translation.query));
+  *exec = std::move(chosen.value().exec);
   if (shaped && guard->complete()) {
     auto entry = std::make_shared<CachedPlan>(*plan);
     entry->guard = std::move(guard);
@@ -742,32 +794,31 @@ IntegrationSystem::PlannedQuery IntegrationSystem::PlanParsed(
     CountPlanCache(counters::kPlanCacheInvalidations, 1, sink);
   }
 
-  if (!out.cached) {
-    plan = PlanMiss(query, multiset, snap, sink, &out.no_source);
+  if (out.cached) {
+    out.exec = plan->exec;
+  } else {
+    plan = PlanMiss(query, multiset, qc, sink, &out.exec, &out.no_source);
   }
 
-  // Build the executable plan unless the entry carries one for this epoch:
-  // a hit then runs it without binding, grounding or compiling.
-  out.exec = plan->exec;
+  // Build the executable plan unless the entry or the costed choice
+  // carries one for this epoch: a hit then runs it without binding,
+  // grounding or compiling.
   if (out.exec == nullptr) {
     const SelectStmt& tmpl =
         plan->rewritten != nullptr ? *plan->rewritten : *query.stmt;
     out.exec = engine_.Build(tmpl.Clone().get(), qc);
-    if (out.exec->cacheable) {
-      if (out.cached) {
-        // A hit whose entry has no executable plan re-inserts a copy that
-        // has one; the shared entry itself is never mutated.
-        plan = std::make_shared<CachedPlan>(*plan);
-        plan->exec = out.exec;
-        Remember(query.cache_key, epoch, plan, sink);
-      } else {
-        plan->exec = out.exec;
-      }
+    if (out.cached && out.exec->cacheable) {
+      // A hit whose entry has no executable plan re-inserts a copy that
+      // has one; the shared entry itself is never mutated.
+      plan = std::make_shared<CachedPlan>(*plan);
+      plan->exec = out.exec;
+      Remember(query.cache_key, epoch, plan, sink);
     }
   }
+  if (!out.cached && out.exec->cacheable) plan->exec = out.exec;
   if (!out.cached && plan->rewritten != nullptr) {
-    // Cached before execution: a rewriting is valid for this epoch even if
-    // this particular execution trips a guard.
+    // Cached before execution: a costed choice is valid for this epoch and
+    // these fence verdicts even if this particular execution trips a guard.
     Remember(query.cache_key, epoch, plan, sink);
   }
   out.plan = std::move(plan);
@@ -827,7 +878,7 @@ Result<AnswerResult> IntegrationSystem::AnswerParsed(
   std::vector<SourceWarning> stale = StaleWarnings(plan, *snap);
   const ViewDefinition* chosen = plan.chosen;
   Result<Table> answered = engine_.Run(*planned.exec, qc);
-  if (plan.rewritten != nullptr && !answered.ok() &&
+  if (chosen != nullptr && !answered.ok() &&
       answered.status().code() == StatusCode::kNotFound) {
     // The rewriting references a materialization relation that DDL has
     // since dropped or renamed (an unfenced source has no staleness fence to

@@ -263,14 +263,19 @@ class IntegrationSystem {
   Result<ViewMaintainer> CreateMaintainer(size_t source_index,
                                           const std::string& default_target_db);
 
-  /// Answers `sql` (a first-order query on I) by rewriting it onto a usable
-  /// source (Alg. 5.1) and executing the rewriting, or — when no source can
-  /// answer it — by the direct plan on I (the architecture permits locally
-  /// stored integration data). Tries sources in registration order;
+  /// Answers `sql` (a first-order query on I) from the cheapest of its
+  /// candidate plans (Sec. 6): the rewriting (Alg. 5.1) onto each usable
+  /// source and, when some usable source is fenced and fresh at the pinned
+  /// snapshot, the direct plan on I. Candidates are compared by ScanEstimate
+  /// of their built plans; ties go to sources in registration order, then
+  /// to the direct plan. When no source can answer, the direct plan on I
+  /// does (the architecture permits locally stored integration data).
   /// `options.multiset` demands a bag-correct rewriting (Thm. 5.4),
-  /// otherwise set-correctness (Thm. 5.2) suffices. Unparseable SQL fails
-  /// with the parser's positioned kParseError; a query neither a source nor
-  /// I can answer fails with the rewrite's NotFound.
+  /// otherwise set-correctness (Thm. 5.2) suffices; either way every
+  /// candidate answers the same, so the choice changes cost, not answers.
+  /// Unparseable SQL fails with the parser's positioned kParseError; a
+  /// query neither a source nor I can answer fails with the rewrite's
+  /// NotFound.
   ///
   /// Executes under `options.guards`: the query observes the deadline /
   /// cancellation / row / byte budgets, and transient source failures
@@ -284,8 +289,8 @@ class IntegrationSystem {
   /// context up front (a caller-pinned snapshot of this catalog is honored —
   /// the chaos oracle uses that to re-execute against a recorded version).
   /// Registered sources whose materialization is stale against that snapshot
-  /// are fenced off: the rewrite falls back past them (ultimately to the
-  /// baseline direct plan on I), each fenced source adds a deterministic
+  /// are fenced off: no candidate reads them (with none left, the baseline
+  /// direct plan on I answers), each fenced source adds a deterministic
   /// warning, and the `catalog.stale_path` counter is bumped once per fence.
   /// Safe to call from several threads on one IntegrationSystem.
   Result<AnswerResult> AnswerGuarded(const std::string& sql,
@@ -316,16 +321,19 @@ class IntegrationSystem {
   /// Cumulative plan-cache counters since construction, read from metrics().
   PlanCacheStats plan_cache_stats() const;
 
-  /// The rewriting AnswerGuarded would choose for `sql`, without executing
-  /// it (against the current catalog snapshot). Aggregate queries are
-  /// additionally offered to aggregate-defined sources via the Sec. 5.2
-  /// re-aggregation machinery (Ex. 5.3).
+  /// The rewriting onto the cheapest usable source for `sql`, without
+  /// executing it (against the current catalog snapshot). AnswerGuarded
+  /// may still answer from the direct plan on I, when a fenced source is
+  /// fresh and that plan is cheaper. Aggregate queries are additionally
+  /// offered to aggregate-defined sources via the Sec. 5.2 re-aggregation
+  /// machinery (Ex. 5.3).
   Result<TranslationResult> Rewrite(const std::string& sql, bool multiset);
 
   /// EXPLAIN: the plan AnswerGuarded(sql, options) runs, not run. It takes
   /// the answer's own planning step (a hit plans nothing; a miss caches
   /// what the next answer runs) and renders the answering source and its
-  /// rewriting, each source's verdict, and Describe of the executable plan
+  /// rewriting (or the direct plan on I), each source's verdict with every
+  /// candidate's estimate, the winner, and Describe of the executable plan
   /// — never the snapshot version or the cache state. Parse errors are
   /// AnswerGuarded's.
   Result<std::string> ExplainOptimized(const std::string& sql,
@@ -368,15 +376,20 @@ class IntegrationSystem {
   /// Expr::literal_slot, `guard` the probe's literal-dependent answers, and
   /// `exec` is null. Its fences and verdicts hold no query literal.
   struct CachedPlan {
-    std::shared_ptr<const SelectStmt> rewritten;  // Null = direct plan on I.
-    const ViewDefinition* chosen = nullptr;
-    /// The fence verdict (IsStaleAgainst) of every source the probe
-    /// visited, in registration order up to the chosen one. A lookup
-    /// re-evaluates them at its pinned snapshot (FencesHold); a source
-    /// fenced off here adds a stale warning to every answer (StaleWarnings).
+    /// What the plan builds: the chosen source's rewriting, or the query
+    /// itself when the direct plan on I won on cost. Null when no source
+    /// answers and the direct plan does.
+    std::shared_ptr<const SelectStmt> rewritten;
+    const ViewDefinition* chosen = nullptr;  // Null = direct plan on I.
+    /// The fence verdict (IsStaleAgainst) of every source, in registration
+    /// order. A lookup re-evaluates them at its pinned snapshot
+    /// (FencesHold); a source fenced off here adds a stale warning to every
+    /// answer (StaleWarnings).
     std::vector<std::pair<const ViewDefinition*, bool>> fences;
-    /// EXPLAIN's analysis lines, per source in registration order: stale
-    /// (DV007), not usable (DV004 + reason), chosen (+ warnings), not probed.
+    /// EXPLAIN's analysis lines: per source in registration order, stale
+    /// (DV007), not usable (DV004 + reason) or usable with its estimate;
+    /// then the direct plan's estimate when it was a candidate; then the
+    /// winner (+ the chosen source's analysis warnings).
     std::vector<std::string> verdicts;
     std::shared_ptr<const ExecPlan> exec;
     std::shared_ptr<const LiteralGuard> guard;  // Shape entries only.
@@ -409,16 +422,30 @@ class IntegrationSystem {
   /// `sql` parsed and keyed through the raw-SQL memo.
   Result<ParsedQuery> ParseMemoized(const std::string& sql, bool multiset);
 
-  /// Rewrite against one pinned catalog version: translators resolve view
-  /// bodies and I's schema through `snap`, and fenced sources whose
-  /// materialization is stale against `snap` are skipped. When `plan` is
-  /// given, each source visited appends its fence verdict to plan->fences
-  /// (registration order), each source a verdict line, and plan->chosen
-  /// names the source the rewriting uses. `guard`, when given, records every
-  /// literal-dependent implication answer of every source probed.
-  Result<TranslationResult> RewriteOver(const SelectStmt& query, bool multiset,
-                                        const CatalogSnapshot& snap,
-                                        CachedPlan* plan, LiteralGuard* guard);
+  /// The candidate RewriteOver chose: the source (null for the direct plan
+  /// on I), its translation (for the direct plan, `translation.query` is a
+  /// copy of the query) and the plan built to estimate it (null when there
+  /// was nothing to compare).
+  struct Choice {
+    const ViewDefinition* source = nullptr;
+    TranslationResult translation;
+    std::shared_ptr<const ExecPlan> exec;
+  };
+
+  /// Costed source choice against the snapshot `qc` pins: translators
+  /// resolve view bodies and I's schema through it, and fenced sources
+  /// whose materialization is stale there are skipped. Every other source
+  /// is probed with Alg. 5.1. With `with_direct`, the direct plan on I joins
+  /// the usable sources when one of them is fenced and fresh. Candidates
+  /// are built under `qc` and the one with the least ScanEstimate wins;
+  /// ties go to registration order, the direct plan last. When `plan` is
+  /// given, every source appends its fence verdict to plan->fences and a
+  /// verdict line, and plan->chosen names the winning source. `guard`,
+  /// when given, records every literal-dependent implication answer of
+  /// every source probed. NotFound when no source is usable.
+  Result<Choice> RewriteOver(const SelectStmt& query, bool multiset,
+                             QueryContext* qc, bool with_direct,
+                             CachedPlan* plan, LiteralGuard* guard);
 
   /// The plan-cache key of `shape` in the shape tier.
   static std::string ShapeKey(const QueryShape& shape, bool multiset);
@@ -432,23 +459,25 @@ class IntegrationSystem {
   static std::vector<SourceWarning> StaleWarnings(const CachedPlan& plan,
                                                   const CatalogSnapshot& snap);
 
-  /// An exact-tier miss: the shape tier's rewriting when its literal guard
-  /// holds for this query's values, else Alg. 5.1 over `snap` (recording a
-  /// guard and caching the rewriting under the shape). A repeated text
-  /// (ParsedQuery::repeat) runs Alg. 5.1 alone. The returned entry has no
-  /// executable plan; `no_source` receives the rewrite's NotFound when no
-  /// source answers.
+  /// An exact-tier miss: the shape tier's choice when its literal guard
+  /// holds for this query's values, else the costed choice (RewriteOver)
+  /// at `qc`'s snapshot, recording a guard and caching the choice under the
+  /// shape. A repeated text (ParsedQuery::repeat) runs the costed choice
+  /// alone. The returned entry has no executable plan; `exec` receives the
+  /// plan the costed choice built for its winner, and `no_source` the
+  /// rewrite's NotFound when no source answers.
   std::shared_ptr<CachedPlan> PlanMiss(const ParsedQuery& query, bool multiset,
-                                       const CatalogSnapshot& snap,
-                                       MetricsRegistry* sink,
+                                       QueryContext* qc, MetricsRegistry* sink,
+                                       std::shared_ptr<const ExecPlan>* exec,
                                        Status* no_source);
 
   /// The planning step of an answer, shared with EXPLAIN: plan-cache
   /// lookup at the schema epoch `qc`'s snapshot carries (the entry's fence
-  /// verdicts re-checked at that snapshot), rewrite on a miss, and a build
-  /// unless the entry carries an executable plan. A rewriting is cached here,
-  /// before it runs; a direct plan is left to the caller. Cache outcomes
-  /// count on metrics() and on `sink` when given.
+  /// verdicts re-checked at that snapshot), the costed choice on a miss,
+  /// and a build unless the entry or the choice carries an executable plan.
+  /// A costed choice is cached here, before it runs; a direct plan taken
+  /// because no source answers is left to the caller. Cache outcomes count
+  /// on metrics() and on `sink` when given.
   PlannedQuery PlanParsed(const ParsedQuery& query, bool multiset,
                           QueryContext* qc, MetricsRegistry* sink);
   void Remember(const std::string& key, uint64_t epoch,

@@ -202,7 +202,12 @@ Status ViewMaintainer::ApplyDeletes(const std::vector<Row>& rows) {
 }
 
 void ViewMaintainer::AdvanceFence(uint64_t version) {
-  if (fence_ != nullptr) fence_->AdvanceMaterializedVersion(version);
+  // Before publish the head is still the base this delta applies to. A
+  // commit that bypassed the maintainer may have left the materialization
+  // stale there; this delta does not repair that, so the fence stays.
+  if (fence_ != nullptr && !fence_->IsStaleAgainst(*catalog_->Snapshot())) {
+    fence_->AdvanceMaterializedVersion(version);
+  }
 }
 
 Status ViewMaintainer::PropagateAppend(CatalogTxn& txn,

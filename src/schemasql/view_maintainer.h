@@ -73,8 +73,10 @@ class ViewMaintainer {
   /// change would otherwise have staled. The advance happens before the
   /// commit publishes (Catalog::Mutate's before_publish), so no reader pins
   /// the new version while the fence still predates it; a failed commit
-  /// advances nothing. Borrowed — must outlive the maintainer (or be
-  /// rebound/cleared).
+  /// advances nothing. It happens only when the definition was fresh at the
+  /// commit's base: a delta does not repair a materialization that a commit
+  /// bypassing the maintainer left stale. Borrowed — must outlive the
+  /// maintainer (or be rebound/cleared).
   void BindFence(ViewDefinition* fence) { fence_ = fence; }
 
   /// Tag recorded with every delta commit (the WAL persists it). The

@@ -60,11 +60,8 @@ Status DurableCatalog::RecoverInto(Catalog* catalog, const std::string& dir,
       dir + "/wal.log", rep.snapshot_version,
       [&](WalCommitRecord&& rec) -> Status {
         uint64_t version = rec.version;
-        std::string tag = std::move(rec.tag);
-        DV_RETURN_IF_ERROR(
-            catalog->ApplyRecoveredCommit(version, std::move(rec.changes)));
-        if (hooks.commit_replay) hooks.commit_replay(version, tag);
-        return Status::OK();
+        if (hooks.commit_replay) hooks.commit_replay(version, rec.tag);
+        return catalog->ApplyRecoveredCommit(version, std::move(rec.changes));
       },
       [&](WalBlobRecord&& rec) -> Status {
         if (!hooks.blob_replay) return Status::OK();

@@ -36,8 +36,9 @@ struct DurableHooks {
   /// record), in original append order. An error aborts recovery.
   std::function<Status(const std::string& kind, const std::string& payload)>
       blob_replay;
-  /// Observes each replayed catalog commit after it is applied — the fence
-  /// restoration hook (tag is the one given to Catalog::Mutate).
+  /// Observes each replayed catalog commit just before it is applied, so
+  /// the head is the commit's base, as in a live commit's before_publish —
+  /// the fence restoration hook (tag is the one given to Catalog::Mutate).
   std::function<void(uint64_t version, const std::string& tag)> commit_replay;
   /// Produces the blobs a checkpoint must persist so the WAL can truncate.
   /// Called with the writer paused.

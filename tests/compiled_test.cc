@@ -875,13 +875,29 @@ class MaintainedSourceTest : public ::testing::Test {
     return r.ok() ? Sorted(r.value()) : r.status().ToString();
   }
 
-  std::string ChosenSource(const std::string& sql) {
+  std::string Explain(const std::string& sql) {
     Result<std::string> explain = system_->ExplainOptimized(sql, Multiset());
-    if (!explain.ok()) return explain.status().ToString();
-    size_t at = explain.value().find("source: ");
+    return explain.ok() ? explain.value() : explain.status().ToString();
+  }
+
+  std::string ChosenSource(const std::string& sql) {
+    const std::string explain = Explain(sql);
+    size_t at = explain.find("source: ");
     if (at == std::string::npos) return "direct";
-    return explain.value().substr(at + 8,
-                                  explain.value().find('\n', at) - at - 8);
+    return explain.substr(at + 8, explain.find('\n', at) - at - 8);
+  }
+
+  /// A system that never cached anything, with s2 registered and fenced as
+  /// system_'s is.
+  std::unique_ptr<IntegrationSystem> ColdTwin() {
+    auto twin = std::make_unique<IntegrationSystem>(&catalog_, "I");
+    EXPECT_TRUE(twin->RegisterSource(kFig6SourceSql).ok());
+    const ViewDefinition& ours = *system_->sources()[0];
+    ViewDefinition* theirs = twin->sources()[0].get();
+    theirs->set_fenced(ours.fenced());
+    theirs->AdvanceMaterializedVersion(ours.materialized_version());
+    theirs->set_materialization(ours.materialization());
+    return twin;
   }
 
   Catalog catalog_;
@@ -894,7 +910,10 @@ TEST_F(MaintainedSourceTest, RowsOnlyMaintainerCommitKeepsThePlanWarm) {
   auto cold = system_->AnswerGuarded(kFig6Query, Multiset());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_FALSE(cold.value().plan_cached);
-  ASSERT_EQ(ChosenSource(kFig6Query), "s2::C");
+  // s2 is fresh and usable; the direct plan on I wins on cost.
+  ASSERT_EQ(ChosenSource(kFig6Query), "direct");
+  ASSERT_NE(Explain(kFig6Query).find("source s2::C usable"),
+            std::string::npos);
   ASSERT_TRUE(system_->AnswerGuarded(kFig6Query, Multiset())->plan_cached);
   const uint64_t epoch = catalog_.Snapshot()->schema_epoch();
   const uint64_t invalidations = system_->plan_cache_stats().invalidations;
@@ -913,6 +932,9 @@ TEST_F(MaintainedSourceTest, RowsOnlyMaintainerCommitKeepsThePlanWarm) {
   EXPECT_EQ(Sorted(after.value().table),
             Direct(kFig6Query, after.value().snapshot));
   EXPECT_EQ(system_->plan_cache_stats().invalidations, invalidations);
+  // The commit moved s2's fence with it: s2 is still fresh and usable.
+  EXPECT_NE(Explain(kFig6Query).find("source s2::C usable"),
+            std::string::npos);
 }
 
 TEST_F(PlanCacheTest, UnrelatedRowCommitKeepsThePlanWarm) {
@@ -941,6 +963,8 @@ TEST_F(PlanCacheTest, UnrelatedRowCommitKeepsThePlanWarm) {
 TEST_F(MaintainedSourceTest, FencingCommitStaleMissesLikeAFreshSystem) {
   ASSERT_TRUE(system_->AnswerGuarded(kFig6Query, Multiset()).ok());
   ASSERT_TRUE(system_->AnswerGuarded(kFig6Query, Multiset())->plan_cached);
+  ASSERT_NE(Explain(kFig6Query).find("direct plan on I chosen\n"),
+            std::string::npos);
   const uint64_t epoch = catalog_.Snapshot()->schema_epoch();
 
   // A row commit to I that bypasses the maintainer fences s2 off: the plan
@@ -957,17 +981,18 @@ TEST_F(MaintainedSourceTest, FencingCommitStaleMissesLikeAFreshSystem) {
             std::string::npos);
   EXPECT_EQ(Sorted(fenced.value().table),
             Direct(kFig6Query, fenced.value().snapshot));
+  // No source is usable now, so the direct plan answers for want of one.
+  const std::string explained = Explain(kFig6Query);
   EXPECT_EQ(ChosenSource(kFig6Query), "direct");
+  EXPECT_NE(explained.find("warning DV007 [Sec. 6]: source s2::C fenced off"),
+            std::string::npos)
+      << explained;
+  EXPECT_EQ(explained.find("estimate"), std::string::npos) << explained;
 
   // A system that never cached anything, with the same source and fence,
   // answers and explains the same at the same snapshot.
-  IntegrationSystem fresh(&catalog_, "I");
-  ASSERT_TRUE(fresh.RegisterSource(kFig6SourceSql).ok());
-  const ViewDefinition& ours = *system_->sources()[0];
-  ViewDefinition* theirs = fresh.sources()[0].get();
-  theirs->set_fenced(ours.fenced());
-  theirs->AdvanceMaterializedVersion(ours.materialized_version());
-  theirs->set_materialization(ours.materialization());
+  std::unique_ptr<IntegrationSystem> twin = ColdTwin();
+  IntegrationSystem& fresh = *twin;
   auto want = AnswerAt(&fresh, kFig6Query, fenced.value().snapshot);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   EXPECT_EQ(WarningText(fenced.value().warnings),
@@ -992,7 +1017,8 @@ TEST_F(MaintainedSourceTest, FencingCommitStaleMissesLikeAFreshSystem) {
             WarningText(fenced.value().warnings));
   EXPECT_EQ(hit.value().table.ToString(), cold_twin.value().table.ToString());
 
-  // Re-materializing s2 lifts the fence: a stale miss back to s2.
+  // Re-materializing s2 lifts the fence: a stale miss back to the costed
+  // choice, with s2 usable again.
   uint64_t rebuilt = 0;
   ASSERT_TRUE(ViewMaterializer::MaterializeSql(kFig6SourceSql,
                                                system_->engine(), &catalog_,
@@ -1005,9 +1031,150 @@ TEST_F(MaintainedSourceTest, FencingCommitStaleMissesLikeAFreshSystem) {
   EXPECT_FALSE(back.value().plan_cached);
   EXPECT_TRUE(back.value().warnings.empty())
       << WarningText(back.value().warnings);
-  EXPECT_EQ(ChosenSource(kFig6Query), "s2::C");
+  EXPECT_EQ(ChosenSource(kFig6Query), "direct");
+  EXPECT_NE(Explain(kFig6Query).find("source s2::C usable"),
+            std::string::npos);
   EXPECT_EQ(Sorted(back.value().table),
             Direct(kFig6Query, back.value().snapshot));
+}
+
+TEST_F(MaintainedSourceTest, FencedFanOutLosesToTheDirectPlan) {
+  // s2 answers by a fan-out over its five company relations; I::stock
+  // holds the same facts in one.
+  auto answer = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer.value().warnings.empty())
+      << WarningText(answer.value().warnings);
+  EXPECT_EQ(Sorted(answer.value().table),
+            Direct(kFig6Query, answer.value().snapshot));
+  EXPECT_EQ(answer.value().observer->metrics.Value(
+                counters::kGroundingsEvaluated),
+            0u);
+  const std::string explained = Explain(kFig6Query);
+  EXPECT_NE(explained.find("== answer ==\ndirect plan on I\n"
+                           "== analysis ==\n"
+                           "source s2::C usable: estimate 5 scan(s)\n"
+                           "direct plan on I: estimate 1 scan(s)\n"
+                           "direct plan on I chosen\n"
+                           "== plan ==\n"
+                           "branch 1: first-order\n"),
+            std::string::npos)
+      << explained;
+}
+
+TEST_F(MaintainedSourceTest, FencedFirstOrderCopyTiesAndWins) {
+  // A first-order copy of I::stock scans one relation, as the direct plan
+  // does: the tie goes to the registered source.
+  IntegrationSystem system(&catalog_, "I");
+  ASSERT_TRUE(system
+                  .RegisterAndMaterializeSource(
+                      "create view c1::stock(company, date, price) as "
+                      "select C, D, P from I::stock T, T.company C, "
+                      "T.date D, T.price P")
+                  .ok());
+  auto answer = system.AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer.value().warnings.empty())
+      << WarningText(answer.value().warnings);
+  EXPECT_EQ(Sorted(answer.value().table),
+            Direct(kFig6Query, answer.value().snapshot));
+  Result<std::string> explained =
+      system.ExplainOptimized(kFig6Query, Multiset());
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_NE(explained.value().find("== answer ==\nsource: c1::stock\n"),
+            std::string::npos)
+      << explained.value();
+  EXPECT_NE(explained.value().find("source c1::stock usable: estimate 1 "
+                                   "scan(s)\n"
+                                   "direct plan on I: estimate 1 scan(s)\n"
+                                   "source c1::stock chosen\n"),
+            std::string::npos)
+      << explained.value();
+}
+
+TEST_F(MaintainedSourceTest, CostChosenDirectPlanTakesShapeHitsAcrossLiterals) {
+  auto first = system_->AnswerGuarded(kFig6Query, Multiset());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::string other =
+      "select C, P from I::stock T, T.company C, T.price P where P > 350";
+  for (const char* sql : {other.c_str(),
+                          "select C, P from I::stock T, T.company C, "
+                          "T.price P where P > 120"}) {
+    SCOPED_TRACE(sql);
+    auto rebound = system_->AnswerGuarded(sql, Multiset());
+    ASSERT_TRUE(rebound.ok()) << rebound.status().ToString();
+    EXPECT_FALSE(rebound.value().plan_cached);
+    EXPECT_EQ(rebound.value().observer->metrics.Value(
+                  counters::kPlanCacheShapeHits),
+              1u);
+    EXPECT_TRUE(rebound.value().warnings.empty())
+        << WarningText(rebound.value().warnings);
+    EXPECT_EQ(Sorted(rebound.value().table),
+              Direct(sql, rebound.value().snapshot));
+    // Its EXPLAIN (an exact hit now) equals a cold twin's.
+    std::unique_ptr<IntegrationSystem> twin = ColdTwin();
+    Result<std::string> cold = twin->ExplainOptimized(sql, Multiset());
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(Explain(sql), cold.value());
+    EXPECT_NE(cold.value().find("direct plan on I chosen\n"),
+              std::string::npos);
+  }
+}
+
+TEST(MaintainerFenceTest, MaintainerCommitKeepsABypassedMaterializationFenced) {
+  // A commit that bypasses the maintainer leaves s2 without the 999 fact. A
+  // later maintainer delta adds the 998 fact to I and s2, and must not
+  // un-fence s2, which still lacks 999.
+  StockGenConfig cfg;
+  cfg.num_companies = 3;
+  cfg.num_dates = 5;
+  const Table s1 = GenerateStockS1(cfg);
+  Catalog catalog;
+  ASSERT_TRUE(InstallStockS1(&catalog, "I", s1).ok());
+  IntegrationSystem system(&catalog, "I");
+  ASSERT_TRUE(system.RegisterAndMaterializeSource(kFig6SourceSql).ok());
+  auto maintainer = system.CreateMaintainer(0, "s2");
+  ASSERT_TRUE(maintainer.ok()) << maintainer.status().ToString();
+  auto fact = [&](int64_t price) {
+    Row row = s1.row(0);
+    row[2] = Value::Int(price);
+    return row;
+  };
+  ASSERT_TRUE(catalog
+                  .Mutate([&](CatalogTxn& txn) -> Status {
+                    DV_ASSIGN_OR_RETURN(Database * db,
+                                        txn.GetMutableDatabase("I"));
+                    DV_ASSIGN_OR_RETURN(Table * stock,
+                                        db->GetMutableTable("stock"));
+                    return stock->AppendRow(fact(999));
+                  })
+                  .ok());
+  ASSERT_TRUE(maintainer.value().ApplyInserts({fact(998)}).ok());
+  EXPECT_TRUE(system.sources()[0]->IsStaleAgainst(*catalog.Snapshot()));
+
+  const std::string sql =
+      "select C, P from I::stock T, T.company C, T.price P where P > 900";
+  AnswerOptions multiset;
+  multiset.multiset = true;
+  Result<std::string> explained = system.ExplainOptimized(sql, multiset);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_NE(explained.value().find(
+                "warning DV007 [Sec. 6]: source s2::C fenced off"),
+            std::string::npos)
+      << explained.value();
+  auto answer = system.AnswerGuarded(sql, multiset);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer.value().table.num_rows(), 2u);
+  QueryEngine engine(&catalog, "I", Config(1));
+  QueryContext qc;
+  qc.PinSnapshot(answer.value().snapshot);
+  Result<Table> direct = engine.ExecuteSql(sql, &qc);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(Sorted(answer.value().table), Sorted(direct.value()));
+  EXPECT_NE(WarningText(answer.value().warnings)
+                .find("s2::C: Unavailable: stale materialization"),
+            std::string::npos)
+      << WarningText(answer.value().warnings);
 }
 
 TEST_F(MaintainedSourceTest, ConcurrentReadersNeverSeeAMaintainedSourceFenced) {

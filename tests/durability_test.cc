@@ -637,6 +637,88 @@ TEST_F(DurableIntegrationTest, MaintainerFenceSurvivesRestart) {
   EXPECT_EQ(newco.value()->num_rows(), 1u);
 }
 
+TEST_F(DurableIntegrationTest, CostedChoiceAndFencesRecoverToThePreCrashPlan) {
+  // The durable_ingest layout: I holds the facts, s2 is materialized from
+  // them and maintained. Each crash image must recover to the EXPLAIN the
+  // system gave before the crash.
+  const std::string read =
+      "select C, D, P from I::stock T, T.company C, T.date D, T.price P "
+      "where P > 200";
+  auto recovered_explain = [&](const std::string& image, bool* stale) {
+    Catalog catalog;
+    IntegrationSystem system(&catalog, "I");
+    Status opened = system.OpenDurable(image);
+    EXPECT_TRUE(opened.ok()) << opened.ToString();
+    if (!opened.ok() || system.sources().size() != 1) return std::string();
+    *stale = system.sources()[0]->IsStaleAgainst(*catalog.Snapshot());
+    Result<std::string> text =
+        system.ExplainOptimized(read, Semantics(/*multiset=*/true));
+    return text.ok() ? text.value() : text.status().ToString();
+  };
+  StockGenConfig cfg;
+  cfg.num_companies = 4;
+  cfg.num_dates = 6;
+  const Table s1 = GenerateStockS1(cfg);
+  Row fact = s1.row(0);
+  fact[2] = Value::Int(999);
+  Catalog catalog;
+  ASSERT_TRUE(InstallStockS1(&catalog, "I", s1).ok());
+  IntegrationSystem system(&catalog, "I");
+  ASSERT_TRUE(system.RegisterAndMaterializeSource(kS2View).ok());
+  ASSERT_TRUE(system.OpenDurable(dir_).ok());
+  auto maintainer = system.CreateMaintainer(0, "s2");
+  ASSERT_TRUE(maintainer.ok()) << maintainer.status().ToString();
+  auto crash_image = [&](const std::string& name) {
+    const std::string image = dir_ + "_" + name;
+    std::filesystem::remove_all(image);
+    std::filesystem::copy(dir_, image);
+    return image;
+  };
+
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(maintainer.value().ApplyInserts({fact}).ok());
+    ASSERT_TRUE(maintainer.value().ApplyDeletes({fact}).ok());
+  }
+  ASSERT_TRUE(maintainer.value().ApplyInserts({fact}).ok());
+  Result<std::string> fresh =
+      system.ExplainOptimized(read, Semantics(/*multiset=*/true));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_NE(fresh.value().find("source s2::C usable"), std::string::npos)
+      << fresh.value();
+  EXPECT_NE(fresh.value().find("direct plan on I chosen\n"),
+            std::string::npos)
+      << fresh.value();
+  const std::string maintained = crash_image("maintained");
+  bool stale = true;
+  EXPECT_EQ(recovered_explain(maintained, &stale), fresh.value());
+  EXPECT_FALSE(stale);
+
+  // A commit that bypasses the maintainer, then a maintainer delta: s2
+  // stays fenced, before the crash and after recovery.
+  ASSERT_TRUE(catalog
+                  .Mutate([&](CatalogTxn& txn) -> Status {
+                    DV_ASSIGN_OR_RETURN(Database * db,
+                                        txn.GetMutableDatabase("I"));
+                    DV_ASSIGN_OR_RETURN(Table * stock,
+                                        db->GetMutableTable("stock"));
+                    return stock->AppendRow(fact);
+                  })
+                  .ok());
+  ASSERT_TRUE(maintainer.value().ApplyDeletes({fact}).ok());
+  EXPECT_TRUE(system.sources()[0]->IsStaleAgainst(*catalog.Snapshot()));
+  Result<std::string> fenced =
+      system.ExplainOptimized(read, Semantics(/*multiset=*/true));
+  ASSERT_TRUE(fenced.ok()) << fenced.status().ToString();
+  EXPECT_NE(fenced.value().find("source s2::C fenced off"), std::string::npos)
+      << fenced.value();
+  const std::string bypassed = crash_image("bypassed");
+  stale = false;
+  EXPECT_EQ(recovered_explain(bypassed, &stale), fenced.value());
+  EXPECT_TRUE(stale);
+  std::filesystem::remove_all(maintained);
+  std::filesystem::remove_all(bypassed);
+}
+
 TEST_F(DurableIntegrationTest, RecoveryWarningsSurfaceOnceOnNextAnswer) {
   {
     Catalog catalog;

@@ -88,6 +88,9 @@ TEST_F(FuzzTest, SeededRunIsCleanAndCoversAllDdlKinds) {
   // commit.
   EXPECT_GT(report.commit_checks, 0) << report.Summary();
   EXPECT_GT(report.commit_hits, 0) << report.Summary();
+  // The candidate arm answered usable sources alone, each by its own
+  // rewriting.
+  EXPECT_GT(report.candidate_checks, 0) << report.Summary();
   EXPECT_GT(report.ddl_applied, 0);
   for (const char* kind :
        {"add-attribute", "drop-attribute", "rename-attribute",

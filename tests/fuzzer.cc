@@ -131,13 +131,17 @@ struct Runtime {
 /// materializations) but register through the plain RegisterSource path,
 /// which neither fences nor records materialization refs — without the sync
 /// an evolved twin would serve stale rows the primary correctly fences off.
+void SyncFence(const ViewDefinition& from, ViewDefinition* to) {
+  to->set_fenced(from.fenced());
+  to->AdvanceMaterializedVersion(from.materialized_version());
+  to->set_materialization(from.materialization());
+}
+
 void SyncFences(const IntegrationSystem& primary, IntegrationSystem* twin) {
   const auto& src = primary.sources();
   const auto& dst = twin->sources();
   for (size_t i = 0; i < src.size() && i < dst.size(); ++i) {
-    dst[i]->set_fenced(src[i]->fenced());
-    dst[i]->AdvanceMaterializedVersion(src[i]->materialized_version());
-    dst[i]->set_materialization(src[i]->materialization());
+    SyncFence(*src[i], dst[i].get());
   }
 }
 
@@ -445,6 +449,19 @@ std::string Canon(const Table& t) {
   return c.ToString();
 }
 
+/// The rows of `t` as a set: sorted, each distinct row once.
+std::string SetCanon(const Table& t) {
+  Table sorted = t;
+  sorted.SortRows();
+  Table c(sorted.schema());
+  for (const Row& r : sorted.rows()) {
+    if (c.num_rows() == 0 || !(c.row(c.num_rows() - 1) == r)) {
+      c.AppendRowUnchecked(r);
+    }
+  }
+  return c.ToString();
+}
+
 struct RunOut {
   bool ok = false;
   Status st;
@@ -682,6 +699,52 @@ std::optional<std::string> CheckAcrossCommit(Runtime& rt,
   return std::nullopt;
 }
 
+/// The candidate arm: each source of the primary alone on a fresh twin over
+/// the same catalog, its fence synced as SyncFences syncs it. Where the
+/// source is usable, its rewriting (Rewrite returns one even where the
+/// costed choice would answer from the direct plan on I) must answer the
+/// reference's set, or its bag under multiset: Thm. 5.2/5.4 make every
+/// candidate of the costed choice answer the same.
+std::optional<std::string> CheckEachCandidate(Runtime& rt,
+                                              const std::string& sql,
+                                              bool multiset, FuzzReport* rep) {
+  std::shared_ptr<const CatalogSnapshot> snap = rt.catalog->Snapshot();
+  QueryContext ref_qc;
+  ref_qc.PinSnapshot(snap);
+  Result<Table> ref = rt.ref->ExecuteSql(sql, &ref_qc);
+  if (!ref.ok()) return std::nullopt;
+  auto canon = [&](const Table& t) {
+    return multiset ? Canon(t) : SetCanon(t);
+  };
+  const std::string want = canon(ref.value());
+  IntegrationOptions serial;
+  serial.exec = MakeExec(1);
+  for (const auto& source : rt.a8->sources()) {
+    IntegrationSystem alone(rt.catalog.get(), "I", serial);
+    if (!alone.RegisterSource(source->stmt().ToString()).ok()) continue;
+    SyncFence(*source, alone.sources()[0].get());
+    Result<TranslationResult> rewriting = alone.Rewrite(sql, multiset);
+    if (!rewriting.ok()) continue;  // Not usable, or fenced off.
+    QueryContext qc;
+    qc.PinSnapshot(snap);
+    Result<Table> got =
+        alone.engine()->Execute(rewriting.value().query.get(), &qc);
+    if (rep != nullptr) {
+      ++rep->checks;
+      ++rep->candidate_checks;
+    }
+    const std::string arm = "candidate " + source->DisplayName() + ": ";
+    if (!got.ok()) {
+      return arm + got.status().ToString() + " where the reference answers";
+    }
+    if (canon(got.value()) != want) {
+      return arm + "rewriting answer diverges from direct\n" +
+             canon(got.value()) + "--- reference ---\n" + want;
+    }
+  }
+  return std::nullopt;
+}
+
 /// Runs one (sql, multiset) through every strategy and compares. Returns the
 /// first violation ("<strategy>: <what diverged>"), or nullopt when all
 /// six executions agree. `rep` is null during minimization replays.
@@ -868,6 +931,10 @@ std::optional<std::string> CheckQuery(Runtime& rt, const std::string& sql,
   }
 
   if (std::optional<std::string> fail =
+          CheckEachCandidate(rt, sql, multiset, rep)) {
+    return fail;
+  }
+  if (std::optional<std::string> fail =
           CheckAcrossCommit(rt, sql, multiset, rep)) {
     return fail;
   }
@@ -976,6 +1043,7 @@ std::string FuzzReport::Summary() const {
      << " warm_cold=" << warm_cold_checks << " shape=" << shape_checks
      << " shape_fallbacks=" << shape_fallbacks
      << " commit=" << commit_checks << " commit_hits=" << commit_hits
+     << " candidates=" << candidate_checks
      << " crashes=" << crashes_replayed
      << " mismatches=" << mismatches << " kinds=[";
   bool first = true;

@@ -63,6 +63,7 @@ struct FuzzReport {
   int shape_fallbacks = 0;  // Rebound queries whose literal guard failed.
   int commit_checks = 0;    // Warm answers across a rows-only commit.
   int commit_hits = 0;      // ... of them served by a plan cached before it.
+  int candidate_checks = 0;  // Usable sources answered alone (each forced).
   int crashes_replayed = 0;
   int mismatches = 0;  // Oracle violations — any nonzero run is a failure.
   std::set<std::string> kinds_applied;  // DdlKindName of every applied op.
@@ -98,7 +99,10 @@ struct FuzzReport {
 /// catalog, commits a rows-only change to I::base0 and answers again: the
 /// warm answer must equal a cold one at the new snapshot in bytes, row
 /// order, warnings and EXPLAIN, with the sources unfenced and with them
-/// fenced (the commit then fences the chosen one). Queries the optimizer
+/// fenced (the commit then fences the chosen one). A candidate arm
+/// registers each source alone on a fresh twin, fenced like the primary's:
+/// where it is usable, its rewriting must answer the reference's set, or
+/// its bag under multiset. Queries the optimizer
 /// declines to plan (kUnsupported: higher-order or multi-block) are
 /// counted as refusals. In
 /// durable mode every scenario additionally crashes mid-stream and must

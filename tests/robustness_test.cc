@@ -599,13 +599,15 @@ TEST_F(GuardTest, IntegrationPartialResultNamesSkippedSource) {
   // The Fig. 6 acceptance scenario: I::stock data is integrated through a
   // per-company dynamic view; one company's source relation goes down; a
   // guarded query returns the other companies' rows plus a warning naming
-  // the lost source.
+  // the lost source. I is virtual: the data lives only under the source.
   Catalog cat;
   StockGenConfig cfg;
-  ASSERT_TRUE(InstallStockS1(&cat, "I", GenerateStockS1(cfg)).ok());
+  const Table s1 = GenerateStockS1(cfg);
+  ASSERT_TRUE(cat.PutTable("I", "stock", Table(s1.schema())).ok());
+  ASSERT_TRUE(InstallStockS2(&cat, "src", s1).ok());
   IntegrationSystem system(&cat, "I");
   ASSERT_TRUE(system
-                  .RegisterAndMaterializeSource(
+                  .RegisterSource(
                       "create view src::C(date, price) as select D, P from "
                       "I::stock T, T.company C, T.date D, T.price P")
                   .ok());
